@@ -51,7 +51,7 @@ from .polynomials import (
     monomials_of_type,
     parse_polynomial,
 )
-from .reports import GenericityReport, VerdictReport
+from .reports import CertificateError, GenericityReport, VerdictReport
 from .verifiers import (
     TelescopingCertificate,
     default_witness_patterns,

@@ -1,9 +1,10 @@
 """Command-line front end.
 
 Exit codes: 0 verdict-true/success, 1 verdict-false, 2 usage error,
-3 resource budget exceeded.  Ideals are written in the mini-language
-``orbit:<group>:<poly>`` with group one of ``S<N>``, ``C<N>``,
-``gens:<cycles>`` and poly either the text grammar or ``e(n,d)``.
+3 resource budget exceeded, 4 internal error or failed certificate.
+Ideals are written in the mini-language ``orbit:<group>:<poly>`` with
+group one of ``S<N>``, ``C<N>``, ``gens:<cycles>`` and poly either the
+text grammar or ``e(n,d)``.
 """
 
 from __future__ import annotations
@@ -462,6 +463,11 @@ def run(argv: list[str]) -> int:
     except (UsageError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except Exception as exc:
+        # a failed re-verification or a fault must not read as "verdict false"
+        message = " ".join(str(exc).split())
+        print(f"error: internal: {type(exc).__name__}: {message}", file=sys.stderr)
+        return 4
 
 
 def _dispatch(args, field: Field, order) -> int:

@@ -16,17 +16,37 @@ from fractions import Fraction
 Raw = Fraction | int
 
 
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+# the least strong pseudoprime to every base above: Miller-Rabin on these
+# bases is exact below it
+_MR_LIMIT = 3317044064679887385961981
+
+
 def is_prime(n: int) -> bool:
-    """Deterministic trial division; meant for desk-scale moduli."""
+    """Deterministic Miller-Rabin on the first 13 prime bases.
+
+    Exact for n < 3317044064679887385961981; a larger n raises ValueError.
+    """
     if n < 2:
         return False
-    if n % 2 == 0:
-        return n == 2
-    f = 3
-    while f * f <= n:
-        if n % f == 0:
+    if n >= _MR_LIMIT:
+        raise ValueError(f"modulus {n} is too large to be proved prime (limit {_MR_LIMIT})")
+    for a in _MR_BASES:
+        if n % a == 0:
+            return n == a
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for a in _MR_BASES:
+        x = pow(a, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
             return False
-        f += 2
     return True
 
 
@@ -113,7 +133,7 @@ QQ = Field()
 
 
 def GF(p: int) -> Field:
-    """The prime field with p elements; p is checked by trial division."""
+    """The prime field with p elements; p is checked by deterministic Miller-Rabin."""
     return Field(p)
 
 

@@ -25,7 +25,7 @@ from .polynomials import (
     monomials_of_degree,
     monomials_of_type,
 )
-from .reports import VerdictReport
+from .reports import CertificateError, VerdictReport
 
 
 @dataclass(frozen=True)
@@ -114,7 +114,7 @@ def graded_piece(ideal: OrbitIdeal, degree: int) -> GradedPiece:
     return GradedPiece(
         degree=degree,
         monomial_index=tuple(index),
-        matrix=ExactMatrix.from_columns(field, columns),
+        matrix=ExactMatrix.from_columns(field, len(index), columns),
         column_meta=tuple(meta),
     )
 
@@ -148,7 +148,7 @@ def _combination_columns(ideal: OrbitIdeal, target: Polynomial):
         for m, c in prod.items():
             col[index_pos[m]] = c
         columns.append(col)
-    return index, index_pos, ExactMatrix.from_columns(field, columns), tuple(meta)
+    return index, index_pos, ExactMatrix.from_columns(field, len(index), columns), tuple(meta)
 
 
 def graded_member(target: Polynomial, ideal: OrbitIdeal) -> VerdictReport:
@@ -209,7 +209,7 @@ def graded_member(target: Polynomial, ideal: OrbitIdeal) -> VerdictReport:
             ), "coefficient": str(c)}
         )
     if total != target:
-        raise AssertionError("membership certificate failed polynomial re-verification")
+        raise CertificateError("membership certificate failed polynomial re-verification")
     return VerdictReport(
         "graded-membership",
         parameters,
@@ -297,7 +297,7 @@ def rank_condition(f: Polynomial, group: PermGroup) -> VerdictReport:
         for m, c in image.terms.items():
             col[index_pos[m]] = c
         columns.add(tuple(col))
-    matrix = ExactMatrix.from_columns(field, sorted(columns))
+    matrix = ExactMatrix.from_columns(field, len(row_index), sorted(columns))
     got = rank(matrix)
     verdict = got == len(row_index)
     return VerdictReport(

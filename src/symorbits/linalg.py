@@ -1,17 +1,20 @@
 """Exact dense linear algebra: rank and span membership with certificates.
 
-Over the rationals, rank uses fraction-free (Bareiss) elimination on an
-integer-rescaled copy so intermediate entries stay integral; over a prime
-field it uses plain modular elimination.  No floating point.
+One elimination kernel serves both questions.  It runs fraction-free
+(Bareiss) row elimination on integer rows: over the rationals each row is
+first scaled by the lcm of its denominators and every update is divided
+exactly by the previous pivot; over a prime field the update is reduced
+mod p instead.  Pivots are taken first-nonzero, left to right, so the
+pivot columns are the greedy independent columns.  No floating point.
 """
 
 from __future__ import annotations
 
 import math
-from fractions import Fraction
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from .fields import Field, Raw, Scalar
+from .reports import CertificateError
 
 
 class ExactMatrix:
@@ -29,19 +32,14 @@ class ExactMatrix:
         self.ncols = len(data[0]) if data else 0
 
     @classmethod
-    def from_columns(cls, field: Field, columns: Sequence[Sequence]) -> "ExactMatrix":
-        if not columns:
-            return cls(field, [])
-        return cls(field, list(zip(*columns)))
-
-    def entry(self, i: int, j: int) -> Scalar:
-        return Scalar(self.field, self.rows[i][j])
-
-    def column(self, j: int) -> tuple[Raw, ...]:
-        return tuple(row[j] for row in self.rows)
-
-    def columns(self) -> list[tuple[Raw, ...]]:
-        return [self.column(j) for j in range(self.ncols)]
+    def from_columns(
+        cls, field: Field, nrows: int, columns: Sequence[Sequence]
+    ) -> "ExactMatrix":
+        """The matrix with the given columns; ``nrows`` keeps the row count
+        when there are no columns."""
+        if any(len(col) != nrows for col in columns):
+            raise ValueError(f"column length differs from row count {nrows}")
+        return cls(field, list(zip(*columns)) if columns else [()] * nrows)
 
     def transpose(self) -> "ExactMatrix":
         return ExactMatrix(self.field, list(zip(*self.rows)) if self.rows else [])
@@ -50,8 +48,11 @@ class ExactMatrix:
         return f"ExactMatrix({self.field}, {self.nrows}x{self.ncols})"
 
 
-def _integerize_rows(rows: Sequence[Sequence[Fraction]]) -> list[list[int]]:
-    # row scaling by the denominator lcm preserves rank
+def _integer_rows(field: Field, rows: Iterable[Sequence[Raw]]) -> list[list[int]]:
+    """Mutable integer copies of the rows; scaling a row by the lcm of its
+    denominators keeps its row space and the solutions it imposes."""
+    if not field.is_rationals:
+        return [list(row) for row in rows]
     out = []
     for row in rows:
         scale = math.lcm(*(x.denominator for x in row)) if row else 1
@@ -59,149 +60,75 @@ def _integerize_rows(rows: Sequence[Sequence[Fraction]]) -> list[list[int]]:
     return out
 
 
-def rank(matrix: ExactMatrix) -> int:
-    """Exact rank; Bareiss over the rationals, Gaussian over a prime field."""
-    if matrix.nrows == 0 or matrix.ncols == 0:
-        return 0
-    if matrix.field.is_rationals:
-        return _rank_bareiss(_integerize_rows(matrix.rows))
-    return _rank_prime(matrix)
-
-
-def _rank_bareiss(m: list[list[int]]) -> int:
-    nrows, ncols = len(m), len(m[0])
-    r = 0
+def _echelon(field: Field, rows: list[list[int]]) -> list[int]:
+    """Bring integer rows to row echelon form in place; return the pivot
+    columns, pivot row r holding the pivot of column ``pivots[r]``."""
+    p = field.p
+    nrows = len(rows)
+    ncols = len(rows[0]) if rows else 0
+    pivots: list[int] = []
     prev = 1
     for c in range(ncols):
+        r = len(pivots)
         if r == nrows:
             break
-        pivot_row = next((i for i in range(r, nrows) if m[i][c] != 0), None)
+        pivot_row = next((i for i in range(r, nrows) if rows[i][c]), None)
         if pivot_row is None:
             continue
-        if pivot_row != r:
-            m[r], m[pivot_row] = m[pivot_row], m[r]
-        piv = m[r][c]
+        rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
+        top = rows[r]
+        piv = top[c]
         for i in range(r + 1, nrows):
-            mic = m[i][c]
-            row_i, row_r = m[i], m[r]
-            for j in range(c + 1, ncols):
-                # fraction-free update: every entry is a minor of the input,
-                # so the division by the previous pivot is exact
-                row_i[j] = (piv * row_i[j] - mic * row_r[j]) // prev
-            row_i[c] = 0
+            row = rows[i]
+            m = row[c]
+            if p:
+                if m:
+                    rows[i] = [(piv * x - m * y) % p for x, y in zip(row, top)]
+            else:
+                # every entry is a minor of the input, so the division by
+                # the previous pivot is exact
+                rows[i] = [(piv * x - m * y) // prev for x, y in zip(row, top)]
         prev = piv
-        r += 1
-    return r
+        pivots.append(c)
+    return pivots
 
 
-def _rank_prime(matrix: ExactMatrix) -> int:
-    p = matrix.field.p
-    m = [list(row) for row in matrix.rows]
-    nrows, ncols = len(m), len(m[0])
-    r = 0
-    for c in range(ncols):
-        if r == nrows:
-            break
-        pivot_row = next((i for i in range(r, nrows) if m[i][c] % p != 0), None)
-        if pivot_row is None:
-            continue
-        if pivot_row != r:
-            m[r], m[pivot_row] = m[pivot_row], m[r]
-        inv = pow(m[r][c], p - 2, p)
-        m[r] = [(x * inv) % p for x in m[r]]
-        for i in range(r + 1, nrows):
-            factor = m[i][c] % p
-            if factor:
-                m[i] = [(x - factor * y) % p for x, y in zip(m[i], m[r])]
-        r += 1
-    return r
+def rank(matrix: ExactMatrix) -> int:
+    """Exact rank: the number of pivots the elimination kernel finds."""
+    return len(_echelon(matrix.field, _integer_rows(matrix.field, matrix.rows)))
 
 
 def in_span(vector: Sequence, matrix: ExactMatrix) -> tuple[bool, list[Scalar] | None]:
     """Decide whether the vector lies in the span of the matrix columns.
 
     Returns ``(True, certificate)`` with one coefficient per column
-    (zeros for unused columns), re-verified by multiplication before
-    returning, or ``(False, None)``.  Columns are consumed left to right
-    with first-nonzero pivoting, so certificates are reproducible.
+    (zeros off the greedy left-to-right independent columns), re-verified
+    by multiplication before returning, or ``(False, None)``.
     """
     field = matrix.field
     v = [field.coerce(x) for x in vector]
     if len(v) != matrix.nrows:
         raise ValueError(f"vector length {len(v)} != row count {matrix.nrows}")
-    zero, one = field.zero, field.one
-
-    def reduce_vec(u: list[Raw], basis: list[tuple[int, list[Raw]]]) -> list[Raw]:
-        for piv, b in basis:
-            factor = u[piv]
-            if factor != zero:
-                u = [field.sub(x, field.mul(factor, y)) for x, y in zip(u, b)]
-        return u
-
-    basis: list[tuple[int, list[Raw]]] = []  # (pivot row, pivot-normalized vector)
-    pivot_columns: list[int] = []
-    residual = reduce_vec(list(v), basis)
-    seen_columns: set[tuple[Raw, ...]] = set()
-    for j in range(matrix.ncols):
-        if all(x == zero for x in residual):
-            break
-        if len(basis) == matrix.nrows:
-            break
-        col = matrix.column(j)
-        if col in seen_columns:
-            continue
-        seen_columns.add(col)
-        u = reduce_vec(list(col), basis)
-        piv = next((i for i, x in enumerate(u) if x != zero), None)
-        if piv is None:
-            continue
-        inv = field.inv(u[piv])
-        u = [field.mul(x, inv) for x in u]
-        basis.append((piv, u))
-        pivot_columns.append(j)
-        factor = residual[piv]
-        if factor != zero:
-            residual = [field.sub(x, field.mul(factor, y)) for x, y in zip(residual, u)]
-
-    if any(x != zero for x in residual):
+    n = matrix.ncols
+    rows = _integer_rows(field, (row + (x,) for row, x in zip(matrix.rows, v)))
+    pivots = _echelon(field, rows)
+    if pivots and pivots[-1] == n:
         return False, None
 
-    coeffs = _solve_exact(field, [matrix.column(j) for j in pivot_columns], v)
-    certificate = [zero] * matrix.ncols
-    for j, c in zip(pivot_columns, coeffs):
-        certificate[j] = c
-    # re-verify: columns . certificate == vector
-    for i in range(matrix.nrows):
-        total = zero
-        for j, c in enumerate(certificate):
-            if c != zero:
-                total = field.add(total, field.mul(matrix.rows[i][j], c))
-        if total != v[i]:
-            raise AssertionError("span certificate failed re-verification")
-    return True, [Scalar(field, c) for c in certificate]
-
-
-def _solve_exact(field: Field, columns: list[tuple[Raw, ...]], v: list[Raw]) -> list[Raw]:
-    """Solve sum_j x_j * columns[j] = v for independent columns."""
-    if not columns:
-        return []
-    nrows = len(v)
-    k = len(columns)
-    aug = [[columns[j][i] for j in range(k)] + [v[i]] for i in range(nrows)]
     zero = field.zero
-    row = 0
-    pivots = []
-    for c in range(k):
-        pivot_row = next((i for i in range(row, nrows) if aug[i][c] != zero), None)
-        if pivot_row is None:
-            raise AssertionError("columns expected to be independent")
-        aug[row], aug[pivot_row] = aug[pivot_row], aug[row]
-        inv = field.inv(aug[row][c])
-        aug[row] = [field.mul(x, inv) for x in aug[row]]
-        for i in range(nrows):
-            if i != row and aug[i][c] != zero:
-                factor = aug[i][c]
-                aug[i] = [field.sub(x, field.mul(factor, y)) for x, y in zip(aug[i], aug[row])]
-        pivots.append(row)
-        row += 1
-    return [aug[pivots[c]][k] for c in range(k)]
+    certificate = [zero] * n
+    for r in reversed(range(len(pivots))):
+        row = rows[r]
+        rest = field.coerce(row[n])
+        for c in pivots[r + 1:]:
+            rest = field.sub(rest, field.mul(row[c], certificate[c]))
+        certificate[pivots[r]] = field.div(rest, row[pivots[r]])
+    # re-verify: columns . certificate == vector
+    support = [(j, c) for j, c in enumerate(certificate) if c != zero]
+    for row, x in zip(matrix.rows, v):
+        total = zero
+        for j, c in support:
+            total = field.add(total, field.mul(row[j], c))
+        if total != x:
+            raise CertificateError("span certificate failed re-verification")
+    return True, [Scalar(field, c) for c in certificate]

@@ -11,6 +11,11 @@ from dataclasses import dataclass, field
 from typing import Any
 
 
+class CertificateError(AssertionError):
+    """A certificate failed its exact re-verification: an internal fault,
+    never a verdict."""
+
+
 def _flatten(prefix: str, value: Any, out: list[tuple[str, str]]):
     if isinstance(value, dict):
         for k in sorted(value, key=str):

@@ -21,7 +21,7 @@ from .polynomials import (
     Polynomial,
     elementary_symmetric,
 )
-from .reports import VerdictReport
+from .reports import CertificateError, VerdictReport
 
 
 # -- elimination identity ----------------------------------------------------
@@ -61,7 +61,7 @@ def elimination_coefficients(n: int, d: int, field: Field = QQ) -> list[Scalar]:
     closed = [Fraction(binomial(n - 1, d), binomial(n - 1, d - j)) for j in range(d + 1)]
     solved = solve_cancellation_system(n, d)
     if closed != solved:
-        raise AssertionError(
+        raise CertificateError(
             f"closed form {closed} disagrees with cancellation system {solved}"
         )
     out = []
@@ -158,7 +158,7 @@ def telescoping_certificate(n: int, d: int, nvars: int, field: Field = QQ) -> Te
                 nvars, range(i + 1, n + 1), d - i, field
             )
         if current != product:
-            raise AssertionError(f"telescoping step {i} failed its factored form")
+            raise CertificateError(f"telescoping step {i} failed its factored form")
         transpositions.append(tau)
         chain.append(current)
         factored_forms.append(product)
@@ -236,7 +236,7 @@ def verify_squarefree_orbit(
     generators = orbit(extended, group)
     for g in generators:
         if not g.evaluate(ones).is_zero:
-            raise AssertionError("all-ones witness failed on a generator")
+            raise CertificateError("all-ones witness failed on a generator")
     parameters["branch"] = "all-ones-witness"
     return VerdictReport(
         "squarefree-orbit",

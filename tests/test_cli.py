@@ -39,6 +39,17 @@ class TestExitCodes:
         )
         assert code == 3 and "budget" in err.lower()
 
+    def test_failed_certificate_exits_four(self, capsys, monkeypatch):
+        # a cancellation system that disagrees with the closed form makes
+        # the elimination check fail its re-verification
+        monkeypatch.setattr(
+            "symorbits.verifiers.solve_cancellation_system", lambda n, d: [0] * (d + 1)
+        )
+        code, out, err = invoke(capsys, "eliminate", "--n", "3", "--d", "2")
+        assert code == 4 and out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "CertificateError" in err
+
     def test_exit_code_ignores_format(self, capsys):
         for fmt in ("human", "machine"):
             code, _, _ = invoke(

@@ -1,4 +1,6 @@
+import math
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -12,6 +14,7 @@ from symorbits import (
     char_divides_binomial,
     falling_factorial,
 )
+from symorbits.fields import is_prime
 
 
 class TestScalarArithmetic:
@@ -49,6 +52,24 @@ class TestScalarArithmetic:
             with pytest.raises(ValueError):
                 Field(bad)
         GF(2), GF(97)  # fine
+
+    def test_primality_matches_trial_division(self):
+        def trial(n):
+            return n >= 2 and all(n % f for f in range(2, math.isqrt(n) + 1))
+
+        assert [n for n in range(3000) if is_prime(n)] == [n for n in range(3000) if trial(n)]
+
+    def test_large_moduli(self):
+        start = time.monotonic()
+        assert GF(2**61 - 1).characteristic == 2**61 - 1
+        assert time.monotonic() - start < 1.0
+        # strong pseudoprimes to every base up to 23 and up to 37
+        for composite in (3825123056546413051, 318665857834031151167461):
+            with pytest.raises(ValueError, match="not a prime"):
+                GF(composite)
+        # above the bound where 13 Miller-Rabin bases are proved exact
+        with pytest.raises(ValueError, match="too large"):
+            GF(2**89 - 1)
 
     def test_rational_field_laws_randomized(self):
         rng = random.Random(7)

@@ -80,6 +80,14 @@ class TestGradedMember:
         report = graded_member(P("x1^2", 3), ideal)
         assert report.verdict and report.certificate is not None
 
+    def test_target_below_every_generator_degree(self, P):
+        ideal = orbit_ideal([P("x1^2", 3)], PermGroup.symmetric(3))
+        report = graded_member(P("x1", 3), ideal)
+        assert not report.verdict and report.parameters["columns"] == 0
+        ideal = orbit_ideal([P("x1^2 + x2^3", 3)], PermGroup.symmetric(3))
+        report = graded_member(P("x3", 3), ideal)
+        assert not report.verdict and report.parameters["columns"] == 0
+
     def test_inhomogeneous_bounded_search(self, P):
         ideal = orbit_ideal([P("x1 + x2 + x1^2 - x2^2", 3)], PermGroup.symmetric(3))
         report = graded_member(P("2*x1", 3), ideal)

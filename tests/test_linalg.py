@@ -77,12 +77,12 @@ class TestRank:
 
 class TestInSpan:
     def test_examples(self):
-        m = ExactMatrix.from_columns(QQ, [[1, 1], [0, 1]])  # e1+e2, e2
+        m = ExactMatrix.from_columns(QQ, 2, [[1, 1], [0, 1]])  # e1+e2, e2
         ok, cert = in_span([1, 0], m)
         assert ok
         assert [c.value for c in cert] == [1, -1]
 
-        m2 = ExactMatrix.from_columns(QQ, [[0, 1]])
+        m2 = ExactMatrix.from_columns(QQ, 2, [[0, 1]])
         ok, cert = in_span([1, 0], m2)
         assert not ok and cert is None
 
@@ -90,12 +90,12 @@ class TestInSpan:
         rng = random.Random(71)
         for _ in range(20):
             cols = [[rng.randint(-3, 3) for _ in range(4)] for _ in range(3)]
-            m = ExactMatrix.from_columns(QQ, cols)
+            m = ExactMatrix.from_columns(QQ, 4, cols)
             ok, cert = in_span(cols[1], m)
             assert ok
 
     def test_dimension_mismatch(self):
-        m = ExactMatrix.from_columns(QQ, [[1, 0]])
+        m = ExactMatrix.from_columns(QQ, 2, [[1, 0]])
         with pytest.raises(ValueError):
             in_span([1, 0, 0], m)
 
@@ -107,8 +107,8 @@ class TestInSpan:
                 ncols = rng.randint(1, 6)
                 cols = [[rng.randint(-3, 3) for _ in range(nrows)] for _ in range(ncols)]
                 v = [rng.randint(-3, 3) for _ in range(nrows)]
-                m = ExactMatrix.from_columns(field, cols)
-                augmented = ExactMatrix.from_columns(field, cols + [v])
+                m = ExactMatrix.from_columns(field, nrows, cols)
+                augmented = ExactMatrix.from_columns(field, nrows, cols + [v])
                 ok, cert = in_span(v, m)
                 assert ok == (rank(augmented) == rank(m))
 
@@ -125,11 +125,56 @@ class TestInSpan:
                     sum(w * cols[j][i] for j, w in enumerate(weights))
                     for i in range(nrows)
                 ]
-                m = ExactMatrix.from_columns(field, cols)
+                m = ExactMatrix.from_columns(field, nrows, cols)
                 ok, cert = in_span(v, m)
                 assert ok
                 for i in range(nrows):
                     total = field.zero
                     for j, c in enumerate(cert):
                         total = field.add(total, field.mul(field.coerce(cols[j][i]), c.value))
+                    assert total == field.coerce(v[i])
+
+    def test_zero_columns(self):
+        m = ExactMatrix.from_columns(QQ, 3, [])
+        assert (m.nrows, m.ncols) == (3, 0)
+        assert rank(m) == 0
+        assert in_span([0, 0, 0], m) == (True, [])
+        assert in_span([1, 0, 0], m) == (False, None)
+        with pytest.raises(ValueError):
+            ExactMatrix.from_columns(QQ, 3, [[1, 0]])
+
+    def test_certificate_on_greedy_pivot_columns(self):
+        # column j is a greedy pivot iff it raises the rank of cols[:j]
+        rng = random.Random(83)
+        for field in (QQ, GF(2), GF(7)):
+            for _ in range(60):
+                nrows = rng.randint(1, 5)
+                cols = []
+                for _ in range(rng.randint(1, 7)):
+                    kind = rng.random()
+                    if cols and kind < 0.2:
+                        cols.append(list(rng.choice(cols)))
+                    elif kind < 0.3:
+                        cols.append([0] * nrows)
+                    else:
+                        den = rng.randint(1, 3) if field is QQ else 1
+                        cols.append([Fraction(rng.randint(-4, 4), den) for _ in range(nrows)])
+                if rng.random() < 0.7:
+                    weights = [rng.randint(-2, 2) for _ in cols]
+                    v = [sum(w * col[i] for w, col in zip(weights, cols)) for i in range(nrows)]
+                else:
+                    v = [rng.randint(-3, 3) for _ in range(nrows)]
+                pivots = {
+                    j for j in range(len(cols))
+                    if naive_rank(field, cols[:j + 1]) > naive_rank(field, cols[:j])
+                }
+                ok, cert = in_span(v, ExactMatrix.from_columns(field, nrows, cols))
+                assert ok == (naive_rank(field, cols + [v]) == naive_rank(field, cols))
+                if not ok:
+                    continue
+                assert all(c.is_zero for j, c in enumerate(cert) if j not in pivots)
+                for i in range(nrows):
+                    total = field.zero
+                    for col, c in zip(cols, cert):
+                        total = field.add(total, field.mul(field.coerce(col[i]), c.value))
                     assert total == field.coerce(v[i])
