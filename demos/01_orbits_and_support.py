@@ -36,4 +36,10 @@ print("divisible by a product of 2 distinct variables.")
 big = PermGroup.symmetric(6)
 extended = parse_polynomial("x1^2*x2 + x1*x2^2", 6, QQ)
 print(f"\nthe same f inside 6 variables has orbit size {len(orbit(extended, big))}")
-print("(one polynomial per ordered pair of distinct variable indices)")
+print("(one polynomial per pair of distinct variable indices, since f is")
+print("symmetric in x1 and x2)")
+
+huge = PermGroup.symmetric(12)
+g = parse_polynomial("x1*x2 - x3", 12, QQ)
+print(f"\n{huge.descriptor} has order {huge.order}, yet no element is enumerated:")
+print(f"the orbit of {g} has size {len(orbit(g, huge))}")

@@ -19,7 +19,6 @@ from .groebner import (
     GroebnerBasis,
     buchberger,
     ideal_member,
-    normal_form,
     radical_equals_irrelevant,
     radical_member,
 )

@@ -82,6 +82,8 @@ def sample_genericity(
     per support element and tally how often the property's verifier succeeds."""
     if trials < 1:
         raise ValueError("need at least one trial")
+    if coeff_box < 1:
+        raise ValueError(f"coeff_box must be at least 1, got {coeff_box}")
     notes, k = _validate_hypotheses(support, group, property_name, k)
     elements = support.sorted_elements()
     candidates = [c for c in range(-coeff_box, coeff_box + 1) if c != 0]

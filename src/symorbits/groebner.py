@@ -280,10 +280,6 @@ def _reduce_basis(basis: list[Polynomial], order: MonomialOrder, field: Field) -
     return sorted(reduced, key=lambda g: order.key(g.leading_monomial(order)))
 
 
-def normal_form(f: Polynomial, gb: GroebnerBasis) -> Polynomial:
-    return gb.normal_form(f)
-
-
 def ideal_member(
     f: Polynomial,
     generators: Sequence[Polynomial],

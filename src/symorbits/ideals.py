@@ -15,7 +15,7 @@ from typing import Sequence
 
 from .groebner import DEFAULT_MAX_PAIRS, GroebnerBasis, buchberger
 from .linalg import ExactMatrix, in_span, rank
-from .permutations import PermGroup, orbit
+from .permutations import PermGroup, orbit, orbit_images
 from .polynomials import (
     GREVLEX,
     Monomial,
@@ -281,6 +281,7 @@ def rank_condition(f: Polynomial, group: PermGroup) -> VerdictReport:
     if len(types) != 1:
         raise ValueError(f"support mixes types {sorted(types)}")
     mono_type = next(iter(types))
+    images = orbit_images(f, group)  # over the bound, refuse before any enumeration
     if not group.transitive_on_type(mono_type):
         raise ValueError(
             f"group {group.descriptor} is not transitive on monomials of type {mono_type}"
@@ -291,8 +292,7 @@ def rank_condition(f: Polynomial, group: PermGroup) -> VerdictReport:
     index_pos = {m: i for i, m in enumerate(row_index)}
     field = f.field
     columns = set()
-    for g in group.elements:
-        image = g.act(f)
+    for image in images:
         col = [field.zero] * len(row_index)
         for m, c in image.terms.items():
             col[index_pos[m]] = c
@@ -321,10 +321,10 @@ def rank_condition(f: Polynomial, group: PermGroup) -> VerdictReport:
 
 
 def symmetrize(f: Polynomial, group: PermGroup) -> Polynomial:
-    """Sum of sigma.f over every group element, with multiplicity."""
+    """Sum of sigma.f over every group element, with multiplicity: each
+    orbit element occurs |stabilizer| = order / |orbit| times."""
     if f.nvars != group.degree:
         raise ValueError("variable count mismatch")
-    total = Polynomial.zero(f.field, f.nvars)
-    for g in group.elements:
-        total = total + g.act(f)
-    return total
+    images = orbit(f, group)
+    total = sum(images, Polynomial.zero(f.field, f.nvars))
+    return total.scale(group.order // len(images))

@@ -36,13 +36,15 @@ class ExactMatrix:
         cls, field: Field, nrows: int, columns: Sequence[Sequence]
     ) -> "ExactMatrix":
         """The matrix with the given columns; ``nrows`` keeps the row count
-        when there are no columns."""
+        when there are no columns, and the column count holds with no rows."""
         if any(len(col) != nrows for col in columns):
             raise ValueError(f"column length differs from row count {nrows}")
-        return cls(field, list(zip(*columns)) if columns else [()] * nrows)
+        matrix = cls(field, list(zip(*columns)) if columns else [()] * nrows)
+        matrix.ncols = len(columns)
+        return matrix
 
     def transpose(self) -> "ExactMatrix":
-        return ExactMatrix(self.field, list(zip(*self.rows)) if self.rows else [])
+        return ExactMatrix.from_columns(self.field, self.ncols, self.rows)
 
     def __repr__(self) -> str:
         return f"ExactMatrix({self.field}, {self.nrows}x{self.ncols})"

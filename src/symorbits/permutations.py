@@ -2,20 +2,39 @@
 action on monomials and polynomials.
 
 The action follows the convention that a permutation sends the variable
-x_i to x_{sigma(i)}; groups are fully enumerated at construction so that
-verifiers can iterate over every element.
+x_i to x_{sigma(i)}.  A group is its generators plus its order, known in
+closed form for S_n and C_n.  Every orbit (of indices, index sets, monomials,
+group elements) is the closure of a start set under the generators; elements
+and the images of a polynomial under S_n are enumerated on demand, up to
+``DEFAULT_GROUP_BOUND``.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import re
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .polynomials import Monomial, Polynomial, monomials_of_type
 
 DEFAULT_GROUP_BOUND = 50_000
+
+
+def _closure(starts: Iterable, step: Callable[..., Iterable], bound: int | None = None) -> set:
+    """Everything reachable from ``starts`` by repeated ``step``; raises
+    ValueError once more than ``bound`` items are reached."""
+    reach = set(starts)
+    todo = list(reach)
+    while todo:
+        for y in step(todo.pop()):
+            if y not in reach:
+                if bound is not None and len(reach) >= bound:
+                    raise ValueError(f"enumeration exceeds bound {bound}")
+                reach.add(y)
+                todo.append(y)
+    return reach
 
 
 class Permutation:
@@ -76,10 +95,7 @@ class Permutation:
         return Permutation(tuple(self.images[j] for j in other.images))
 
     def inverse(self) -> "Permutation":
-        inv = [0] * self.degree
-        for i, j in enumerate(self.images):
-            inv[j] = i
-        return Permutation(inv)
+        return Permutation(sorted(range(self.degree), key=self.images.__getitem__))
 
     @property
     def is_identity(self) -> bool:
@@ -96,14 +112,7 @@ class Permutation:
         """Apply the variable substitution x_i -> x_{sigma(i)} to f."""
         if f.nvars != self.degree:
             raise ValueError(f"permutation degree {self.degree} != nvars {f.nvars}")
-        images = self.images
-        terms = {}
-        for m, c in f.terms.items():
-            out = [0] * len(m)
-            for i, e in enumerate(m):
-                out[images[i]] = e
-            terms[tuple(out)] = c
-        return Polynomial(f.field, f.nvars, terms)
+        return f._make({self.act_monomial(m): c for m, c in f.terms.items()})
 
     def cycles(self) -> list[tuple[int, ...]]:
         """Nontrivial cycles on 1-based indices, each starting at its minimum."""
@@ -130,109 +139,66 @@ class Permutation:
         return hash(self.images)
 
     def __repr__(self) -> str:
-        cycles = self.cycles()
-        if not cycles:
-            return "()"
-        return "".join("(" + " ".join(map(str, c)) + ")" for c in cycles)
+        return "".join("(" + " ".join(map(str, c)) + ")" for c in self.cycles()) or "()"
 
 
 class PermGroup:
-    """A finite permutation group with fully enumerated elements."""
+    """A finite permutation group: its generators and its order."""
 
     def __init__(
-        self,
-        degree: int,
-        generators: Sequence[Permutation],
-        elements: Sequence[Permutation],
-        descriptor: str,
-        is_full_symmetric: bool = False,
+        self, degree: int, generators: Sequence[Permutation], order: int, descriptor: str
     ):
         self.degree = degree
         self.generators = tuple(generators)
-        self.elements = tuple(elements)
-        self.order = len(self.elements)
+        self.order = order
         self.descriptor = descriptor
-        self.is_full_symmetric = is_full_symmetric
+        self.is_full_symmetric = order == math.factorial(degree)
 
     @classmethod
-    def symmetric(cls, n: int, bound: int = DEFAULT_GROUP_BOUND) -> "PermGroup":
+    def symmetric(cls, n: int) -> "PermGroup":
         if n < 1:
             raise ValueError("degree must be >= 1")
-        if math.factorial(n) > bound:
-            raise ValueError(f"group order {math.factorial(n)} exceeds enumeration bound {bound}")
-        elements = [Permutation(p) for p in itertools.permutations(range(n))]
         gens = []
         if n >= 2:
             gens.append(Permutation.transposition(n, 1, 2))
         if n >= 3:
             gens.append(Permutation(tuple(range(1, n)) + (0,)))
-        return cls(n, gens or [Permutation.identity(n)], elements, f"S{n}", True)
+        return cls(n, gens or [Permutation.identity(n)], math.factorial(n), f"S{n}")
 
     @classmethod
-    def cyclic(cls, n: int, bound: int = DEFAULT_GROUP_BOUND) -> "PermGroup":
+    def cyclic(cls, n: int) -> "PermGroup":
         if n < 1:
             raise ValueError("degree must be >= 1")
-        if n > bound:
-            raise ValueError(f"group order {n} exceeds enumeration bound {bound}")
-        gen = Permutation(tuple(range(1, n)) + (0,))
-        elements = []
-        g = Permutation.identity(n)
-        for _ in range(n):
-            elements.append(g)
-            g = gen * g
-        return cls(n, [gen], elements, f"C{n}", is_full_symmetric=(n <= 2))
+        return cls(n, [Permutation(tuple(range(1, n)) + (0,))], n, f"C{n}")
 
     @classmethod
-    def generated(
-        cls, n: int, generators: Iterable[Permutation | str], bound: int = DEFAULT_GROUP_BOUND
-    ) -> "PermGroup":
+    def generated(cls, n: int, generators: Iterable[Permutation | str]) -> "PermGroup":
         gens = [
             g if isinstance(g, Permutation) else Permutation.from_cycles(g, n)
             for g in generators
         ]
         if any(g.degree != n for g in gens):
             raise ValueError("generator degree mismatch")
-        identity = Permutation.identity(n)
-        seen = {identity.images: identity}
-        frontier = [identity]
-        while frontier:
-            nxt = []
-            for g in frontier:
-                for h in gens:
-                    prod = h * g
-                    if prod.images not in seen:
-                        if len(seen) >= bound:
-                            raise ValueError(f"group enumeration exceeds bound {bound}")
-                        seen[prod.images] = prod
-                        nxt.append(prod)
-            frontier = nxt
-        elements = [seen[key] for key in sorted(seen)]
-        descriptor = "gens:" + "".join(repr(g) for g in gens)
-        full = len(elements) == math.factorial(n)
-        return cls(n, gens, elements, descriptor, full)
+        order = len(_element_images(n, gens))
+        return cls(n, gens, order, "gens:" + "".join(repr(g) for g in gens))
 
-    def __iter__(self):
-        return iter(self.elements)
-
-    def __contains__(self, sigma: Permutation) -> bool:
-        return any(sigma == g for g in self.elements)
+    @functools.cached_property
+    def elements(self) -> tuple[Permutation, ...]:
+        """Every element, sorted by image tuple; enumerated on first use."""
+        if self.order > DEFAULT_GROUP_BOUND:
+            raise ValueError(
+                f"group order {self.order} exceeds enumeration bound {DEFAULT_GROUP_BOUND}"
+            )
+        return tuple(
+            Permutation(p) for p in sorted(_element_images(self.degree, self.generators))
+        )
 
     def __repr__(self) -> str:
         return f"PermGroup({self.descriptor}, order={self.order})"
 
     def transitive_on_variables(self) -> bool:
         """True iff the index action {1..N} has a single orbit."""
-        reach = {0}
-        frontier = [0]
-        while frontier:
-            nxt = []
-            for i in frontier:
-                for g in self.generators:
-                    j = g.images[i]
-                    if j not in reach:
-                        reach.add(j)
-                        nxt.append(j)
-            frontier = nxt
+        reach = _closure([0], lambda i: (g.images[i] for g in self.generators))
         return len(reach) == self.degree
 
     def transitive_on_type(self, partition: Sequence[int]) -> bool:
@@ -240,51 +206,64 @@ class PermGroup:
         all_monos = monomials_of_type(partition, self.degree)
         if not all_monos:
             return False
-        start = all_monos[0]
-        reach = {start}
-        frontier = [start]
-        while frontier:
-            nxt = []
-            for m in frontier:
-                for g in self.generators:
-                    image = g.act_monomial(m)
-                    if image not in reach:
-                        reach.add(image)
-                        nxt.append(image)
-            frontier = nxt
+        reach = _closure(all_monos[:1], lambda m: (g.act_monomial(m) for g in self.generators))
         return len(reach) == len(all_monos)
 
     def index_set_orbit(self, indices: Iterable[int]) -> set[frozenset[int]]:
         """Orbit of a set of 1-based indices under the group."""
-        base = frozenset(indices)
-        return {frozenset(g(i) for i in base) for g in self.elements}
+        return _closure(
+            [frozenset(indices)],
+            lambda s: (frozenset(g(i) for i in s) for g in self.generators),
+        )
 
 
-def orbit(f: Polynomial, group: PermGroup) -> tuple[Polynomial, ...]:
-    """The deduplicated orbit {sigma.f}, canonically ordered.
+def _element_images(degree: int, generators: Sequence[Permutation]) -> set[tuple[int, ...]]:
+    """Image tuples of every element of the group the generators generate."""
+    gens = [g.images for g in generators]
+    return _closure(
+        [tuple(range(degree))],
+        lambda p: (tuple(h[j] for j in p) for h in gens),
+        DEFAULT_GROUP_BOUND,
+    )
 
-    For the full symmetric group only the injective images of f's active
-    variable set are enumerated, which avoids walking all N! elements.
+
+def orbit_images(f: Polynomial, group: PermGroup) -> Iterator[Polynomial]:
+    """Iterate over sigma.f for sigma in the group, with repeats.
+
+    For the full symmetric group only the injective maps of f's active
+    variables are walked, which avoids all N! elements; more than
+    ``DEFAULT_GROUP_BOUND`` such maps raise ValueError, before any is made.
     """
     if f.nvars != group.degree:
         raise ValueError(f"polynomial nvars {f.nvars} != group degree {group.degree}")
-    seen: set[Polynomial] = set()
-    if group.is_full_symmetric:
-        active = sorted({i for m in f.terms for i, e in enumerate(m) if e > 0})
+    if not group.is_full_symmetric:
+        return (g.act(f) for g in group.elements)
+    active = sorted({i for m in f.terms for i, e in enumerate(m) if e > 0})
+    count = math.perm(group.degree, len(active))
+    if count > DEFAULT_GROUP_BOUND:
+        raise ValueError(
+            f"{count} images of {len(active)} active variables under {group.descriptor} "
+            f"exceed enumeration bound {DEFAULT_GROUP_BOUND}"
+        )
+    # each term as (position in ``active``, exponent) pairs
+    sparse = [([(k, m[i]) for k, i in enumerate(active) if m[i]], c) for m, c in f.terms.items()]
+
+    def walk():
         for targets in itertools.permutations(range(group.degree), len(active)):
-            mapping = dict(zip(active, targets))
             terms = {}
-            for m, c in f.terms.items():
-                out = [0] * len(m)
-                for i, e in enumerate(m):
-                    if e:
-                        out[mapping[i]] = e
+            for pairs, c in sparse:
+                out = [0] * group.degree
+                for k, e in pairs:
+                    out[targets[k]] = e
                 terms[tuple(out)] = c
-            seen.add(Polynomial(f.field, f.nvars, terms))
-    else:
-        for g in group.elements:
-            seen.add(g.act(f))
-    return tuple(sorted(seen, key=Polynomial.sort_key))
+            yield f._make(terms)
+
+    return walk()
+
+
+def orbit(f: Polynomial, group: PermGroup) -> tuple[Polynomial, ...]:
+    """The deduplicated orbit {sigma.f}, canonically ordered."""
+    return tuple(sorted(set(orbit_images(f, group)), key=Polynomial.sort_key))
 
 
 def stabilizer(f: Polynomial, group: PermGroup) -> list[Permutation]:

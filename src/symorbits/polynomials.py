@@ -22,26 +22,13 @@ Monomial = tuple[int, ...]
 # -- monomial helpers -------------------------------------------------------
 
 
-def mono_mul(a: Monomial, b: Monomial) -> Monomial:
-    return tuple(x + y for x, y in zip(a, b))
-
-
 def mono_divides(a: Monomial, b: Monomial) -> bool:
     """True iff a divides b componentwise."""
     return all(x <= y for x, y in zip(a, b))
 
 
-def mono_quotient(b: Monomial, a: Monomial) -> Monomial:
-    """b / a; requires a | b."""
-    return tuple(y - x for x, y in zip(a, b))
-
-
 def mono_lcm(a: Monomial, b: Monomial) -> Monomial:
     return tuple(max(x, y) for x, y in zip(a, b))
-
-
-def mono_degree(m: Monomial) -> int:
-    return sum(m)
 
 
 def monomial_type(m: Monomial) -> tuple[int, ...]:
@@ -71,8 +58,12 @@ def monomials_of_type(partition: Sequence[int], nvars: int) -> list[Monomial]:
     part = tuple(sorted((e for e in partition if e > 0), reverse=True))
     if len(part) > nvars:
         return []
-    padded = part + (0,) * (nvars - len(part))
-    return sorted(set(itertools.permutations(padded)))
+    # place the parts one at a time on free positions: each step holds only
+    # distinct partial monomials, never all nvars! arrangements
+    monos = {(0,) * nvars}
+    for e in part:
+        monos = {m[:i] + (e,) + m[i + 1:] for m in monos for i in range(nvars) if not m[i]}
+    return sorted(monos)
 
 
 # -- monomial orders --------------------------------------------------------
@@ -544,14 +535,6 @@ class SupportSet:
     @classmethod
     def of(cls, nvars: int, monomials: Iterable[Sequence[int]]) -> "SupportSet":
         return cls(nvars, frozenset(tuple(m) for m in monomials))
-
-    @classmethod
-    def from_polynomials(cls, polys: Sequence[Polynomial]) -> "SupportSet":
-        nvars = polys[0].nvars
-        monos = set()
-        for f in polys:
-            monos.update(f.terms)
-        return cls(nvars, frozenset(monos))
 
     def sorted_elements(self) -> list[Monomial]:
         return sorted(self.elements)

@@ -32,6 +32,13 @@ class TestExitCodes:
         code, _, _ = invoke(capsys, "member", "--field", "F4", "--n", "3",
                             "x1", "--ideal", "orbit:S3:x1")
         assert code == 2
+        for box in ("0", "-2"):  # an empty coefficient range
+            code, out, err = invoke(
+                capsys, "sample-genericity", "--nvars", "3", "--group", "S3",
+                "--support", "x1^3,x1*x2*x3", "--property", "irrelevant_radical",
+                "--trials", "2", "--coeff-box", box,
+            )
+            assert code == 2 and out == "" and "coeff_box" in err
 
     def test_budget_exceeded_exits_three(self, capsys):
         code, _, err = invoke(
@@ -100,11 +107,13 @@ class TestCommands:
         assert code == 0
 
     def test_verify_squarefree(self, capsys):
-        code, out, _ = invoke(
-            capsys, "verify", "squarefree", "--nvars", "3",
-            "--poly", "x1*x2 - x2*x3", "--target-nvars", "5",
-        )
-        assert code == 0 and "all-ones-witness" in out
+        # 9 target variables need S9, which is never enumerated
+        for target_nvars in ("5", "9"):
+            code, out, _ = invoke(
+                capsys, "verify", "squarefree", "--nvars", "3",
+                "--poly", "x1*x2 - x2*x3", "--target-nvars", target_nvars,
+            )
+            assert code == 0 and "all-ones-witness" in out
 
     def test_verify_radical_orbit(self, capsys):
         code, out, _ = invoke(

@@ -40,6 +40,14 @@ class TestHypothesisValidation:
         with pytest.raises(ValueError, match="unknown property"):
             sample_genericity(support, PermGroup.symmetric(3), "nope", 2)
 
+    def test_coefficient_box_must_be_positive(self):
+        support = SupportSet.of(3, [(3, 0, 0), (1, 1, 1)])
+        for box in (0, -1):
+            with pytest.raises(ValueError, match="coeff_box"):
+                sample_genericity(
+                    support, PermGroup.symmetric(3), "irrelevant_radical", 2, coeff_box=box
+                )
+
     def test_small_n_flagged_not_rejected(self):
         support = SupportSet.of(3, monomials_of_type((2, 1), 3))
         report = sample_genericity(

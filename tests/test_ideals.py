@@ -245,6 +245,11 @@ class TestRankCondition:
         with pytest.raises(ValueError):
             rank_condition(P("x1^2*x2", 3), PermGroup.cyclic(3))
 
+    def test_image_bound_refused_before_enumeration(self, P):
+        # 12!/6! images (and as many monomials of the type) exceed the bound
+        with pytest.raises(ValueError, match="enumeration bound"):
+            rank_condition(P("x1^6*x2^5*x3^4*x4^3*x5^2*x6", 12), PermGroup.symmetric(12))
+
 
 class TestSymmetrize:
     def test_squarefree_identity_example(self, P):
@@ -257,6 +262,29 @@ class TestSymmetrize:
     def test_invariant_polynomial(self):
         e = elementary_symmetric(3, (1, 2, 3), 2, QQ)
         assert symmetrize(e, PermGroup.symmetric(3)) == e.scale(6)
+
+    def test_matches_sum_over_elements(self):
+        # order / |orbit| copies of each orbit element equal the sum over
+        # every element, on groups other than S_n and over GF(5)
+        rng = random.Random(139)
+        cases = [
+            (PermGroup.cyclic(4), QQ),
+            (PermGroup.generated(5, ["(1 2 3 4 5)", "(2 5)(3 4)"]), QQ),
+            (PermGroup.cyclic(4), GF(5)),
+            (PermGroup.symmetric(4), GF(5)),
+        ]
+        for group, field in cases:
+            n = group.degree
+            for _ in range(8):
+                f = Polynomial(
+                    field, n,
+                    {tuple(rng.randint(0, 2) for _ in range(n)): rng.randint(-4, 4)
+                     for _ in range(rng.randint(1, 3))},
+                )
+                brute = Polynomial.zero(field, n)
+                for g in group.elements:
+                    brute = brute + g.act(f)
+                assert symmetrize(f, group) == brute
 
     def test_squarefree_symmetrization_identity_randomized(self):
         # symmetrize(f) = f(1..1) * d! * (n-d)! * e_n^d for square-free

@@ -142,6 +142,14 @@ class TestInSpan:
         assert in_span([1, 0, 0], m) == (False, None)
         with pytest.raises(ValueError):
             ExactMatrix.from_columns(QQ, 3, [[1, 0]])
+        # zero rows keep the column count, and a certificate has an entry
+        # for every column
+        empty = ExactMatrix.from_columns(QQ, 0, [[], []])
+        assert (empty.nrows, empty.ncols) == (0, 2)
+        assert in_span([], empty) == (True, [QQ.scalar(0), QQ.scalar(0)])
+        flat = ExactMatrix(QQ, [[], []]).transpose()
+        assert (flat.nrows, flat.ncols) == (0, 2)
+        assert (flat.transpose().nrows, flat.transpose().ncols) == (2, 0)
 
     def test_certificate_on_greedy_pivot_columns(self):
         # column j is a greedy pivot iff it raises the rank of cols[:j]

@@ -114,11 +114,28 @@ class TestGroups:
         group = PermGroup.generated(4, ["(1 2)", "(1 2 3 4)"])
         assert group.order == 24
 
-    def test_enumeration_bound(self):
-        with pytest.raises(ValueError):
-            PermGroup.symmetric(9)
+    def test_enumeration_bound(self, P):
         with pytest.raises(ValueError):
             PermGroup.generated(9, ["(1 2)", "(1 2 3 4 5 6 7 8 9)"])
+        # S9 is built from its order alone; only its elements are refused
+        s9 = PermGroup.symmetric(9)
+        assert s9.order == 362880 and s9.is_full_symmetric
+        with pytest.raises(ValueError):
+            s9.elements
+        # 12*11*...*6 injective images of 7 active variables
+        with pytest.raises(ValueError):
+            orbit(P("x1*x2*x3*x4*x5*x6*x7", 12), PermGroup.symmetric(12))
+
+    def test_element_order(self):
+        # sorted by image tuple: lexicographic for S4, powers of the cycle for C5
+        assert [g.images for g in PermGroup.symmetric(4).elements] == list(
+            itertools.permutations(range(4))
+        )
+        gen = PermGroup.cyclic(5).generators[0]
+        powers = [Permutation.identity(5)]
+        for _ in range(4):
+            powers.append(gen * powers[-1])
+        assert list(PermGroup.cyclic(5).elements) == powers
 
     def test_closure_under_product_and_inverse(self):
         group = PermGroup.generated(4, ["(1 2)", "(3 4)", "(1 3)(2 4)"])
@@ -163,6 +180,10 @@ class TestOrbits:
             fast = set(orbit(f, group))
             slow = {g.act(f) for g in group.elements}
             assert fast == slow
+
+    def test_symmetric_orbit_beyond_element_bound(self, P):
+        # C(12, 2) choices of the product times 10 of the subtracted variable
+        assert len(orbit(P("x1*x2 - x3", 12), PermGroup.symmetric(12))) == 660
 
     def test_orbit_stabilizer(self):
         rng = random.Random(53)

@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 
@@ -245,3 +246,17 @@ class TestSupportAnalysis:
         monos = monomials_of_type((2, 1), 3)
         assert len(monos) == 6
         assert all(monomial_type(m) == (2, 1) for m in monos)
+        # the distinct arrangements of the padded type
+        rng = random.Random(61)
+        for _ in range(100):
+            n = rng.randint(1, 6)
+            part = [rng.randint(0, 3) for _ in range(rng.randint(0, 7))]
+            padded = [e for e in part if e > 0]
+            expected = (
+                sorted(set(itertools.permutations(padded + [0] * (n - len(padded)))))
+                if len(padded) <= n else []
+            )
+            assert monomials_of_type(part, n) == expected
+        # multinomial counts in 12 variables, without walking 12! arrangements
+        assert monomials_of_type((1,) * 12, 12) == [(1,) * 12]
+        assert len(monomials_of_type((2, 2, 1, 1, 1), 12)) == 66 * 120

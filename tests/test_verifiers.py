@@ -144,6 +144,14 @@ class TestSquarefreeOrbit:
         assert report.verdict and report.parameters["branch"] == "all-ones-witness"
         assert report.certificate["witness"] == [1] * 5
 
+    def test_nine_variables_both_branches(self, P):
+        # nvars = 9 needs S9, whose 362880 elements are never enumerated
+        report = verify_squarefree_orbit(P("x1*x2 - x2*x3", 3), 9)
+        assert report.verdict and report.parameters["branch"] == "all-ones-witness"
+        report = verify_squarefree_orbit(P("x1 + 2*x2", 8), 9)  # n + d = 9
+        assert report.verdict and report.parameters["branch"] == "monomial-equality"
+        assert report.notes == ""
+
     def test_scalar_monomial_below_range(self, P):
         report = verify_squarefree_orbit(P("2*x1*x2", 2), 3)
         assert report.verdict and report.parameters["branch"] == "monomial-equality"
