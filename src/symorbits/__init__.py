@@ -15,7 +15,6 @@ from .fields import (
 )
 from .genericity import sample_genericity
 from .groebner import (
-    BudgetExceededError,
     GroebnerBasis,
     buchberger,
     ideal_member,
@@ -50,7 +49,7 @@ from .polynomials import (
     monomials_of_type,
     parse_polynomial,
 )
-from .reports import CertificateError, GenericityReport, VerdictReport
+from .reports import BudgetExceededError, CertificateError, GenericityReport, VerdictReport
 from .verifiers import (
     TelescopingCertificate,
     default_witness_patterns,

@@ -16,12 +16,7 @@ import time
 
 from .fields import GF, QQ, Field, binomial, binomial_alternating_sum
 from .genericity import sample_genericity
-from .groebner import (
-    BudgetExceededError,
-    DEFAULT_MAX_PAIRS,
-    radical_equals_irrelevant,
-    radical_member,
-)
+from .groebner import DEFAULT_MAX_PAIRS, radical_equals_irrelevant, radical_member
 from .ideals import OrbitIdeal, graded_member, ideal_equal, orbit_ideal, rank_condition
 from .permutations import PermGroup
 from .polynomials import (
@@ -33,7 +28,7 @@ from .polynomials import (
     order_by_name,
     parse_polynomial,
 )
-from .reports import GenericityReport, VerdictReport
+from .reports import BudgetExceededError, GenericityReport, VerdictReport
 from .verifiers import (
     elimination_coefficients,
     monomial_free_witness,
@@ -588,7 +583,7 @@ def _dispatch_verify(args, field: Field, order) -> int:
             raise UsageError("rank-condition needs --poly and --group")
         group = parse_group(args.group, args.nvars)
         f = parse_poly_spec(args.poly, group.degree, field)
-        report = rank_condition(f, group)
+        report = rank_condition(f, group, deadline=args._deadline)
     elif args.verifier == "irrelevant-radical":
         if not args.ideal:
             raise UsageError("irrelevant-radical needs --ideal")

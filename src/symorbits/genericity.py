@@ -98,7 +98,7 @@ def sample_genericity(
                 list(orbit(f, group)), max_pairs=max_pairs, deadline=deadline
             )
         elif property_name == "monomial_ideal":
-            ok = rank_condition(f, group).verdict
+            ok = rank_condition(f, group, deadline=deadline).verdict
         else:
             ok = radical_orbit_equality(
                 f, group, k, max_pairs=max_pairs, deadline=deadline

@@ -1,17 +1,30 @@
-"""Buchberger's algorithm with reduced bases, normal forms, and radical
-membership via one adjoined variable.
+"""Buchberger's algorithm with reduced bases, normal forms, radical
+membership via one adjoined variable, and the irrelevant-radical test.
 
 The pair loop uses the normal selection strategy (smallest lcm first)
 together with the product and chain criteria.  Every run is bounded by a
-configurable S-pair budget and an optional wall-clock deadline; exceeding
-either raises :class:`BudgetExceededError`, which is distinct from any
-membership verdict.
+configurable S-pair budget and an optional wall-clock deadline, checked
+between S-pairs and between the element reductions of interreduction;
+exceeding either raises :class:`BudgetExceededError`, which is distinct
+from any membership verdict.
+
+Divisors are kept as one list of ``(key, lm, tail)`` entries of monic
+polynomials, sorted by the order key of the leading monomial and updated
+by insertion, so no step re-sorts the whole basis.
+
+For homogeneous generators the radical is (x1, ..., xN) exactly when
+K[x]/I is finite-dimensional, which holds exactly when every variable has
+a pure power among the leading monomials of a Groebner basis
+(finiteness theorem; Cox, Little and O'Shea, *Ideals, Varieties, and
+Algorithms*, ch. 5 §3).  :func:`radical_equals_irrelevant` reads its
+verdict off one basis in the generators' own ring.
 """
 
 from __future__ import annotations
 
+import bisect
 import heapq
-import time
+from operator import itemgetter
 from typing import Sequence
 
 from .fields import Field
@@ -23,16 +36,10 @@ from .polynomials import (
     mono_divides,
     mono_lcm,
 )
+from .reports import BudgetExceededError, check_deadline
 
 DEFAULT_MAX_PAIRS = 1_000_000
-
-
-class BudgetExceededError(RuntimeError):
-    """The S-pair budget or deadline was exhausted before completion."""
-
-    def __init__(self, message: str, pairs_processed: int):
-        super().__init__(message)
-        self.pairs_processed = pairs_processed
+_KEY = itemgetter(0)
 
 
 def _neg(key: tuple[int, ...]) -> tuple[int, ...]:
@@ -41,11 +48,12 @@ def _neg(key: tuple[int, ...]) -> tuple[int, ...]:
 
 def _reduce_terms(
     terms: dict[Monomial, object],
-    basis: list[tuple[Monomial, list]],
+    basis: list[tuple[tuple[int, ...], Monomial, list]],
     order: MonomialOrder,
     field: Field,
 ) -> dict[Monomial, object]:
-    """Remainder of the term dict modulo monic (lm, tail) divisors."""
+    """Remainder of the term dict modulo monic (key, lm, tail) divisors,
+    each term divided by the first divisor in list order."""
     zero = field.zero
     work = dict(terms)
     remainder: dict[Monomial, object] = {}
@@ -59,7 +67,7 @@ def _reduce_terms(
         c = work.pop(m, None)
         if c is None:
             continue
-        for lm, tail in basis:
+        for _, lm, tail in basis:
             if mono_divides(lm, m):
                 q = tuple(a - b for a, b in zip(m, lm))
                 for tm, tc in tail:
@@ -77,15 +85,23 @@ def _reduce_terms(
     return remainder
 
 
+def _entry(g: Polynomial, order: MonomialOrder):
+    """(order key of the leading monomial, leading monomial, tail items)
+    of a monic polynomial."""
+    lm = g.leading_monomial(order)
+    return order.key(lm), lm, [(m, c) for m, c in g.terms.items() if m != lm]
+
+
 def _basis_data(polys: Sequence[Polynomial], order: MonomialOrder):
-    """(leading monomial, tail items) for monic polynomials, ascending lm."""
-    data = []
-    for g in polys:
-        lm = g.leading_monomial(order)
-        tail = [(m, c) for m, c in g.terms.items() if m != lm]
-        data.append((lm, tail))
-    data.sort(key=lambda t: order.key(t[0]))
-    return data
+    """Entries of monic polynomials, ascending by leading monomial."""
+    return sorted((_entry(g, order) for g in polys), key=_KEY)
+
+
+def _polynomial(field: Field, nvars: int, entry) -> Polynomial:
+    _, lm, tail = entry
+    terms = dict(tail)
+    terms[lm] = field.one
+    return Polynomial(field, nvars, terms)
 
 
 class GroebnerBasis:
@@ -140,8 +156,8 @@ def buchberger(
 ) -> GroebnerBasis:
     """Reduced Groebner basis of the ideal generated by ``generators``.
 
-    ``deadline`` is an absolute ``time.monotonic()`` instant; the pair loop
-    checks it between S-pairs.
+    ``deadline`` is an absolute ``time.monotonic()`` instant; it is checked
+    between S-pairs and between the element reductions of interreduction.
     """
     gens = [g for g in generators if not g.is_zero]
     if not generators:
@@ -154,10 +170,10 @@ def buchberger(
     if not gens:
         return GroebnerBasis(order, field, [], generators)
 
-    work = _interreduce([g.monic(order) for g in gens], order, field)
-    basis: list[Polynomial] = list(work)
-    lms: list[Monomial] = [g.leading_monomial(order) for g in basis]
-    data = _basis_data(basis, order)
+    data = _basis_data([g.monic(order) for g in gens], order)
+    _interreduce(data, order, field, deadline)
+    basis = [_polynomial(field, nvars, e) for e in data]
+    lms: list[Monomial] = [lm for _, lm, _ in data]
     key = order.key
 
     def pair_entry(i: int, j: int):
@@ -176,8 +192,7 @@ def buchberger(
             raise BudgetExceededError(
                 f"S-pair budget of {max_pairs} exceeded", processed
             )
-        if deadline is not None and time.monotonic() > deadline:
-            raise BudgetExceededError("wall-clock budget exceeded", processed)
+        check_deadline(deadline, processed)
         done.add((i, j))
         lcm = mono_lcm(lms[i], lms[j])
         # product criterion: coprime leading monomials reduce to zero
@@ -210,13 +225,16 @@ def buchberger(
             )
         t = len(basis)
         basis.append(r)
-        lms.append(r.leading_monomial(order))
-        data = _basis_data(basis, order)
+        entry = _entry(r, order)
+        lms.append(entry[1])
+        bisect.insort(data, entry, key=_KEY)
         for k in range(t):
             heapq.heappush(pairs, pair_entry(k, t))
 
-    reduced = _reduce_basis(basis, order, field)
-    return GroebnerBasis(order, field, reduced, generators)
+    reduced = _reduce_basis(data, order, field, deadline)
+    return GroebnerBasis(
+        order, field, [_polynomial(field, nvars, e) for e in reduced], generators
+    )
 
 
 def _spoly_terms(gi, gj, lmi, lmj, lcm, field):
@@ -241,43 +259,51 @@ def _spoly_terms(gi, gj, lmi, lmj, lcm, field):
     return out
 
 
-def _interreduce(polys: list[Polynomial], order: MonomialOrder, field: Field) -> list[Polynomial]:
-    """Reduce each polynomial modulo the others until stable; drop zeros."""
-    current = [p for p in polys if not p.is_zero]
+def _interreduce(data: list, order: MonomialOrder, field: Field, deadline: float | None):
+    """Reduce each entry of the sorted list modulo the others, in place,
+    until no leading monomial changes; entries that reduce to zero drop out.
+
+    Whether an element is reduced depends only on the other leading
+    monomials, so a pass that changes none of them is the last.  A reduced
+    element never gets a larger leading monomial, so it goes back in at or
+    before its old position and the pass goes on with the next entry.
+    """
+    key = order.key
+    one = field.one
     changed = True
     while changed:
         changed = False
-        for idx in range(len(current)):
-            g = current[idx]
-            others = current[:idx] + current[idx + 1 :]
-            if not others:
+        i = 0
+        while i < len(data):
+            check_deadline(deadline)
+            k, lm, tail = data.pop(i)  # the others are the list without it
+            terms = dict(tail)
+            terms[lm] = one
+            remainder = _reduce_terms(terms, data, order, field)
+            if not remainder:
                 continue
-            reduced = _reduce_terms(g.terms, _basis_data(others, order), order, field)
-            r = Polynomial(g.field, g.nvars, reduced)
-            if r.is_zero:
-                current.pop(idx)
+            new_lm = max(remainder, key=key)
+            if new_lm == lm:
+                del remainder[lm]
+                data.insert(i, (k, lm, list(remainder.items())))
+            else:
                 changed = True
-                break
-            r = r.monic(order)
-            if r != g:
-                current[idx] = r
-                changed = True
-    return current
+                inv = field.inv(remainder.pop(new_lm))
+                tail = [(m, field.mul(c, inv)) for m, c in remainder.items()]
+                bisect.insort(data, (key(new_lm), new_lm, tail), key=_KEY)
+            i += 1
+    return data
 
 
-def _reduce_basis(basis: list[Polynomial], order: MonomialOrder, field: Field) -> list[Polynomial]:
-    # minimalize: drop elements whose leading monomial another divides
-    basis = sorted(basis, key=lambda g: order.key(g.leading_monomial(order)))
-    minimal: list[Polynomial] = []
-    lms: list[Monomial] = []
-    for g in basis:
-        lm = g.leading_monomial(order)
-        if any(mono_divides(other, lm) for other in lms):
-            continue
-        minimal.append(g)
-        lms.append(lm)
-    reduced = _interreduce(minimal, order, field)
-    return sorted(reduced, key=lambda g: order.key(g.leading_monomial(order)))
+def _reduce_basis(data: list, order: MonomialOrder, field: Field, deadline: float | None):
+    """The reduced basis, as sorted entries, of a Groebner basis given as
+    sorted entries."""
+    # minimalize: drop elements whose leading monomial a smaller one divides
+    minimal: list = []
+    for entry in data:
+        if not any(mono_divides(lm, entry[1]) for _, lm, _ in minimal):
+            minimal.append(entry)
+    return _interreduce(minimal, order, field, deadline)
 
 
 def ideal_member(
@@ -326,21 +352,19 @@ def radical_equals_irrelevant(
     """True iff the radical of the generated ideal is (x1, ..., xN).
 
     Requires homogeneous generators of positive degree, for which the
-    radical is contained in the irrelevant ideal automatically; equality
-    then reduces to radical membership of every variable.
+    radical lies in the irrelevant ideal automatically; equality then holds
+    iff K[x]/I is finite-dimensional, that is iff every variable has a pure
+    power among the leading monomials of one grevlex Groebner basis.
     """
     if not generators:
         raise ValueError("generator list must be nonempty")
     for g in generators:
         if g.is_zero or not g.is_homogeneous() or g.total_degree() < 1:
             raise ValueError("generators must be homogeneous of positive degree")
-    nvars = generators[0].nvars
-    return all(
-        radical_member(
-            Polynomial.variable(generators[0].field, nvars, i),
-            generators,
-            max_pairs=max_pairs,
-            deadline=deadline,
-        )
-        for i in range(1, nvars + 1)
-    )
+    gb = buchberger(generators, GREVLEX, max_pairs=max_pairs, deadline=deadline)
+    powers = set()
+    for _, lm, _ in gb._data:
+        support = [i for i, e in enumerate(lm) if e]
+        if len(support) == 1:
+            powers.add(support[0])
+    return len(powers) == gb.nvars

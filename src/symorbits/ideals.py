@@ -25,7 +25,7 @@ from .polynomials import (
     monomials_of_degree,
     monomials_of_type,
 )
-from .reports import CertificateError, VerdictReport
+from .reports import CertificateError, VerdictReport, check_deadline
 
 
 @dataclass(frozen=True)
@@ -265,13 +265,16 @@ def ideal_equal(
     )
 
 
-def rank_condition(f: Polynomial, group: PermGroup) -> VerdictReport:
+def rank_condition(
+    f: Polynomial, group: PermGroup, *, deadline: float | None = None
+) -> VerdictReport:
     """Full-rank test deciding whether the orbit ideal of a single-type
     polynomial is the monomial ideal generated by the orbit of its terms.
 
     Columns are the coefficient vectors of the orbit of f inside the space
     spanned by all monomials of the shared type; the verdict is true iff
-    their span is the whole space.
+    their span is the whole space.  ``deadline`` is checked before the
+    matrix is built and once per column of the elimination.
     """
     if f.is_zero:
         raise ValueError("zero polynomial has no type")
@@ -297,8 +300,9 @@ def rank_condition(f: Polynomial, group: PermGroup) -> VerdictReport:
         for m, c in image.terms.items():
             col[index_pos[m]] = c
         columns.add(tuple(col))
+    check_deadline(deadline)
     matrix = ExactMatrix.from_columns(field, len(row_index), sorted(columns))
-    got = rank(matrix)
+    got = rank(matrix, deadline=deadline)
     verdict = got == len(row_index)
     return VerdictReport(
         "monomial-ideal-rank",

@@ -14,7 +14,7 @@ import math
 from typing import Iterable, Sequence
 
 from .fields import Field, Raw, Scalar
-from .reports import CertificateError
+from .reports import CertificateError, check_deadline
 
 
 class ExactMatrix:
@@ -62,9 +62,10 @@ def _integer_rows(field: Field, rows: Iterable[Sequence[Raw]]) -> list[list[int]
     return out
 
 
-def _echelon(field: Field, rows: list[list[int]]) -> list[int]:
+def _echelon(field: Field, rows: list[list[int]], deadline: float | None = None) -> list[int]:
     """Bring integer rows to row echelon form in place; return the pivot
-    columns, pivot row r holding the pivot of column ``pivots[r]``."""
+    columns, pivot row r holding the pivot of column ``pivots[r]``.
+    ``deadline`` (a ``time.monotonic()`` instant) is checked per column."""
     p = field.p
     nrows = len(rows)
     ncols = len(rows[0]) if rows else 0
@@ -74,6 +75,7 @@ def _echelon(field: Field, rows: list[list[int]]) -> list[int]:
         r = len(pivots)
         if r == nrows:
             break
+        check_deadline(deadline)
         pivot_row = next((i for i in range(r, nrows) if rows[i][c]), None)
         if pivot_row is None:
             continue
@@ -95,9 +97,10 @@ def _echelon(field: Field, rows: list[list[int]]) -> list[int]:
     return pivots
 
 
-def rank(matrix: ExactMatrix) -> int:
+def rank(matrix: ExactMatrix, *, deadline: float | None = None) -> int:
     """Exact rank: the number of pivots the elimination kernel finds."""
-    return len(_echelon(matrix.field, _integer_rows(matrix.field, matrix.rows)))
+    rows = _integer_rows(matrix.field, matrix.rows)
+    return len(_echelon(matrix.field, rows, deadline))
 
 
 def in_span(vector: Sequence, matrix: ExactMatrix) -> tuple[bool, list[Scalar] | None]:

@@ -203,6 +203,9 @@ class PermGroup:
 
     def transitive_on_type(self, partition: Sequence[int]) -> bool:
         """True iff all monomials of the given type form a single orbit."""
+        if self.is_full_symmetric:
+            # S_n reaches every placement of the parts on the n variables
+            return sum(1 for e in partition if e > 0) <= self.degree
         all_monos = monomials_of_type(partition, self.degree)
         if not all_monos:
             return False

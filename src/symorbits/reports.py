@@ -7,6 +7,7 @@ entries with numeric suffixes.  Values never contain newlines.
 
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass, field
 from typing import Any
 
@@ -14,6 +15,22 @@ from typing import Any
 class CertificateError(AssertionError):
     """A certificate failed its exact re-verification: an internal fault,
     never a verdict."""
+
+
+class BudgetExceededError(RuntimeError):
+    """The S-pair budget or the wall-clock deadline ran out before the work
+    finished: a resource limit, never a verdict."""
+
+    def __init__(self, message: str, pairs_processed: int = 0):
+        super().__init__(message)
+        self.pairs_processed = pairs_processed
+
+
+def check_deadline(deadline: float | None, pairs_processed: int = 0) -> None:
+    """Raise BudgetExceededError once the absolute ``time.monotonic()``
+    instant ``deadline`` has passed; ``None`` means no deadline."""
+    if deadline is not None and time.monotonic() > deadline:
+        raise BudgetExceededError("wall-clock budget exceeded", pairs_processed)
 
 
 def _flatten(prefix: str, value: Any, out: list[tuple[str, str]]):

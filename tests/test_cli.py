@@ -46,6 +46,14 @@ class TestExitCodes:
         )
         assert code == 3 and "budget" in err.lower()
 
+    def test_rank_condition_timeout_exits_three(self, capsys):
+        # the elimination checks the deadline once per pivot column
+        code, out, err = invoke(
+            capsys, "verify", "rank-condition", "--group", "S6",
+            "--poly", "x1^3*x2^2*x3 + 2*x2^3*x1^2*x3 - x4^3*x5^2*x6", "--timeout", "0.001",
+        )
+        assert code == 3 and out == "" and "budget" in err
+
     def test_failed_certificate_exits_four(self, capsys, monkeypatch):
         # a cancellation system that disagrees with the closed form makes
         # the elimination check fail its re-verification

@@ -1,7 +1,10 @@
+import time
+
 import pytest
 
 from symorbits import (
     QQ,
+    BudgetExceededError,
     PermGroup,
     Polynomial,
     SupportSet,
@@ -73,6 +76,18 @@ class TestSampling:
             support, PermGroup.symmetric(3), "monomial_ideal", 10, seed=3
         )
         assert report.successes + len(report.failures) == report.trials
+
+    def test_deadline_reaches_every_property(self):
+        past = time.monotonic() - 1
+        cases = [
+            (SupportSet.of(3, [(3, 0, 0), (1, 1, 1)]), "irrelevant_radical"),
+            (SupportSet.of(3, monomials_of_type((2, 1), 3)), "monomial_ideal"),
+            (SupportSet.of(5, monomials_of_type((1, 1, 1), 5)), "radical_orbit"),
+        ]
+        for support, prop in cases:
+            group = PermGroup.symmetric(support.nvars)
+            with pytest.raises(BudgetExceededError):
+                sample_genericity(support, group, prop, 1, deadline=past)
 
     def test_all_ones_coefficient_vector_is_deterministic_failure(self):
         # the fully symmetric polynomial has a rank-one orbit matrix

@@ -12,13 +12,18 @@ from symorbits import (
     PermGroup,
     Polynomial,
     buchberger,
+    SupportSet,
     elementary_symmetric,
     ideal_member,
+    monomials_of_degree,
+    orbit,
     orbit_ideal,
     parse_polynomial,
     radical_equals_irrelevant,
     radical_member,
+    sample_genericity,
 )
+from symorbits import groebner
 from symorbits.polynomials import mono_divides
 
 PAPER_LEX_BASIS = [
@@ -138,6 +143,43 @@ class TestBuchberger:
         with pytest.raises(BudgetExceededError):
             buchberger(gens, GREVLEX, deadline=time.monotonic() - 1)
 
+    def test_deadline_bounds_interreduction(self, P):
+        # the multiples interreduce to one element, so no S-pair is popped
+        gens = [P("x1^2 + x2^2", 2), P("2*x1^2 + 2*x2^2", 2), P("-x1^2 - x2^2", 2)]
+        assert buchberger(gens, GREVLEX).basis == (P("x1^2 + x2^2", 2),)
+        with pytest.raises(BudgetExceededError):
+            buchberger(gens, GREVLEX, deadline=time.monotonic() - 1)
+        # the final reduction of a finished pair loop checks it too
+        data = groebner._basis_data([P("x1^2 + x1*x2", 2), P("x1*x2", 2)], GREVLEX)
+        with pytest.raises(BudgetExceededError):
+            groebner._reduce_basis(data, GREVLEX, QQ, time.monotonic() - 1)
+        reduced = groebner._reduce_basis(data, GREVLEX, QQ, None)
+        assert [lm for _, lm, _ in reduced] == [(1, 1), (2, 0)]
+        assert [tail for _, _, tail in reduced] == [[], []]
+
+    def test_interreduce_keeps_sorted_reduced_entries(self):
+        # a reduced, key-sorted list, also when elements reduce to zero
+        # (the scaled copy) or change their leading monomial (the sums)
+        rng = random.Random(113)
+        for _ in range(15):
+            gens = [random_poly(rng, 3, max_degree=2, terms=3) for _ in range(4)]
+            gens = [g for g in gens if not g.is_zero]
+            gens += [gens[0].scale(2)] + [g.scale(3) + gens[0] for g in gens[1:3]]
+            monic = [g.monic(GREVLEX) for g in gens if not g.is_zero]
+            out = groebner._interreduce(
+                groebner._basis_data(monic, GREVLEX), GREVLEX, QQ, None
+            )
+            keys = [k for k, _, _ in out]
+            assert keys == sorted(set(keys))
+            lms = [lm for _, lm, _ in out]
+            for i, (k, lm, tail) in enumerate(out):
+                assert GREVLEX.key(lm) == k
+                for m in [lm] + [m for m, _ in tail]:
+                    assert not any(mono_divides(lms[j], m) for j in range(len(lms)) if j != i)
+            # the entries generate the same ideal as the input
+            polys = [groebner._polynomial(QQ, 3, e) for e in out]
+            assert buchberger(polys, GREVLEX).basis == buchberger(gens, GREVLEX).basis
+
 
 class TestNormalForm:
     def test_generators_reduce_to_zero(self):
@@ -256,3 +298,50 @@ class TestRadicalIrrelevant:
     def test_inhomogeneous_rejected(self, P):
         with pytest.raises(ValueError):
             radical_equals_irrelevant([P("x1^2 + x2", 2)])
+
+    @staticmethod
+    def _by_radical_membership(gens):
+        field, nvars = gens[0].field, gens[0].nvars
+        return all(
+            radical_member(Polynomial.variable(field, nvars, i), gens)
+            for i in range(1, nvars + 1)
+        )
+
+    def test_agrees_with_radical_membership(self):
+        # the one-basis criterion against x_i in rad(I) for every i, on
+        # random homogeneous orbit ideals; every fourth support is squarefree
+        groups = [
+            PermGroup.symmetric(3),
+            PermGroup.cyclic(3),
+            PermGroup.cyclic(4),
+            PermGroup.symmetric(4),
+            PermGroup.generated(4, ["(1 2 3 4)", "(1 4)(2 3)"]),
+        ]
+        rng = random.Random(2026)
+        verdicts = []
+        for trial in range(40):
+            field = QQ if trial % 2 else GF(32003)
+            group = groups[trial % len(groups)]
+            monos = monomials_of_degree(group.degree, rng.choice((2, 3)))
+            if trial % 4 == 3:
+                monos = [m for m in monos if max(m) <= 1]
+            chosen = rng.sample(monos, min(len(monos), rng.randint(1, 3)))
+            coeffs = {m: rng.choice((-3, -2, -1, 1, 2, 3)) for m in chosen}
+            gens = list(orbit(Polynomial(field, group.degree, coeffs), group))
+            verdict = radical_equals_irrelevant(gens)
+            assert verdict == self._by_radical_membership(gens), str(gens[0])
+            verdicts.append(verdict)
+        assert 5 <= verdicts.count(True) <= 35
+
+    def test_false_c5_quadric_trial(self):
+        # trial seed 10 of the C5 quadric genericity class is the one
+        # stored false verdict among its 24 trial seeds
+        support = SupportSet.of(5, monomials_of_degree(5, 2))
+        report = sample_genericity(
+            support, PermGroup.cyclic(5), "irrelevant_radical", 1, seed=10
+        )
+        assert report.successes == 0
+        f = Polynomial(QQ, 5, dict(zip(report.support, report.failures[0])))
+        gens = list(orbit(f, PermGroup.cyclic(5)))
+        assert not radical_equals_irrelevant(gens)
+        assert not self._by_radical_membership(gens)

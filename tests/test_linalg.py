@@ -1,9 +1,10 @@
 import random
+import time
 from fractions import Fraction
 
 import pytest
 
-from symorbits import GF, QQ, ExactMatrix, in_span, rank
+from symorbits import GF, QQ, BudgetExceededError, ExactMatrix, in_span, rank
 
 
 def naive_rank(field, rows):
@@ -49,6 +50,13 @@ class TestRank:
 
     def test_zero_matrix(self):
         assert rank(ExactMatrix(QQ, [[0, 0], [0, 0]])) == 0
+
+    def test_deadline(self):
+        m = ExactMatrix(QQ, [[1, 2], [3, 4]])
+        assert rank(m, deadline=time.monotonic() + 60) == 2
+        for field in (QQ, GF(7)):
+            with pytest.raises(BudgetExceededError):
+                rank(ExactMatrix(field, m.rows), deadline=time.monotonic() - 1)
 
     def test_against_naive_gauss_randomized(self):
         rng = random.Random(61)

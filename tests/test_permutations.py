@@ -1,5 +1,6 @@
 import itertools
 import random
+import time
 
 import pytest
 
@@ -226,3 +227,30 @@ class TestTransitivity:
         assert PermGroup.symmetric(3).transitive_on_type((2, 1))
         assert not PermGroup.cyclic(3).transitive_on_type((2, 1))
         assert PermGroup.cyclic(3).transitive_on_type((1, 1, 1))
+
+    def test_symmetric_type_transitivity_closed_form(self):
+        # S_n skips the walk: it agrees with the closure on S3-S5 and
+        # answers an S12 type at once
+        from symorbits.permutations import _closure
+        from symorbits.polynomials import monomials_of_type
+
+        def partitions(total, largest):
+            if total == 0:
+                yield ()
+            for part in range(min(total, largest), 0, -1):
+                for rest in partitions(total - part, part):
+                    yield (part,) + rest
+
+        for n in (3, 4, 5):
+            group = PermGroup.symmetric(n)
+            for total in range(1, n + 3):
+                for part in partitions(total, total):
+                    monos = monomials_of_type(part, n)
+                    walked = bool(monos) and len(_closure(
+                        monos[:1], lambda m: (g.act_monomial(m) for g in group.generators)
+                    )) == len(monos)
+                    assert group.transitive_on_type(part) == walked == (len(part) <= n)
+        start = time.monotonic()
+        assert PermGroup.symmetric(12).transitive_on_type((6, 5, 4, 3, 2, 1))
+        assert time.monotonic() - start < 0.1
+        assert not PermGroup.symmetric(5).transitive_on_type((1,) * 6)
