@@ -78,15 +78,17 @@ def sample_genericity(
     max_pairs: int = DEFAULT_MAX_PAIRS,
     deadline: float | None = None,
 ) -> GenericityReport:
-    """Draw coefficient vectors uniformly from [-coeff_box, coeff_box] \\ {0}
-    per support element and tally how often the property's verifier succeeds."""
+    """Draw coefficient vectors uniformly from the integers in
+    [-coeff_box, coeff_box] that are nonzero in ``field`` (so every trial
+    polynomial has the whole support), one per support element, and tally
+    how often the property's verifier succeeds."""
     if trials < 1:
         raise ValueError("need at least one trial")
     if coeff_box < 1:
         raise ValueError(f"coeff_box must be at least 1, got {coeff_box}")
     notes, k = _validate_hypotheses(support, group, property_name, k)
     elements = support.sorted_elements()
-    candidates = [c for c in range(-coeff_box, coeff_box + 1) if c != 0]
+    candidates = [c for c in range(-coeff_box, coeff_box + 1) if field.coerce(c) != field.zero]
     rng = random.Random(seed)
     successes = 0
     failures: list[tuple[int, ...]] = []

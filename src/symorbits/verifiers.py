@@ -21,7 +21,7 @@ from .polynomials import (
     Polynomial,
     elementary_symmetric,
 )
-from .reports import CertificateError, VerdictReport
+from .reports import CertificateError, VerdictReport, check_deadline
 
 
 # -- elimination identity ----------------------------------------------------
@@ -292,7 +292,7 @@ def radical_orbit_equality(
     )
     notes = ""
     if not member:
-        witness = monomial_free_witness(f, group)
+        witness = monomial_free_witness(f, group, deadline=deadline)
         if witness is not None:
             notes = f"witness point {tuple(str(x) for x in witness)} kills every generator"
     return VerdictReport(
@@ -380,6 +380,8 @@ def monomial_free_witness(
     f: Polynomial,
     group: PermGroup,
     patterns: list[tuple[int, ...]] | None = None,
+    *,
+    deadline: float | None = None,
 ) -> tuple[Scalar, ...] | None:
     """Search for a point killing every generator of the orbit ideal of f.
 
@@ -387,12 +389,14 @@ def monomial_free_witness(
     a nonzero root of f on the diagonal; then a finite pool of sign/zero
     patterns (by default all arrangements of one +1 and one -1).  Returns
     the first verified witness, or None; None is not a proof of absence.
+    The deadline is checked once per candidate point.
     """
     generators = orbit(f, group)
     field = f.field
     nvars = f.nvars
 
     def verify(point) -> tuple[Scalar, ...] | None:
+        check_deadline(deadline)
         scalars = tuple(field.scalar(x) for x in point)
         if all(g.evaluate(scalars).is_zero for g in generators):
             return scalars

@@ -1,6 +1,12 @@
+import json
+from pathlib import Path
+
 import pytest
 
+from symorbits import cli
 from symorbits.cli import run
+
+REPRO_GOLDEN = Path(__file__).resolve().parents[1] / "bench" / "data" / "repro_golden.json"
 
 
 def invoke(capsys, *argv):
@@ -51,6 +57,14 @@ class TestExitCodes:
         code, out, err = invoke(
             capsys, "verify", "rank-condition", "--group", "S6",
             "--poly", "x1^3*x2^2*x3 + 2*x2^3*x1^2*x3 - x4^3*x5^2*x6", "--timeout", "0.001",
+        )
+        assert code == 3 and out == "" and "budget" in err
+
+    def test_witness_timeout_exits_three(self, capsys):
+        # the witness search checks the deadline once per candidate point
+        code, out, err = invoke(
+            capsys, "verify", "witness", "--group", "S3", "--poly", "x1^2*x2 + x1*x2^2",
+            "--timeout", "0.000001",
         )
         assert code == 3 and out == "" and "budget" in err
 
@@ -220,3 +234,122 @@ class TestScenarios:
     def test_unknown_scenario_is_usage_error(self, capsys):
         code, _, _ = invoke(capsys, "repro", "no-such-scenario")
         assert code == 2
+
+
+# Every command with arguments it accepts; each exits 0 or 1 as written.
+COMMAND_ARGV = {
+    "orbit": ("orbit", "--group", "S3", "x1*x2"),
+    "gb": ("gb", "--n", "3", "orbit:S3:x1^2"),
+    "member": ("member", "x1^2", "--ideal", "orbit:S3:x1^2"),
+    "radical-member": ("radical-member", "x1", "--ideal", "orbit:S3:x1^2"),
+    "eliminate": ("eliminate", "--n", "3", "--d", "2"),
+    "sample-genericity": (
+        "sample-genericity", "--group", "S3", "--support", "x1^3,x1*x2*x3",
+        "--property", "irrelevant_radical", "--trials", "2",
+    ),
+    "repro": ("repro", "lemma-grid"),
+    "verify squarefree": (
+        "verify", "squarefree", "--nvars", "3", "--poly", "x1*x2 - x2*x3",
+        "--target-nvars", "5",
+    ),
+    "verify radical-orbit": ("verify", "radical-orbit", "--group", "S3", "--poly", "x1*x2"),
+    "verify rank-condition": ("verify", "rank-condition", "--group", "S3", "--poly", "x1^2*x2"),
+    "verify irrelevant-radical": ("verify", "irrelevant-radical", "--ideal", "orbit:S3:x1^3"),
+    "verify witness": ("verify", "witness", "--group", "S3", "--poly", "x1^2*x2 + x1*x2^2"),
+}
+
+# The options each command does not read, with a value that is valid elsewhere.
+UNREAD = {
+    "orbit": "--format --seed --trials --coeff-box --budget --timeout",
+    "gb": "--seed --trials --coeff-box",
+    "member": "--seed --trials --coeff-box",
+    "radical-member": "--order --seed --trials --coeff-box",
+    "eliminate": "--order --seed --trials --coeff-box --budget --timeout",
+    "sample-genericity": "--order",
+    "repro": "--field --nvars --order --seed --trials --coeff-box",
+    "verify squarefree": "--group --k --ideal --seed --trials --coeff-box",
+    "verify radical-orbit": "--order --target-nvars --ideal --seed --trials --coeff-box",
+    "verify rank-condition": "--budget --k --order --target-nvars --ideal --seed",
+    "verify irrelevant-radical": "--poly --group --order --k --target-nvars --trials",
+    "verify witness": "--budget --k --order --target-nvars --ideal --coeff-box",
+}
+OPTION_VALUE = {
+    "--format": "machine", "--seed": "1", "--trials": "5", "--coeff-box": "3",
+    "--budget": "10", "--timeout": "5", "--order": "lex", "--field": "F7", "--nvars": "3",
+    "--k": "2", "--group": "S3", "--poly": "x1", "--target-nvars": "5",
+    "--ideal": "orbit:S3:x1",
+}
+
+
+class TestOptionsPerCommand:
+    @pytest.mark.parametrize("command", sorted(COMMAND_ARGV))
+    def test_argv_is_valid(self, capsys, command):
+        code, _, _ = invoke(capsys, *COMMAND_ARGV[command])
+        assert code in (0, 1)
+
+    @pytest.mark.parametrize(
+        "command, option",
+        [(command, option) for command, options in UNREAD.items() for option in options.split()],
+    )
+    def test_unread_option_is_usage_error(self, capsys, command, option):
+        code, out, err = invoke(capsys, *COMMAND_ARGV[command], option, OPTION_VALUE[option])
+        assert code == 2 and out == ""
+        assert f"unrecognized arguments: {option}" in err
+
+    def test_verify_options_follow_the_verifier_name(self, capsys):
+        code, out, _ = invoke(
+            capsys, "verify", "--group", "S3", "witness", "--poly", "x1^2*x2 + x1*x2^2"
+        )
+        assert code == 2 and out == ""
+
+    @pytest.mark.parametrize("command", sorted(c for c in COMMAND_ARGV if c.startswith("verify")))
+    def test_missing_verifier_input_is_argparse_error(self, capsys, command):
+        argv = COMMAND_ARGV[command]
+        # drop each option that has a value (all of a verifier's inputs are required)
+        for i in range(2, len(argv), 2):
+            code, out, err = invoke(capsys, *argv[:i], *argv[i + 2:])
+            assert code == 2 and out == ""
+            assert f"the following arguments are required: {argv[i]}" in err
+
+    def test_sample_genericity_trials_zero(self, capsys):
+        argv = COMMAND_ARGV["sample-genericity"][:-1]
+        code, out, err = invoke(capsys, *argv, "0")
+        assert code == 2 and out == "" and "at least one trial" in err
+
+    @pytest.mark.parametrize("value", ["nan", "0", "-1", "abc"])
+    def test_timeout_must_be_positive(self, capsys, value):
+        # nan used to switch every deadline off
+        code, out, err = invoke(
+            capsys, "verify", "rank-condition", "--group", "S6",
+            "--poly", "x1^3*x2^2*x3 + 2*x2^3*x1^2*x3 - x4^3*x5^2*x6", "--timeout", value,
+        )
+        assert code == 2 and out == "" and "--timeout" in err
+
+    def test_infinite_timeout_is_no_deadline(self, capsys):
+        code, out, _ = invoke(capsys, *COMMAND_ARGV["verify witness"], "--timeout", "inf")
+        assert code == 0 and "certificate.point" in out
+
+    def test_sample_genericity_honours_field(self, capsys):
+        argv = (
+            "sample-genericity", "--support", "x1^2,x1*x2", "--group", "S3",
+            "--property", "irrelevant_radical", "--trials", "12", "--seed", "5",
+            "--format", "machine",
+        )
+        outputs = {}
+        for field in ("Q", "F2", "F3"):
+            code, outputs[field], _ = invoke(capsys, *argv, "--field", field)
+            assert code == 0
+        assert "successes=11\n" in outputs["Q"] and "failure.0=-4,4\n" in outputs["Q"]
+        # x1^2 + x1*x2 has coefficient sum 0 in GF(2), so every trial fails
+        assert "successes=0\n" in outputs["F2"]
+        assert len(set(outputs.values())) == 3
+
+
+class TestReproGoldens:
+    def test_machine_output_matches_goldens(self, capsys):
+        golden = json.loads(REPRO_GOLDEN.read_text())
+        assert sorted(cli.SCENARIOS) == sorted(golden)
+        for name in sorted(golden):
+            code, out, _ = invoke(capsys, "repro", name, "--format", "machine")
+            assert code == 0, name
+            assert out == golden[name], name

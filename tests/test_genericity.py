@@ -2,7 +2,9 @@ import time
 
 import pytest
 
+from symorbits import genericity
 from symorbits import (
+    GF,
     QQ,
     BudgetExceededError,
     PermGroup,
@@ -94,3 +96,54 @@ class TestSampling:
         f = Polynomial(QQ, 3, {m: 1 for m in monomials_of_type((2, 1), 3)})
         report = rank_condition(f, PermGroup.symmetric(3))
         assert not report.verdict and report.parameters["rank"] == 1
+
+
+
+class _TrueVerdict:
+    """Stands in for a verifier's answer, as a bool and as a report."""
+
+    verdict = True
+
+    def __bool__(self):
+        return True
+
+
+class TestPrimeFields:
+    CASES = [
+        (SupportSet.of(3, [(2, 0, 0), (1, 1, 0)]), "irrelevant_radical",
+         "radical_equals_irrelevant"),
+        (SupportSet.of(3, monomials_of_type((2, 1), 3)), "monomial_ideal", "rank_condition"),
+        (SupportSet.of(3, monomials_of_type((1, 1), 3)), "radical_orbit", "radical_orbit_equality"),
+    ]
+
+    @pytest.mark.parametrize("p", [2, 3, 7])
+    @pytest.mark.parametrize("support, prop, verifier", CASES)
+    def test_every_trial_keeps_its_whole_support(self, monkeypatch, p, support, prop, verifier):
+        # a coefficient that is 0 mod p would drop its term and test another support
+        drawn = []
+
+        def record(polys, *args, **kwargs):
+            drawn.extend(polys if isinstance(polys, list) else [polys])
+            return _TrueVerdict()
+
+        monkeypatch.setattr(genericity, verifier, record)
+        report = sample_genericity(
+            support, PermGroup.symmetric(3), prop, 30, seed=p, field=GF(p)
+        )
+        assert report.successes == 30 and drawn
+        for f in drawn:
+            assert f.field == GF(p) and len(f.terms) == len(support.elements)
+
+    @pytest.mark.parametrize("p", [2, 3])
+    def test_small_characteristic_runs(self, p):
+        # the zero polynomial used to reach these verifiers and raise ValueError
+        for support, prop, _ in self.CASES[:2]:
+            report = sample_genericity(
+                support, PermGroup.symmetric(3), prop, 12, seed=5, field=GF(p)
+            )
+            assert report.successes + len(report.failures) == 12
+
+    def test_rationals_draw_unchanged(self):
+        support, prop, _ = self.CASES[0]
+        report = sample_genericity(support, PermGroup.symmetric(3), prop, 12, seed=5)
+        assert (report.successes, report.failures) == (11, [(-4, 4)])

@@ -1,4 +1,5 @@
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -7,6 +8,7 @@ from symorbits import (
     GF,
     GREVLEX,
     QQ,
+    BudgetExceededError,
     PermGroup,
     elementary_symmetric,
     elimination_coefficients,
@@ -238,6 +240,23 @@ class TestWitnessSearch:
         witness = monomial_free_witness(f, PermGroup.symmetric(2))
         assert witness is not None
         assert f.evaluate(witness).is_zero
+
+    def test_deadline_checked_per_candidate_point(self, P):
+        past = time.monotonic() - 1
+        with pytest.raises(BudgetExceededError):
+            monomial_free_witness(P("x1^2*x2 + x1*x2^2", 3), PermGroup.symmetric(3),
+                                  deadline=past)
+        # without a deadline the same search finds its point
+        assert monomial_free_witness(P("x1^2*x2 + x1*x2^2", 3), PermGroup.symmetric(3))
+
+    def test_radical_orbit_false_verdict_passes_deadline(self, P, monkeypatch):
+        # a false radical verdict runs the witness search under the same deadline
+        monkeypatch.setattr("symorbits.verifiers.radical_member", lambda *a, **kw: False)
+        f = P("x1^2*x2 + x1*x2^2", 3)
+        report = radical_orbit_equality(f, PermGroup.symmetric(3), 2)
+        assert not report.verdict and "witness" in report.notes
+        with pytest.raises(BudgetExceededError):
+            radical_orbit_equality(f, PermGroup.symmetric(3), 2, deadline=time.monotonic() - 1)
 
     def test_classification(self):
         point = (QQ.scalar(1), QQ.scalar(-1), QQ.scalar(0))
