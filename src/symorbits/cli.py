@@ -107,6 +107,13 @@ def parse_ideal_spec(token: str, nvars: int | None, field: Field) -> OrbitIdeal:
 # -- argument types -------------------------------------------------------------
 
 
+def _pairs(token: str) -> int:
+    pairs = int(token)
+    if pairs < 1:
+        raise argparse.ArgumentTypeError(f"must be a positive number of S-pairs, got {token}")
+    return pairs
+
+
 def _seconds(token: str) -> float:
     seconds = float(token)
     # nan compares false with everything, so it would switch every deadline off
@@ -222,8 +229,7 @@ def _group_and_poly(args) -> tuple[PermGroup, Polynomial]:
 def _verify_squarefree(args) -> int:
     deadline = _deadline(args)
     f = parse_polynomial(args.poly, args.nvars, args.field)
-    report = verify_squarefree_orbit(f, args.target_nvars, order_by_name(args.order),
-                                     max_pairs=args.budget, deadline=deadline)
+    report = verify_squarefree_orbit(f, args.target_nvars, deadline=deadline)
     return _verdict(report, args.format)
 
 
@@ -281,7 +287,7 @@ ARGUMENTS = dict([
     _argument("--nvars", "--n", type=int),
     _argument("--order", choices=("lex", "grevlex"), default="grevlex"),
     _argument("--format", choices=("human", "machine"), default="human"),
-    _argument("--budget", type=int, default=DEFAULT_MAX_PAIRS,
+    _argument("--budget", type=_pairs, default=DEFAULT_MAX_PAIRS,
               help="maximum number of S-pairs per basis computation"),
     _argument("--timeout", type=_seconds, help="wall-clock budget in seconds"),
     _argument("--group"),
@@ -337,7 +343,8 @@ COMMANDS = {
 VERIFIERS = {
     "squarefree": Command(
         _verify_squarefree, "the orbit ideal in --target-nvars variables is square-free monomial",
-        ("--poly", "--target-nvars") + _GB_OPTIONS, ("--poly", "--nvars", "--target-nvars")),
+        ("--poly", "--target-nvars", "--field", "--nvars", "--format", "--timeout"),
+        ("--poly", "--nvars", "--target-nvars")),
     "radical-orbit": Command(
         _verify_radical_orbit, "the radical equals the orbit ideal of x1...xk",
         ("--poly", "--group", "--k", "--field", "--nvars", "--format", "--budget", "--timeout"),

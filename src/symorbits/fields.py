@@ -91,7 +91,8 @@ class Field:
         if isinstance(x, bool) or not isinstance(x, (int, Fraction)):
             raise TypeError(f"cannot coerce {type(x).__name__} into {self}")
         if self.p is None:
-            return Fraction(x)
+            # a Fraction is immutable and already in lowest terms: share it
+            return x if isinstance(x, Fraction) else Fraction(x)
         if isinstance(x, Fraction):
             return self.div(x.numerator % self.p, x.denominator % self.p)
         return x % self.p

@@ -11,8 +11,9 @@ expanded generators.  This route is independent of the Groebner route in
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterable, Sequence
 
+from .fields import Field
 from .groebner import DEFAULT_MAX_PAIRS, GroebnerBasis, buchberger
 from .linalg import ExactMatrix, in_span, rank
 from .permutations import PermGroup, orbit, orbit_images
@@ -90,65 +91,46 @@ class GradedPiece:
     column_meta: tuple[tuple[int, Monomial], ...]
 
 
+def _multiples(ideal: OrbitIdeal, degree: int, *, exact: bool):
+    """The products u * g as term dicts, with (generator index, u) for each:
+    deg(u * g) = degree for homogeneous generators (``exact``), else every
+    u of degree at most degree - mindeg(g)."""
+    products = []
+    meta = []
+    for gi, g in enumerate(ideal.expanded):
+        top = degree - g.min_degree()
+        if top < 0:
+            continue
+        for mult_degree in range(top if exact else 0, top + 1):
+            for u in monomials_of_degree(ideal.nvars, mult_degree):
+                products.append(
+                    {tuple(a + b for a, b in zip(m, u)): c for m, c in g.terms.items()}
+                )
+                meta.append((gi, u))
+    return products, tuple(meta)
+
+
+def _matrix(field: Field, index: Sequence[Monomial], columns: Iterable[dict]) -> ExactMatrix:
+    """The matrix whose j-th column holds the coefficients of the j-th term
+    dict of ``columns`` on the rows of ``index``, which holds all their
+    monomials.  This is the one place a matrix is filled from polynomials."""
+    index_pos = {m: i for i, m in enumerate(index)}
+    dense = []
+    for terms in columns:
+        col = [field.zero] * len(index)
+        for m, c in terms.items():
+            col[index_pos[m]] = c
+        dense.append(col)
+    return ExactMatrix.from_columns(field, len(index), dense)
+
+
 def graded_piece(ideal: OrbitIdeal, degree: int) -> GradedPiece:
     """The degree slice spanned by {u * g} with deg(u) + deg(g) = degree."""
-    field = ideal.field
-    nvars = ideal.nvars
-    index = sorted(monomials_of_degree(nvars, degree), key=GREVLEX.key, reverse=True)
-    index_pos = {m: i for i, m in enumerate(index)}
-    columns = []
-    meta = []
-    for gi, g in enumerate(ideal.expanded):
-        if not g.is_homogeneous():
-            raise ValueError("graded piece requires homogeneous generators")
-        mult_degree = degree - g.total_degree()
-        if mult_degree < 0:
-            continue
-        for u in monomials_of_degree(nvars, mult_degree):
-            col = [field.zero] * len(index)
-            for m, c in g.terms.items():
-                shifted = tuple(a + b for a, b in zip(m, u))
-                col[index_pos[shifted]] = c
-            columns.append(col)
-            meta.append((gi, u))
-    return GradedPiece(
-        degree=degree,
-        monomial_index=tuple(index),
-        matrix=ExactMatrix.from_columns(field, len(index), columns),
-        column_meta=tuple(meta),
-    )
-
-
-def _combination_columns(ideal: OrbitIdeal, target: Polynomial):
-    """Columns for membership of an inhomogeneous target: multipliers of
-    degree at most deg(target) - mindeg(generator)."""
-    field = ideal.field
-    nvars = ideal.nvars
-    bound = target.total_degree()
-    columns = []
-    meta = []
-    monos: set[Monomial] = set(target.terms)
-    products = []
-    for gi, g in enumerate(ideal.expanded):
-        max_mult = bound - g.min_degree()
-        if max_mult < 0:
-            continue
-        for mult_degree in range(max_mult + 1):
-            for u in monomials_of_degree(nvars, mult_degree):
-                prod = {}
-                for m, c in g.terms.items():
-                    prod[tuple(a + b for a, b in zip(m, u))] = c
-                products.append(prod)
-                meta.append((gi, u))
-                monos.update(prod)
-    index = sorted(monos, key=GREVLEX.key, reverse=True)
-    index_pos = {m: i for i, m in enumerate(index)}
-    for prod in products:
-        col = [field.zero] * len(index)
-        for m, c in prod.items():
-            col[index_pos[m]] = c
-        columns.append(col)
-    return index, index_pos, ExactMatrix.from_columns(field, len(index), columns), tuple(meta)
+    if not all(g.is_homogeneous() for g in ideal.expanded):
+        raise ValueError("graded piece requires homogeneous generators")
+    index = sorted(monomials_of_degree(ideal.nvars, degree), key=GREVLEX.key, reverse=True)
+    products, meta = _multiples(ideal, degree, exact=True)
+    return GradedPiece(degree, tuple(index), _matrix(ideal.field, index, products), meta)
 
 
 def graded_member(target: Polynomial, ideal: OrbitIdeal) -> VerdictReport:
@@ -174,16 +156,13 @@ def graded_member(target: Polynomial, ideal: OrbitIdeal) -> VerdictReport:
         if not target.is_homogeneous():
             raise ValueError("target must be homogeneous when the seeds are homogeneous")
         piece = graded_piece(ideal, target.total_degree())
-        index_pos = {m: i for i, m in enumerate(piece.monomial_index)}
-        vector = [target.field.zero] * len(piece.monomial_index)
-        for m, c in target.terms.items():
-            vector[index_pos[m]] = c
-        matrix, meta = piece.matrix, piece.column_meta
+        index, matrix, meta = piece.monomial_index, piece.matrix, piece.column_meta
     else:
-        index, index_pos, matrix, meta = _combination_columns(ideal, target)
-        vector = [target.field.zero] * len(index)
-        for m, c in target.terms.items():
-            vector[index_pos[m]] = c
+        # multipliers of degree at most deg(target) - mindeg(generator)
+        products, meta = _multiples(ideal, target.total_degree(), exact=False)
+        index = sorted(set(target.terms).union(*products), key=GREVLEX.key, reverse=True)
+        matrix = _matrix(ideal.field, index, products)
+    vector = [target.terms.get(m, target.field.zero) for m in index]
 
     member, coeffs = in_span(vector, matrix)
     parameters = {
@@ -271,10 +250,11 @@ def rank_condition(
     """Full-rank test deciding whether the orbit ideal of a single-type
     polynomial is the monomial ideal generated by the orbit of its terms.
 
-    Columns are the coefficient vectors of the orbit of f inside the space
-    spanned by all monomials of the shared type; the verdict is true iff
-    their span is the whole space.  ``deadline`` is checked before the
-    matrix is built and once per column of the elimination.
+    Columns are the coefficient vectors of the distinct orbit images of f
+    (deduplicated as sparse polynomials) inside the space spanned by all
+    monomials of the shared type; the verdict is true iff their span is the
+    whole space.  ``deadline`` is checked before the matrix is built and
+    once per column of the elimination.
     """
     if f.is_zero:
         raise ValueError("zero polynomial has no type")
@@ -289,19 +269,12 @@ def rank_condition(
         raise ValueError(
             f"group {group.descriptor} is not transitive on monomials of type {mono_type}"
         )
-    row_index = sorted(
-        monomials_of_type(mono_type, f.nvars), key=GREVLEX.key, reverse=True
-    )
-    index_pos = {m: i for i, m in enumerate(row_index)}
-    field = f.field
-    columns = set()
-    for image in images:
-        col = [field.zero] * len(row_index)
-        for m, c in image.terms.items():
-            col[index_pos[m]] = c
-        columns.add(tuple(col))
+    row_index = sorted(monomials_of_type(mono_type, f.nvars), key=GREVLEX.key, reverse=True)
+    distinct = set(images)
     check_deadline(deadline)
-    matrix = ExactMatrix.from_columns(field, len(row_index), sorted(columns))
+    # popping frees each image once its column is written
+    columns = (distinct.pop().terms for _ in range(len(distinct)))
+    matrix = _matrix(f.field, row_index, columns)
     got = rank(matrix, deadline=deadline)
     verdict = got == len(row_index)
     return VerdictReport(
@@ -309,7 +282,7 @@ def rank_condition(
         {
             "type": mono_type,
             "group": group.descriptor,
-            "field": str(field),
+            "field": str(f.field),
             "monomials_of_type": len(row_index),
             "distinct_orbit_vectors": matrix.ncols,
             "rank": got,

@@ -58,7 +58,7 @@ def _integer_rows(field: Field, rows: Iterable[Sequence[Raw]]) -> list[list[int]
     out = []
     for row in rows:
         scale = math.lcm(*(x.denominator for x in row)) if row else 1
-        out.append([int(x * scale) for x in row])
+        out.append([x.numerator * (scale // x.denominator) for x in row])
     return out
 
 

@@ -125,7 +125,7 @@ def inhomogeneous_monomial(max_pairs: int, deadline: float | None) -> tuple[bool
 
 def squarefree_c_zero(max_pairs: int, deadline: float | None) -> tuple[bool, list]:
     f = parse_polynomial("x1*x2 - x2*x3", 3, QQ)
-    res = verify_squarefree_orbit(f, 5, max_pairs=max_pairs, deadline=deadline)
+    res = verify_squarefree_orbit(f, 5, deadline=deadline)
     return res.verdict and res.parameters.get("branch") == "all-ones-witness", [res]
 
 

@@ -13,14 +13,9 @@ from fractions import Fraction
 
 from .fields import QQ, Field, Scalar, binomial
 from .groebner import DEFAULT_MAX_PAIRS, radical_member
-from .ideals import ideal_equal, orbit_ideal
+from .ideals import orbit_ideal, rank_condition
 from .permutations import PermGroup, Permutation, orbit
-from .polynomials import (
-    GREVLEX,
-    MonomialOrder,
-    Polynomial,
-    elementary_symmetric,
-)
+from .polynomials import Polynomial, elementary_symmetric
 from .reports import CertificateError, VerdictReport, check_deadline
 
 
@@ -172,18 +167,18 @@ def telescoping_certificate(n: int, d: int, nvars: int, field: Field = QQ) -> Te
 
 
 def verify_squarefree_orbit(
-    f: Polynomial,
-    nvars: int,
-    order: MonomialOrder = GREVLEX,
-    *,
-    max_pairs: int = DEFAULT_MAX_PAIRS,
-    deadline: float | None = None,
+    f: Polynomial, nvars: int, *, deadline: float | None = None
 ) -> VerdictReport:
     """For homogeneous f with square-free terms in n variables, checked in
     a ring with ``nvars`` variables under the full symmetric group:
 
     * if f at the all-ones point is nonzero, check that the orbit ideal of
-      f equals the orbit ideal of x1...xd (guaranteed once nvars >= n+d);
+      f equals the orbit ideal of x1...xd, the square-free monomial ideal
+      of degree d (guaranteed once nvars >= n+d).  Every term has type
+      (1^d), so the orbit ideal lies in that monomial ideal, and equals it
+      exactly when the orbit spans every square-free monomial of degree d:
+      the verdict is the rank condition on type (1^d) in ``nvars``
+      variables, and the certificate is the rank it found;
     * if it is zero, the all-ones point kills every generator, so neither
       the ideal nor its radical contains any monomial.
     """
@@ -215,22 +210,16 @@ def verify_squarefree_orbit(
         notes = ""
         if nvars < n + d:
             notes = f"nvars below the guaranteed range nvars >= n+d = {n + d}"
-        target = Polynomial(
-            f.field, nvars, {tuple(1 if i < d else 0 for i in range(nvars)): 1}
-        )
-        result = ideal_equal(
-            orbit_ideal([extended], group),
-            orbit_ideal([target], group),
-            order,
-            max_pairs=max_pairs,
-            deadline=deadline,
-        )
+        ranked = rank_condition(extended, group, deadline=deadline)
         parameters["branch"] = "monomial-equality"
         return VerdictReport(
             "squarefree-orbit",
             parameters,
-            result.verdict,
-            certificate=result.certificate,
+            ranked.verdict,
+            certificate={
+                key: ranked.parameters[key]
+                for key in ("rank", "monomials_of_type", "distinct_orbit_vectors")
+            },
             notes=notes,
         )
     generators = orbit(extended, group)
@@ -262,9 +251,9 @@ def radical_orbit_equality(
     orbit of x1...xk.
 
     The inclusion of the orbit ideal in the monomial orbit ideal is checked
-    by support inspection (every term of every generator must be divisible
-    by some group image of x1...xk); the reverse inclusion reduces, by
-    equivariance, to one radical-membership test for x1...xk itself.
+    by support inspection (every term of f must be divisible by some group
+    image of x1...xk); the reverse inclusion reduces, by equivariance, to
+    one radical-membership test for x1...xk itself.
     """
     if f.is_zero or not f.is_homogeneous():
         raise ValueError("polynomial must be homogeneous and nonzero")
@@ -274,16 +263,17 @@ def radical_orbit_equality(
         raise ValueError(f"need 1 <= k <= nvars, got k={k}")
     if any(sum(1 for e in m if e > 0) < k for m in f.terms):
         raise ValueError(f"every monomial of f must involve at least {k} variables")
-    ideal = orbit_ideal([f], group)
+    # the images of x1...xk form a G-stable set, so the terms of f decide
+    # the inclusion for every generator
     k_sets = group.index_set_orbit(range(1, k + 1))
-    for g in ideal.expanded:
-        for m in g.terms:
-            positive = {i + 1 for i, e in enumerate(m) if e > 0}
-            if not any(s <= positive for s in k_sets):
-                raise ValueError(
-                    "support inclusion fails: a generator term avoids every "
-                    "group image of x1...xk"
-                )
+    for m in f.terms:
+        positive = {i + 1 for i, e in enumerate(m) if e > 0}
+        if not any(s <= positive for s in k_sets):
+            raise ValueError(
+                "support inclusion fails: a generator term avoids every "
+                "group image of x1...xk"
+            )
+    ideal = orbit_ideal([f], group)
     target = Polynomial(
         f.field, f.nvars, {tuple(1 if i < k else 0 for i in range(f.nvars)): 1}
     )
@@ -389,8 +379,11 @@ def monomial_free_witness(
     a nonzero root of f on the diagonal; then a finite pool of sign/zero
     patterns (by default all arrangements of one +1 and one -1).  Returns
     the first verified witness, or None; None is not a proof of absence.
-    The deadline is checked once per candidate point.
+    The deadline is checked once per candidate point; the zero polynomial,
+    which every point kills, raises ValueError.
     """
+    if f.is_zero:
+        raise ValueError("zero polynomial")
     generators = orbit(f, group)
     field = f.field
     nvars = f.nvars

@@ -68,6 +68,11 @@ class TestExitCodes:
         )
         assert code == 3 and out == "" and "budget" in err
 
+    def test_witness_of_zero_polynomial_is_usage_error(self, capsys):
+        # every point kills the zero polynomial; it used to exit 0 with verdict true
+        code, out, err = invoke(capsys, "verify", "witness", "--group", "S3", "--poly", "0")
+        assert code == 2 and out == "" and "zero polynomial" in err
+
     def test_failed_certificate_exits_four(self, capsys, monkeypatch):
         # a cancellation system that disagrees with the closed form makes
         # the elimination check fail its re-verification
@@ -267,7 +272,7 @@ UNREAD = {
     "eliminate": "--order --seed --trials --coeff-box --budget --timeout",
     "sample-genericity": "--order",
     "repro": "--field --nvars --order --seed --trials --coeff-box",
-    "verify squarefree": "--group --k --ideal --seed --trials --coeff-box",
+    "verify squarefree": "--group --k --ideal --seed --trials --coeff-box --order --budget",
     "verify radical-orbit": "--order --target-nvars --ideal --seed --trials --coeff-box",
     "verify rank-condition": "--budget --k --order --target-nvars --ideal --seed",
     "verify irrelevant-radical": "--poly --group --order --k --target-nvars --trials",
@@ -324,6 +329,12 @@ class TestOptionsPerCommand:
             "--poly", "x1^3*x2^2*x3 + 2*x2^3*x1^2*x3 - x4^3*x5^2*x6", "--timeout", value,
         )
         assert code == 2 and out == "" and "--timeout" in err
+
+    @pytest.mark.parametrize("value", ["0", "-1", "abc"])
+    def test_budget_must_be_positive(self, capsys, value):
+        # a budget below one used to exit 3 as an exceeded budget
+        code, out, err = invoke(capsys, "gb", "--budget", value, "orbit:S3:x1^2")
+        assert code == 2 and out == "" and "--budget" in err
 
     def test_infinite_timeout_is_no_deadline(self, capsys):
         code, out, _ = invoke(capsys, *COMMAND_ARGV["verify witness"], "--timeout", "inf")

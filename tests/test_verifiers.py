@@ -1,3 +1,4 @@
+import itertools
 import random
 import time
 from fractions import Fraction
@@ -10,8 +11,10 @@ from symorbits import (
     QQ,
     BudgetExceededError,
     PermGroup,
+    Polynomial,
     elementary_symmetric,
     elimination_coefficients,
+    ideal_equal,
     monomial_free_witness,
     orbit_ideal,
     parse_polynomial,
@@ -140,6 +143,21 @@ class TestSquarefreeOrbit:
     def test_equality_branch(self):
         report = verify_squarefree_orbit(elementary_symmetric(3, (1, 2, 3), 2, QQ), 5)
         assert report.verdict and report.parameters["branch"] == "monomial-equality"
+        # the rank condition on the 10 square-free quadrics in 5 variables
+        assert report.certificate == {
+            "rank": 10, "monomials_of_type": 10, "distinct_orbit_vectors": 10
+        }
+
+    def test_equality_branch_is_the_rank_condition(self, monkeypatch):
+        def no_basis(*args, **kwargs):
+            raise AssertionError("Groebner basis computed")
+
+        monkeypatch.setattr("symorbits.ideals.buchberger", no_basis)
+        monkeypatch.setattr("symorbits.groebner.buchberger", no_basis)
+        f = elementary_symmetric(5, range(1, 6), 4, QQ)
+        assert verify_squarefree_orbit(f, 9).verdict  # n + d = 9
+        with pytest.raises(BudgetExceededError):
+            verify_squarefree_orbit(f, 9, deadline=time.monotonic() - 1)
 
     def test_witness_branch(self, P):
         report = verify_squarefree_orbit(P("x1*x2 - x2*x3", 3), 5)
@@ -164,6 +182,9 @@ class TestSquarefreeOrbit:
         report = verify_squarefree_orbit(elementary_symmetric(3, (1, 2, 3), 2, QQ), 4)
         assert not report.verdict
         assert "below the guaranteed range" in report.notes
+        assert report.certificate == {
+            "rank": 4, "monomials_of_type": 6, "distinct_orbit_vectors": 4
+        }
 
     def test_validation(self, P):
         with pytest.raises(ValueError):
@@ -174,6 +195,66 @@ class TestSquarefreeOrbit:
             verify_squarefree_orbit(
                 parse_polynomial("x1*x2", 3, GF(2)), 5
             )  # characteristic too small
+
+
+def _groebner_squarefree_verdict(f, nvars):
+    """Whether the orbit ideal of f in nvars variables equals that of
+    x1...xd, by two Groebner bases and mutual normal forms."""
+    group = PermGroup.symmetric(nvars)
+    d = f.total_degree()
+    monomial = Polynomial(f.field, nvars, {tuple(int(i < d) for i in range(nvars)): 1})
+    return ideal_equal(
+        orbit_ideal([f.extend(nvars)], group), orbit_ideal([monomial], group)
+    ).verdict
+
+
+class TestSquarefreeAgainstGroebner:
+    """The rank verdict of ``verify_squarefree_orbit`` against the Groebner
+    route it replaced, kept here as the reference oracle."""
+
+    COEFFS = (-3, -2, -1, 1, 2, 3)
+
+    @pytest.mark.parametrize("field, seed", [(QQ, 1), (GF(7), 2), (GF(11), 3)])
+    def test_random_squarefree(self, field, seed):
+        rng = random.Random(seed)
+        checked = 0
+        verdicts = set()
+        while checked < 12:
+            kind = checked % 3
+            n = rng.randint(2, 5)
+            # a symmetric f of degree n is a monomial: keep d < n for those,
+            # and nvars < n + d, where their orbit cannot span
+            d = rng.randint(1, min(n - (kind == 2), 8 - n))
+            nvars = rng.randint(n, n + d - (kind == 2))
+            pool = [m for m in itertools.product((0, 1), repeat=n) if sum(m) == d]
+            if kind == 0:
+                support = rng.sample(pool, rng.randint(1, min(4, len(pool))))
+                f = Polynomial(field, n, {m: rng.choice(self.COEFFS) for m in support})
+            else:
+                # symmetric in x2..xn, or in every variable
+                a, b = rng.choice(self.COEFFS), rng.choice(self.COEFFS)
+                f = Polynomial(field, n, {m: a if m[0] or kind == 2 else b for m in pool})
+            if f.is_zero or f.evaluate([1] * n).is_zero:
+                continue
+            report = verify_squarefree_orbit(f, nvars)
+            assert report.parameters["branch"] == "monomial-equality"
+            assert report.verdict == _groebner_squarefree_verdict(f, nvars), (str(f), nvars)
+            certificate = report.certificate
+            assert report.verdict == (certificate["rank"] == certificate["monomials_of_type"])
+            verdicts.add(report.verdict)
+            checked += 1
+        assert verdicts == {True, False}
+
+    @pytest.mark.parametrize("field", [QQ, GF(7)])
+    def test_elementary_symmetric_threshold(self, field):
+        # e(n,d) first spans the square-free monomials at nvars = n + d
+        for n in range(2, 6):
+            for d in range(1, min(n, 9 - n)):
+                f = elementary_symmetric(n, range(1, n + 1), d, field)
+                for nvars, expected in ((n + d - 1, False), (n + d, True)):
+                    report = verify_squarefree_orbit(f, nvars)
+                    assert report.verdict == expected, (n, d, nvars)
+                    assert _groebner_squarefree_verdict(f, nvars) == expected, (n, d, nvars)
 
 
 class TestRadicalOrbitEquality:
@@ -199,6 +280,9 @@ class TestRadicalOrbitEquality:
     def test_support_precondition(self, P):
         with pytest.raises(ValueError):
             radical_orbit_equality(P("x1^2", 3), PermGroup.symmetric(3), 2)
+        # {1, 3} contains no rotation of {1, 2}
+        with pytest.raises(ValueError, match="support inclusion fails"):
+            radical_orbit_equality(P("x1*x3", 4), PermGroup.cyclic(4), 2)
 
 
 class TestWitnessSearch:
