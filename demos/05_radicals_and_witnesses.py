@@ -1,6 +1,10 @@
-"""Radical membership and witness points.
+"""Radical membership, monomial radicals and witness points.
 
-Radical membership is decided exactly by adjoining one variable.  When a
+Radical membership is decided exactly by adjoining one variable.  The
+term supports of an orbit fix the only monomial ideal its radical can be:
+M, generated by x_S for each minimal support S, always contains the
+radical, and ``radical_orbit_equality`` decides whether they are equal
+with one membership test per group orbit of minimal supports.  When a
 radical fails to contain a monomial, a witness point with convenient
 structure (all-ones, a constant diagonal, or a sign pattern) often
 certifies the failure at a glance: any point with all coordinates nonzero
@@ -34,7 +38,9 @@ print()
 for p in (2, 3):
     field = GF(p)
     e = elementary_symmetric(5, (1, 2, 3), 2, field)
-    report = radical_orbit_equality(e, PermGroup.symmetric(5), 2)
-    print(f"over GF({p}): radical equals the x1*x2 orbit ideal: {report.verdict}")
+    report = radical_orbit_equality(e, PermGroup.symmetric(5))
+    representatives = ", ".join(report.certificate["representatives"])
+    print(f"over GF({p}): radical equals the monomial ideal of the orbit of "
+          f"{representatives}: {report.verdict}")
     if report.notes:
         print(f"  {report.notes}")

@@ -17,7 +17,6 @@ from .genericity import sample_genericity
 from .groebner import (
     GroebnerBasis,
     buchberger,
-    ideal_member,
     radical_equals_irrelevant,
     radical_member,
 )

@@ -203,7 +203,7 @@ def _sample_genericity(args) -> int:
     for text in args.support.split(","):
         monos.extend(parse_polynomial(text.strip(), nvars, args.field).terms)
     report = sample_genericity(
-        SupportSet.of(nvars, monos), group, args.property, trials=args.trials, k=args.k,
+        SupportSet.of(nvars, monos), group, args.property, trials=args.trials,
         coeff_box=args.coeff_box, seed=args.seed, field=args.field, max_pairs=args.budget,
         deadline=deadline,
     )
@@ -236,10 +236,7 @@ def _verify_squarefree(args) -> int:
 def _verify_radical_orbit(args) -> int:
     deadline = _deadline(args)
     group, f = _group_and_poly(args)
-    k = args.k
-    if k is None:
-        k = min(sum(1 for e in m if e > 0) for m in f.terms)
-    report = radical_orbit_equality(f, group, k, max_pairs=args.budget, deadline=deadline)
+    report = radical_orbit_equality(f, group, max_pairs=args.budget, deadline=deadline)
     return _verdict(report, args.format)
 
 
@@ -288,12 +285,11 @@ ARGUMENTS = dict([
     _argument("--order", choices=("lex", "grevlex"), default="grevlex"),
     _argument("--format", choices=("human", "machine"), default="human"),
     _argument("--budget", type=_pairs, default=DEFAULT_MAX_PAIRS,
-              help="maximum number of S-pairs per basis computation"),
+              help="maximum number of S-pairs reduced per basis computation"),
     _argument("--timeout", type=_seconds, help="wall-clock budget in seconds"),
     _argument("--group"),
     _argument("--poly"),
     _argument("--ideal", help="orbit:<group>:<poly>"),
-    _argument("--k", type=int),
     _argument("--target-nvars", type=int),
     _argument("--n", type=int, help="number of elementary-symmetric variables"),
     _argument("--d", type=int),
@@ -333,7 +329,7 @@ COMMANDS = {
                          ("--n", "--d", "--field", "--format"), ("--n", "--d")),
     "sample-genericity": Command(
         _sample_genericity, "randomized genericity sampling",
-        ("--support", "--group", "--property", "--k", "--field", "--nvars", "--format",
+        ("--support", "--group", "--property", "--field", "--nvars", "--format",
          "--seed", "--trials", "--coeff-box", "--budget", "--timeout"),
         ("--support", "--group", "--property")),
     "repro": Command(_repro, "re-run a pinned scenario",
@@ -346,8 +342,9 @@ VERIFIERS = {
         ("--poly", "--target-nvars", "--field", "--nvars", "--format", "--timeout"),
         ("--poly", "--nvars", "--target-nvars")),
     "radical-orbit": Command(
-        _verify_radical_orbit, "the radical equals the orbit ideal of x1...xk",
-        ("--poly", "--group", "--k", "--field", "--nvars", "--format", "--budget", "--timeout"),
+        _verify_radical_orbit,
+        "the radical is the monomial ideal of the orbit's minimal term supports",
+        ("--poly", "--group", "--field", "--nvars", "--format", "--budget", "--timeout"),
         ("--poly", "--group")),
     "rank-condition": Command(
         _verify_rank_condition, "the orbit spans the monomials of its type",

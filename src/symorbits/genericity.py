@@ -12,9 +12,9 @@ from __future__ import annotations
 import random
 
 from .fields import QQ, Field
-from .groebner import DEFAULT_MAX_PAIRS, radical_equals_irrelevant
+from .groebner import DEFAULT_MAX_PAIRS
 from .ideals import rank_condition
-from .permutations import PermGroup, orbit
+from .permutations import PermGroup
 from .polynomials import Polynomial, SupportSet, analyze_support
 from .reports import GenericityReport
 from .verifiers import radical_orbit_equality
@@ -22,9 +22,7 @@ from .verifiers import radical_orbit_equality
 PROPERTIES = ("irrelevant_radical", "monomial_ideal", "radical_orbit")
 
 
-def _validate_hypotheses(
-    support: SupportSet, group: PermGroup, property_name: str, k: int | None
-) -> tuple[str, int | None]:
+def _validate_hypotheses(support: SupportSet, group: PermGroup, property_name: str) -> str:
     profile = analyze_support(support)
     if support.nvars != group.degree:
         raise ValueError("support nvars must match group degree")
@@ -47,13 +45,6 @@ def _validate_hypotheses(
     elif property_name == "radical_orbit":
         if not profile.homogeneous:
             raise ValueError("radical_orbit requires a homogeneous support set")
-        if k is None:
-            k = profile.k_min_positive
-        elif k != profile.k_min_positive:
-            raise ValueError(
-                f"k={k} does not match the support's minimal positive count "
-                f"{profile.k_min_positive}"
-            )
         if not group.is_full_symmetric:
             notes.append("group is not the full symmetric group: outside stated hypotheses")
         if not profile.symmetric:
@@ -62,7 +53,7 @@ def _validate_hypotheses(
             notes.append("fewer than 5 variables: outside stated hypotheses")
     else:
         raise ValueError(f"unknown property {property_name!r}; choose from {PROPERTIES}")
-    return "; ".join(notes), k
+    return "; ".join(notes)
 
 
 def sample_genericity(
@@ -71,7 +62,6 @@ def sample_genericity(
     property_name: str,
     trials: int,
     *,
-    k: int | None = None,
     coeff_box: int = 9,
     seed: int = 0,
     field: Field = QQ,
@@ -81,12 +71,13 @@ def sample_genericity(
     """Draw coefficient vectors uniformly from the integers in
     [-coeff_box, coeff_box] that are nonzero in ``field`` (so every trial
     polynomial has the whole support), one per support element, and tally
-    how often the property's verifier succeeds."""
+    how often the property's verifier succeeds: ``radical_orbit_equality``
+    for both radical properties, ``rank_condition`` for ``monomial_ideal``."""
     if trials < 1:
         raise ValueError("need at least one trial")
     if coeff_box < 1:
         raise ValueError(f"coeff_box must be at least 1, got {coeff_box}")
-    notes, k = _validate_hypotheses(support, group, property_name, k)
+    notes = _validate_hypotheses(support, group, property_name)
     elements = support.sorted_elements()
     candidates = [c for c in range(-coeff_box, coeff_box + 1) if field.coerce(c) != field.zero]
     rng = random.Random(seed)
@@ -95,15 +86,11 @@ def sample_genericity(
     for _ in range(trials):
         vector = tuple(rng.choice(candidates) for _ in elements)
         f = Polynomial(field, support.nvars, dict(zip(elements, vector)))
-        if property_name == "irrelevant_radical":
-            ok = radical_equals_irrelevant(
-                list(orbit(f, group)), max_pairs=max_pairs, deadline=deadline
-            )
-        elif property_name == "monomial_ideal":
+        if property_name == "monomial_ideal":
             ok = rank_condition(f, group, deadline=deadline).verdict
         else:
             ok = radical_orbit_equality(
-                f, group, k, max_pairs=max_pairs, deadline=deadline
+                f, group, max_pairs=max_pairs, deadline=deadline
             ).verdict
         if ok:
             successes += 1

@@ -3,8 +3,10 @@ membership via one adjoined variable, and the irrelevant-radical test.
 
 The pair loop uses the normal selection strategy (smallest lcm first)
 together with the product and chain criteria.  Every run is bounded by a
-configurable S-pair budget and an optional wall-clock deadline, checked
-between S-pairs and between the element reductions of interreduction;
+configurable budget of S-polynomial reductions (pairs the criteria skip do
+not count; each reduction adds at most one element, so the pairs popped
+stay bounded too) and an optional wall-clock deadline, checked at every
+popped pair and between the element reductions of interreduction;
 exceeding either raises :class:`BudgetExceededError`, which is distinct
 from any membership verdict.
 
@@ -156,8 +158,9 @@ def buchberger(
 ) -> GroebnerBasis:
     """Reduced Groebner basis of the ideal generated by ``generators``.
 
-    ``deadline`` is an absolute ``time.monotonic()`` instant; it is checked
-    between S-pairs and between the element reductions of interreduction.
+    ``max_pairs`` bounds the S-polynomials reduced; ``deadline`` is an
+    absolute ``time.monotonic()`` instant, checked at every popped pair and
+    between the element reductions of interreduction.
     """
     gens = [g for g in generators if not g.is_zero]
     if not generators:
@@ -183,16 +186,11 @@ def buchberger(
     pairs = [pair_entry(i, j) for j in range(len(basis)) for i in range(j)]
     heapq.heapify(pairs)
     done: set[tuple[int, int]] = set()
-    processed = 0
+    reductions = 0
 
     while pairs:
         _, _, i, j = heapq.heappop(pairs)
-        processed += 1
-        if processed > max_pairs:
-            raise BudgetExceededError(
-                f"S-pair budget of {max_pairs} exceeded", processed
-            )
-        check_deadline(deadline, processed)
+        check_deadline(deadline, reductions)
         done.add((i, j))
         lcm = mono_lcm(lms[i], lms[j])
         # product criterion: coprime leading monomials reduce to zero
@@ -214,6 +212,11 @@ def buchberger(
         if skip:
             continue
 
+        reductions += 1
+        if reductions > max_pairs:
+            raise BudgetExceededError(
+                f"S-pair budget of {max_pairs} exceeded", reductions
+            )
         s_terms = _spoly_terms(basis[i], basis[j], lms[i], lms[j], lcm, field)
         remainder = _reduce_terms(s_terms, data, order, field)
         if not remainder:
@@ -304,18 +307,6 @@ def _reduce_basis(data: list, order: MonomialOrder, field: Field, deadline: floa
         if not any(mono_divides(lm, entry[1]) for _, lm, _ in minimal):
             minimal.append(entry)
     return _interreduce(minimal, order, field, deadline)
-
-
-def ideal_member(
-    f: Polynomial,
-    generators: Sequence[Polynomial],
-    order: MonomialOrder = GREVLEX,
-    *,
-    max_pairs: int = DEFAULT_MAX_PAIRS,
-    deadline: float | None = None,
-) -> bool:
-    gb = buchberger(generators, order, max_pairs=max_pairs, deadline=deadline)
-    return gb.contains(f)
 
 
 def radical_member(

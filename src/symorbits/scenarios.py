@@ -59,7 +59,7 @@ def f2_e32(nvars: int, max_pairs: int, deadline: float | None) -> tuple[bool, li
     ok = all(checks.values())
     if nvars == 5:
         radical_ok = radical_orbit_equality(
-            ideal.seeds[0], ideal.group, 2, max_pairs=max_pairs, deadline=deadline
+            ideal.seeds[0], ideal.group, max_pairs=max_pairs, deadline=deadline
         ).verdict
         equal = ideal_equal(
             ideal, orbit_ideal([x1x2], ideal.group), GREVLEX,

@@ -1,8 +1,9 @@
 """Verdict-producing checkers for the structural claims about orbit ideals:
 the elimination identity expressing a square-free monomial through
 elementary symmetric orbits, the telescoping membership chain, the
-square-free orbit-ideal equality, radical-orbit equality, and witness
-searches for ideals whose radical contains no monomial.
+square-free orbit-ideal equality, whether the radical of an orbit ideal
+is the monomial ideal its term supports fix, and witness searches for
+ideals whose radical contains no monomial.
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .fields import QQ, Field, Scalar, binomial
-from .groebner import DEFAULT_MAX_PAIRS, radical_member
+from .groebner import DEFAULT_MAX_PAIRS, radical_equals_irrelevant, radical_member
 from .ideals import orbit_ideal, rank_condition
 from .permutations import PermGroup, Permutation, orbit
 from .polynomials import Polynomial, elementary_symmetric
@@ -236,69 +237,79 @@ def verify_squarefree_orbit(
     )
 
 
-# -- radical equality with a monomial orbit ------------------------------------
+# -- radical equality with the monomial ideal of the minimal supports ----------
 
 
 def radical_orbit_equality(
     f: Polynomial,
     group: PermGroup,
-    k: int,
     *,
     max_pairs: int = DEFAULT_MAX_PAIRS,
     deadline: float | None = None,
 ) -> VerdictReport:
-    """Whether the radical of the orbit ideal of f equals the ideal of the
-    orbit of x1...xk.
+    """Whether the radical of the orbit ideal I of f is the square-free
+    monomial ideal M generated by x_S for every minimal term support S of
+    the orbit.
 
-    The inclusion of the orbit ideal in the monomial orbit ideal is checked
-    by support inspection (every term of f must be divisible by some group
-    image of x1...xk); the reverse inclusion reduces, by equivariance, to
-    one radical-membership test for x1...xk itself.
+    Every term of every generator lies in M, and M is radical, so the
+    radical of I always lies in M; equality holds exactly when every x_S
+    lies in the radical, and by equivariance one S per group orbit of
+    minimal supports suffices.  When the minimal supports are the N
+    singletons, M is (x1, ..., xN) and one grevlex basis decides it
+    (``radical_equals_irrelevant``); otherwise each orbit representative,
+    the lexicographically smallest support of its orbit, gets one radical
+    membership test, stopping at the first false.
     """
     if f.is_zero or not f.is_homogeneous():
         raise ValueError("polynomial must be homogeneous and nonzero")
     if f.nvars != group.degree:
         raise ValueError("variable count mismatch")
-    if not 1 <= k <= f.nvars:
-        raise ValueError(f"need 1 <= k <= nvars, got k={k}")
-    if any(sum(1 for e in m if e > 0) < k for m in f.terms):
-        raise ValueError(f"every monomial of f must involve at least {k} variables")
-    # the images of x1...xk form a G-stable set, so the terms of f decide
-    # the inclusion for every generator
-    k_sets = group.index_set_orbit(range(1, k + 1))
-    for m in f.terms:
-        positive = {i + 1 for i, e in enumerate(m) if e > 0}
-        if not any(s <= positive for s in k_sets):
-            raise ValueError(
-                "support inclusion fails: a generator term avoids every "
-                "group image of x1...xk"
-            )
-    ideal = orbit_ideal([f], group)
-    target = Polynomial(
-        f.field, f.nvars, {tuple(1 if i < k else 0 for i in range(f.nvars)): 1}
-    )
-    member = radical_member(
-        target, list(ideal.expanded), max_pairs=max_pairs, deadline=deadline
-    )
+    generators = list(orbit_ideal([f], group).expanded)
+    supports = {
+        frozenset(i + 1 for i, e in enumerate(m) if e) for g in generators for m in g.terms
+    }
+    minimal = {s for s in supports if not any(t < s for t in supports)}
+    # the minimal supports of an orbit form a G-stable set
+    representatives = []
+    remaining = set(minimal)
+    while remaining:
+        representatives.append(min(remaining, key=sorted))
+        remaining -= group.index_set_orbit(representatives[-1])
+    monomials = [
+        Polynomial.from_monomial(f.field, tuple(int(i + 1 in s) for i in range(f.nvars)))
+        for s in representatives
+    ]
     notes = ""
-    if not member:
+    if minimal == {frozenset([i]) for i in range(1, f.nvars + 1)}:
+        route = "finiteness"
+        verdict = radical_equals_irrelevant(generators, max_pairs=max_pairs, deadline=deadline)
+    else:
+        route = "radical-membership"
+        verdict = True
+        for x_s in monomials:
+            if not radical_member(x_s, generators, max_pairs=max_pairs, deadline=deadline):
+                verdict = False
+                notes = f"{x_s} is not in the radical"
+                break
+    if not verdict:
         witness = monomial_free_witness(f, group, deadline=deadline)
-        if witness is not None:
-            notes = f"witness point {tuple(str(x) for x in witness)} kills every generator"
+        # a common zero of the generators proves something only off V(M),
+        # where some x_S does not vanish and so lies outside the radical
+        if witness is not None and any(all(not witness[i - 1].is_zero for i in s)
+                                       for s in minimal):
+            found = f"witness point {tuple(str(x) for x in witness)} kills every generator"
+            notes = f"{notes}; {found}" if notes else found
     return VerdictReport(
         "radical-orbit-equality",
         {
-            "k": k,
             "field": str(f.field),
             "nvars": f.nvars,
             "group": group.descriptor,
-            "generators": len(ideal.expanded),
+            "generators": len(generators),
+            "minimal_supports": len(minimal),
         },
-        member,
-        certificate={
-            "support_inclusion": "checked",
-            "radical_membership_of_orbit_monomial": member,
-        },
+        verdict,
+        certificate={"route": route, "representatives": [str(x) for x in monomials]},
         notes=notes,
     )
 

@@ -1,6 +1,8 @@
+import random
+
 import pytest
 
-from symorbits import QQ, parse_polynomial
+from symorbits import GF, QQ, PermGroup, Polynomial, monomials_of_degree, parse_polynomial
 
 
 @pytest.fixture
@@ -11,3 +13,30 @@ def P():
         return parse_polynomial(text, nvars, field)
 
     return build
+
+
+@pytest.fixture(scope="session")
+def seeded_orbit_seeds():
+    """40 seeded (group, f) pairs: f homogeneous of degree 2 or 3 with one
+    to three terms, over GF(32003) and QQ in turn, under S3, C3, C4, S4 and
+    the dihedral group of the square in turn; every fourth support is
+    square-free."""
+    groups = [
+        PermGroup.symmetric(3),
+        PermGroup.cyclic(3),
+        PermGroup.cyclic(4),
+        PermGroup.symmetric(4),
+        PermGroup.generated(4, ["(1 2 3 4)", "(1 4)(2 3)"]),
+    ]
+    rng = random.Random(2026)
+    out = []
+    for trial in range(40):
+        field = QQ if trial % 2 else GF(32003)
+        group = groups[trial % len(groups)]
+        monos = monomials_of_degree(group.degree, rng.choice((2, 3)))
+        if trial % 4 == 3:
+            monos = [m for m in monos if max(m) <= 1]
+        chosen = rng.sample(monos, min(len(monos), rng.randint(1, 3)))
+        coeffs = {m: rng.choice((-3, -2, -1, 1, 2, 3)) for m in chosen}
+        out.append((group, Polynomial(field, group.degree, coeffs)))
+    return out

@@ -52,6 +52,11 @@ class TestExitCodes:
         )
         assert code == 3 and "budget" in err.lower()
 
+    def test_budget_counts_only_reduced_pairs(self, capsys):
+        # the product criterion skips all three pairs of the squares
+        code, out, _ = invoke(capsys, "gb", "--budget", "1", "orbit:S3:x1^2")
+        assert code == 0 and sorted(out.split()) == ["x1^2", "x2^2", "x3^2"]
+
     def test_rank_condition_timeout_exits_three(self, capsys):
         # the elimination checks the deadline once per pivot column
         code, out, err = invoke(
@@ -182,6 +187,24 @@ class TestCommands:
         assert "trials=5" in out and "seed=7" in out
 
 
+class TestRadicalOrbit:
+    @pytest.mark.parametrize("argv, code", [
+        (("--group", "C4", "--poly", "x1*x3"), 0),
+        (("--group", "S3", "--poly", "x1^2"), 0),
+        (("--group", "S3", "--poly", "x1^2*x2 + x1*x2^2"), 1),
+        (("--group", "S5", "--poly", "e(3,2)", "--field", "F3"), 1),
+    ])
+    def test_verdicts(self, capsys, argv, code):
+        exit_code, out, _ = invoke(capsys, "verify", "radical-orbit", *argv)
+        assert exit_code == code
+        if code:
+            assert "witness point" in out
+
+    def test_zero_polynomial_is_usage_error(self, capsys):
+        code, out, err = invoke(capsys, "verify", "radical-orbit", "--group", "S3", "--poly", "0")
+        assert code == 2 and out == "" and "nonzero" in err
+
+
 class TestMachineFormatStability:
     def test_repeated_runs_identical(self, capsys):
         argv = (
@@ -270,10 +293,10 @@ UNREAD = {
     "member": "--seed --trials --coeff-box",
     "radical-member": "--order --seed --trials --coeff-box",
     "eliminate": "--order --seed --trials --coeff-box --budget --timeout",
-    "sample-genericity": "--order",
+    "sample-genericity": "--order --k",
     "repro": "--field --nvars --order --seed --trials --coeff-box",
     "verify squarefree": "--group --k --ideal --seed --trials --coeff-box --order --budget",
-    "verify radical-orbit": "--order --target-nvars --ideal --seed --trials --coeff-box",
+    "verify radical-orbit": "--k --order --target-nvars --ideal --seed --trials --coeff-box",
     "verify rank-condition": "--budget --k --order --target-nvars --ideal --seed",
     "verify irrelevant-radical": "--poly --group --order --k --target-nvars --trials",
     "verify witness": "--budget --k --order --target-nvars --ideal --coeff-box",

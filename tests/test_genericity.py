@@ -33,13 +33,6 @@ class TestHypothesisValidation:
         with pytest.raises(ValueError, match="single-type"):
             sample_genericity(support, PermGroup.symmetric(3), "monomial_ideal", 2)
 
-    def test_radical_orbit_k_must_match_support(self):
-        support = SupportSet.of(3, [(2, 1, 0), (1, 2, 0)])
-        with pytest.raises(ValueError, match="minimal positive count"):
-            sample_genericity(
-                support, PermGroup.symmetric(3), "radical_orbit", 2, k=1
-            )
-
     def test_unknown_property(self):
         support = SupportSet.of(3, [(2, 1, 0)])
         with pytest.raises(ValueError, match="unknown property"):
@@ -111,7 +104,7 @@ class _TrueVerdict:
 class TestPrimeFields:
     CASES = [
         (SupportSet.of(3, [(2, 0, 0), (1, 1, 0)]), "irrelevant_radical",
-         "radical_equals_irrelevant"),
+         "radical_orbit_equality"),
         (SupportSet.of(3, monomials_of_type((2, 1), 3)), "monomial_ideal", "rank_condition"),
         (SupportSet.of(3, monomials_of_type((1, 1), 3)), "radical_orbit", "radical_orbit_equality"),
     ]

@@ -10,11 +10,11 @@ from symorbits import (
     QQ,
     PermGroup,
     Polynomial,
+    buchberger,
     elementary_symmetric,
     graded_member,
     graded_piece,
     ideal_equal,
-    ideal_member,
     monomials_of_type,
     orbit_ideal,
     parse_polynomial,
@@ -168,7 +168,7 @@ class TestOracleAgreement:
                 )
                 if target.is_zero:
                     continue
-                expected = ideal_member(target, list(ideal.expanded), GREVLEX)
+                expected = buchberger(list(ideal.expanded), GREVLEX).contains(target)
                 assert graded_member(target, ideal).verdict == expected
 
 

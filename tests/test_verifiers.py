@@ -16,8 +16,10 @@ from symorbits import (
     elimination_coefficients,
     ideal_equal,
     monomial_free_witness,
+    orbit,
     orbit_ideal,
     parse_polynomial,
+    radical_member,
     radical_orbit_equality,
     solve_cancellation_system,
     telescoping_certificate,
@@ -260,29 +262,74 @@ class TestSquarefreeAgainstGroebner:
 class TestRadicalOrbitEquality:
     def test_rationals(self):
         report = radical_orbit_equality(
-            elementary_symmetric(5, (1, 2, 3), 2, QQ), PermGroup.symmetric(5), 2
+            elementary_symmetric(5, (1, 2, 3), 2, QQ), PermGroup.symmetric(5)
         )
         assert report.verdict
 
     def test_characteristic_two_radical_still_equal(self):
         report = radical_orbit_equality(
-            elementary_symmetric(5, (1, 2, 3), 2, GF(2)), PermGroup.symmetric(5), 2
+            elementary_symmetric(5, (1, 2, 3), 2, GF(2)), PermGroup.symmetric(5)
         )
         assert report.verdict
 
     def test_characteristic_three_fails_with_witness(self):
         report = radical_orbit_equality(
-            elementary_symmetric(5, (1, 2, 3), 2, GF(3)), PermGroup.symmetric(5), 2
+            elementary_symmetric(5, (1, 2, 3), 2, GF(3)), PermGroup.symmetric(5)
         )
         assert not report.verdict
         assert "witness" in report.notes and "1" in report.notes
 
-    def test_support_precondition(self, P):
-        with pytest.raises(ValueError):
-            radical_orbit_equality(P("x1^2", 3), PermGroup.symmetric(3), 2)
-        # {1, 3} contains no rotation of {1, 2}
-        with pytest.raises(ValueError, match="support inclusion fails"):
-            radical_orbit_equality(P("x1*x3", 4), PermGroup.cyclic(4), 2)
+    def test_inputs_without_an_orbit_of_x1_to_xk(self, P):
+        # the minimal supports of x1^2 are the singletons: one basis decides
+        report = radical_orbit_equality(P("x1^2", 3), PermGroup.symmetric(3))
+        assert report.verdict
+        assert report.certificate == {"route": "finiteness", "representatives": ["x1"]}
+        # {1, 3} contains no rotation of {1, 2}, and is its own orbit's representative
+        report = radical_orbit_equality(P("x1*x3", 4), PermGroup.cyclic(4))
+        assert report.verdict
+        assert report.certificate == {
+            "route": "radical-membership", "representatives": ["x1*x3"]
+        }
+
+    def test_every_orbit_of_minimal_supports_is_tested(self, P):
+        # under (1 2) the minimal supports form two orbits: x1*x3 lies in the
+        # radical, x1*x4 does not
+        group = PermGroup.generated(4, ["(1 2)"])
+        report = radical_orbit_equality(P("3*x1*x3^2 - x1^2*x4 + x2^2*x4", 4), group)
+        assert not report.verdict
+        assert report.certificate["representatives"] == ["x1*x3", "x1*x4"]
+        assert report.notes.startswith("x1*x4 is not in the radical")
+
+    def test_zero_polynomial_rejected(self, P):
+        with pytest.raises(ValueError, match="nonzero"):
+            radical_orbit_equality(P("0", 3), PermGroup.symmetric(3))
+
+    @staticmethod
+    def _monomial(field, nvars, support):
+        return Polynomial.from_monomial(field, tuple(int(i in support) for i in range(nvars)))
+
+    def test_agrees_with_radical_membership_of_every_minimal_support(
+        self, seeded_orbit_seeds
+    ):
+        # the verdict against x_S in rad(I) for every minimal term support S
+        # of the orbit, with no equivariance or finiteness shortcut
+        verdicts = []
+        for group, f in seeded_orbit_seeds:
+            field, nvars = f.field, f.nvars
+            gens = list(orbit(f, group))
+            supports = {frozenset(i for i, e in enumerate(m) if e) for g in gens for m in g.terms}
+            minimal = [s for s in supports if not any(t < s for t in supports)]
+            expected = all(
+                radical_member(self._monomial(field, nvars, s), gens) for s in minimal
+            )
+            verdict = radical_orbit_equality(f, group).verdict
+            assert verdict == expected, str(f)
+            if group.is_full_symmetric:
+                # the question the k form asked: x1...xk in rad(I), k = min |S|
+                k = min(len(s) for s in supports)
+                assert verdict == radical_member(self._monomial(field, nvars, range(k)), gens)
+            verdicts.append(verdict)
+        assert 5 <= verdicts.count(True) <= 35
 
 
 class TestWitnessSearch:
@@ -337,10 +384,19 @@ class TestWitnessSearch:
         # a false radical verdict runs the witness search under the same deadline
         monkeypatch.setattr("symorbits.verifiers.radical_member", lambda *a, **kw: False)
         f = P("x1^2*x2 + x1*x2^2", 3)
-        report = radical_orbit_equality(f, PermGroup.symmetric(3), 2)
+        report = radical_orbit_equality(f, PermGroup.symmetric(3))
         assert not report.verdict and "witness" in report.notes
         with pytest.raises(BudgetExceededError):
-            radical_orbit_equality(f, PermGroup.symmetric(3), 2, deadline=time.monotonic() - 1)
+            radical_orbit_equality(f, PermGroup.symmetric(3), deadline=time.monotonic() - 1)
+
+    def test_radical_orbit_names_no_witness_inside_v_of_m(self, P, monkeypatch):
+        # (1, -1, 0, 0, 0) kills every term with three variables, so it kills
+        # every x_S too and proves nothing about the radical
+        monkeypatch.setattr("symorbits.verifiers.radical_member", lambda *a, **kw: False)
+        f = P("x1*x2*x3", 5)
+        assert monomial_free_witness(f, PermGroup.symmetric(5)) is not None
+        report = radical_orbit_equality(f, PermGroup.symmetric(5))
+        assert report.notes == "x1*x2*x3 is not in the radical"
 
     def test_classification(self):
         point = (QQ.scalar(1), QQ.scalar(-1), QQ.scalar(0))
