@@ -354,7 +354,7 @@ VERIFIERS = {
         _verify_irrelevant_radical, "the radical is (x1, ..., xN)",
         ("--ideal", "--field", "--nvars", "--format", "--budget", "--timeout"), ("--ideal",)),
     "witness": Command(
-        _verify_witness, "search for a point that kills every generator",
+        _verify_witness, "search for a point that kills every generator but not every term",
         ("--poly", "--group", "--field", "--nvars", "--format", "--timeout"),
         ("--poly", "--group")),
 }

@@ -110,18 +110,32 @@ def _multiples(ideal: OrbitIdeal, degree: int, *, exact: bool):
     return products, tuple(meta)
 
 
-def _matrix(field: Field, index: Sequence[Monomial], columns: Iterable[dict]) -> ExactMatrix:
+def _matrix(
+    field: Field,
+    index: Sequence[Monomial],
+    columns: Iterable[dict],
+    deadline: float | None = None,
+) -> ExactMatrix:
     """The matrix whose j-th column holds the coefficients of the j-th term
     dict of ``columns`` on the rows of ``index``, which holds all their
-    monomials.  This is the one place a matrix is filled from polynomials."""
+    monomials.  This is the one place a matrix is filled from polynomials;
+    ``deadline`` is checked per column."""
     index_pos = {m: i for i, m in enumerate(index)}
-    dense = []
-    for terms in columns:
-        col = [field.zero] * len(index)
-        for m, c in terms.items():
-            col[index_pos[m]] = c
-        dense.append(col)
-    return ExactMatrix.from_columns(field, len(index), dense)
+
+    def sparse():
+        for terms in columns:
+            check_deadline(deadline)
+            yield {index_pos[m]: c for m, c in terms.items()}
+
+    return ExactMatrix(field, len(index), sparse())
+
+
+def _by_monomial(index: Sequence[Monomial], vector) -> dict[str, str]:
+    """The nonzero entries of a vector over the rows of ``index``, keyed by
+    monomial text."""
+    return {
+        str(Polynomial.from_monomial(c.field, m)): str(c) for m, c in zip(index, vector) if c
+    }
 
 
 def graded_piece(ideal: OrbitIdeal, degree: int) -> GradedPiece:
@@ -139,7 +153,10 @@ def graded_member(target: Polynomial, ideal: OrbitIdeal) -> VerdictReport:
     With homogeneous seeds and a homogeneous target this decides ideal
     membership outright (a homogeneous ideal is the direct sum of its
     degree slices).  With inhomogeneous seeds the combination search is
-    truncated at multiplier degree deg(target) - mindeg(seed).
+    truncated at multiplier degree deg(target) - mindeg(seed).  A true
+    verdict carries the combination, re-verified by polynomial arithmetic;
+    a false one a dual vector over the monomials that vanishes on every
+    multiple searched and not on the target, checked exactly.
     """
     if target.field != ideal.field or target.nvars != ideal.nvars:
         raise ValueError("target incompatible with ideal")
@@ -164,7 +181,7 @@ def graded_member(target: Polynomial, ideal: OrbitIdeal) -> VerdictReport:
         matrix = _matrix(ideal.field, index, products)
     vector = [target.terms.get(m, target.field.zero) for m in index]
 
-    member, coeffs = in_span(vector, matrix)
+    member, coeffs = in_span(vector, matrix, certify=True)
     parameters = {
         "target": str(target),
         "group": ideal.group.descriptor,
@@ -173,7 +190,14 @@ def graded_member(target: Polynomial, ideal: OrbitIdeal) -> VerdictReport:
         "mode": "graded" if homogeneous_setting else "bounded-multiplier",
     }
     if not member:
-        return VerdictReport("graded-membership", parameters, False)
+        return VerdictReport(
+            "graded-membership",
+            parameters,
+            False,
+            certificate={"dual_vector": _by_monomial(index, coeffs)},
+            notes="the dual vector vanishes on every column and not on the target, "
+            "checked exactly",
+        )
 
     combination = []
     total = Polynomial.zero(target.field, target.nvars)
@@ -253,8 +277,10 @@ def rank_condition(
     Columns are the coefficient vectors of the distinct orbit images of f
     (deduplicated as sparse polynomials) inside the space spanned by all
     monomials of the shared type; the verdict is true iff their span is the
-    whole space.  ``deadline`` is checked before the matrix is built and
-    once per column of the elimination.
+    whole space.  The certificate holds the prime whose pivots prove the
+    rank (none when the exact fallback decided it) and, on a false verdict,
+    a left-kernel vector over the monomials.  ``deadline`` is checked per
+    column of the build and of the elimination.
     """
     if f.is_zero:
         raise ValueError("zero polynomial has no type")
@@ -270,13 +296,20 @@ def rank_condition(
             f"group {group.descriptor} is not transitive on monomials of type {mono_type}"
         )
     row_index = sorted(monomials_of_type(mono_type, f.nvars), key=GREVLEX.key, reverse=True)
-    distinct = set(images)
-    check_deadline(deadline)
-    # popping frees each image once its column is written
-    columns = (distinct.pop().terms for _ in range(len(distinct)))
-    matrix = _matrix(f.field, row_index, columns)
-    got = rank(matrix, deadline=deadline)
-    verdict = got == len(row_index)
+
+    def distinct():
+        seen = set()
+        for g in images:
+            if g not in seen:
+                seen.add(g)
+                yield g.terms
+
+    matrix = _matrix(f.field, row_index, distinct(), deadline)
+    got = rank(matrix, deadline=deadline, certify=True)
+    verdict = got.rank == len(row_index)
+    certificate = {"full_rank": verdict, "prime": got.prime}
+    if not verdict:
+        certificate["dual_vector"] = _by_monomial(row_index, got.dual)
     return VerdictReport(
         "monomial-ideal-rank",
         {
@@ -285,14 +318,15 @@ def rank_condition(
             "field": str(f.field),
             "monomials_of_type": len(row_index),
             "distinct_orbit_vectors": matrix.ncols,
-            "rank": got,
+            "rank": got.rank,
         },
         verdict,
-        certificate={"full_rank": verdict},
+        certificate=certificate,
         notes=(
             "orbit ideal is monomial, generated by the orbit of any term"
             if verdict
-            else "orbit coefficient matrix is rank-deficient"
+            else "orbit coefficient matrix is rank-deficient: the dual vector "
+            "vanishes on every orbit vector, checked exactly"
         ),
     )
 

@@ -1,53 +1,309 @@
-"""Exact dense linear algebra: rank and span membership with certificates.
+"""Exact linear algebra on sparse columns: rank and span membership, with
+certificates both ways.
 
-One elimination kernel serves both questions.  It runs fraction-free
-(Bareiss) row elimination on integer rows: over the rationals each row is
-first scaled by the lcm of its denominators and every update is divided
-exactly by the previous pivot; over a prime field the update is reduced
-mod p instead.  Pivots are taken first-nonzero, left to right, so the
-pivot columns are the greedy independent columns.  No floating point.
+One kernel serves both questions.  It brings the columns, left to right, to
+reduced column echelon form modulo a prime.  Each basis vector is 1 at its
+lead, its smallest nonzero row, and 0 at every other lead, so one pass of
+subtractions at the leads a column meets leaves it on rows that lead none.
+It is then zero (a dependent column) or, scaled to 1 at its smallest row,
+the next basis vector.  The pivots are therefore the greedy left-to-right
+independent columns mod p, and the elimination stops once every row leads
+a basis vector.
+
+The prime is the field's own over GF(p), where the elimination is exact.
+Over the rationals it is the fixed prime ``PRIME`` = 2^61 - 1, applied after
+scaling each column, and the target vector, to integers by the lcm of its
+denominators; nothing selects another one.  There every verdict is still
+exact, because each is certified:
+
+* rank >= r: the r pivot columns have an r x r minor that is nonzero mod p,
+  so it is a nonzero integer;
+* rank <= r: each of the nrows - r rows that lead no basis vector gives a
+  left-kernel vector mod p (1 on that row, 0 on the other such rows).  It is
+  lifted by rational reconstruction (Wang, Guy & Davenport, SIGSAM Bull.
+  1982) and checked exactly against every column, which has only a few
+  nonzero entries;
+* v in the span: the solution on the pivot columns is lifted and re-verified
+  by exact multiplication;
+* v not in the span: a dual vector y is lifted, and y.A = 0 and y.v != 0 are
+  both checked exactly.
+
+The pivots mod p are the exact greedy pivots unless p divides one of the
+minors that decide them; a combination found then is still exact and
+re-verified, only supported on other independent columns.
+
+If a lift or a check fails (a solution too tall for one prime, or a rank
+that drops mod p), the question goes to the exact fallback: fraction-free
+(Bareiss) row elimination over the integers on ``[A | v | I]``, whose
+identity block records the row operations, so that the row ending in a zero
+block of A carries its dual vector.  No floating point.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Iterable, Sequence
+from fractions import Fraction
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from .fields import Field, Raw, Scalar
 from .reports import CertificateError, check_deadline
 
+PRIME = 2**61 - 1  # a Mersenne prime, the modulus for rational matrices
+
 
 class ExactMatrix:
-    """Immutable row-major matrix of raw field values."""
+    """Immutable matrix of raw field values stored as sparse columns, each a
+    ``{row: value}`` map without zero entries."""
 
-    __slots__ = ("field", "nrows", "ncols", "rows")
+    __slots__ = ("field", "nrows", "ncols", "columns")
 
-    def __init__(self, field: Field, rows: Sequence[Sequence]):
-        data = tuple(tuple(field.coerce(x) for x in row) for row in rows)
-        if data and any(len(r) != len(data[0]) for r in data):
-            raise ValueError("ragged rows")
+    def __init__(self, field: Field, nrows: int, columns: Iterable[Mapping[int, object]]):
+        data = []
+        for col in columns:
+            entries = {}
+            for i, x in col.items():
+                if not 0 <= i < nrows:
+                    raise ValueError(f"row {i} outside a matrix with {nrows} rows")
+                x = field.coerce(x)
+                if x:
+                    entries[i] = x
+            data.append(entries)
         self.field = field
-        self.rows = data
-        self.nrows = len(data)
-        self.ncols = len(data[0]) if data else 0
+        self.nrows = nrows
+        self.columns = tuple(data)
+        self.ncols = len(data)
 
     @classmethod
     def from_columns(
         cls, field: Field, nrows: int, columns: Sequence[Sequence]
     ) -> "ExactMatrix":
-        """The matrix with the given columns; ``nrows`` keeps the row count
-        when there are no columns, and the column count holds with no rows."""
+        """The matrix with the given dense columns; ``nrows`` keeps the row
+        count when there are no columns."""
         if any(len(col) != nrows for col in columns):
             raise ValueError(f"column length differs from row count {nrows}")
-        matrix = cls(field, list(zip(*columns)) if columns else [()] * nrows)
-        matrix.ncols = len(columns)
-        return matrix
+        return cls(field, nrows, [dict(enumerate(col)) for col in columns])
+
+    @classmethod
+    def from_rows(cls, field: Field, rows: Sequence[Sequence]) -> "ExactMatrix":
+        """The matrix with the given dense rows; the column count holds with
+        no rows."""
+        if rows and any(len(r) != len(rows[0]) for r in rows):
+            raise ValueError("ragged rows")
+        return cls.from_columns(field, len(rows), list(zip(*rows)))
+
+    @property
+    def rows(self) -> tuple[tuple[Raw, ...], ...]:
+        zero = self.field.zero
+        return tuple(
+            tuple(col.get(i, zero) for col in self.columns) for i in range(self.nrows)
+        )
 
     def transpose(self) -> "ExactMatrix":
-        return ExactMatrix.from_columns(self.field, self.ncols, self.rows)
+        rows: list[dict[int, Raw]] = [{} for _ in range(self.nrows)]
+        for j, col in enumerate(self.columns):
+            for i, x in col.items():
+                rows[i][j] = x
+        return ExactMatrix(self.field, self.ncols, rows)
 
     def __repr__(self) -> str:
         return f"ExactMatrix({self.field}, {self.nrows}x{self.ncols})"
+
+
+class RankCertificate(NamedTuple):
+    rank: int
+    prime: int | None  # the modulus whose pivots prove rank >= r; None after the fallback
+    dual: list[Scalar] | None  # an exactly checked left-kernel vector when rank < nrows
+
+
+def modulus(field: Field) -> int:
+    """The prime the elimination works modulo: the field's own, else ``PRIME``."""
+    return field.p or PRIME
+
+
+# -- the modular kernel ----------------------------------------------------------
+
+
+class _Echelon:
+    """Reduced column echelon form mod p, grown one column at a time.
+
+    ``basis`` maps each lead row to its vector, which is 1 at the lead, 0 at
+    every other lead and 0 above its own lead; ``pivots`` lists the columns
+    that became basis vectors.  With ``track``, ``combos`` maps each lead to
+    the combination of columns that makes its vector.
+    """
+
+    def __init__(self, p: int, track: bool = False):
+        self.p = p
+        self.basis: dict[int, dict[int, int]] = {}
+        self.pivots: list[int] = []
+        self.combos: dict[int, dict[int, int]] | None = {} if track else None
+
+    def reduce(self, vec: dict[int, int]) -> list[tuple[int, int]]:
+        """Subtract from vec, in place, its multiple of each basis vector
+        whose lead it meets, which leaves it on rows that lead none; return
+        the (lead, multiplier) pairs.  A basis vector is 0 at the other
+        leads, so one pass does it."""
+        hits = [(row, x) for row, x in vec.items() if row in self.basis]
+        for lead, m in hits:
+            _subtract(vec, m, self.basis[lead], self.p)
+        return hits
+
+    def add(self, j: int, vec: dict[int, int]) -> None:
+        """Reduce column j and, if it is independent of the basis, make it
+        a basis vector led by its smallest row."""
+        hits = self.reduce(vec)
+        if not vec:
+            return
+        p = self.p
+        lead = min(vec)
+        inv = pow(vec[lead], -1, p)
+        new = {i: x * inv % p for i, x in vec.items()}
+        if self.combos is not None:
+            combo = {j: inv}
+            for row, m in hits:
+                _subtract(combo, m * inv, self.combos[row], p)
+        for row, b in self.basis.items():
+            m = b.get(lead)
+            if m:
+                _subtract(b, m, new, p)
+                if self.combos is not None:
+                    _subtract(self.combos[row], m, combo, p)
+        self.basis[lead] = new
+        self.pivots.append(j)
+        if self.combos is not None:
+            self.combos[lead] = combo
+
+    def dual(self, row: int) -> dict[int, int]:
+        """The left-kernel vector of the basis that is 1 on ``row``, which
+        leads no basis vector, and 0 on every other such row."""
+        y = {row: 1}
+        for lead, b in self.basis.items():
+            if row in b:
+                y[lead] = self.p - b[row]
+        return y
+
+    def combination(self, hits: list[tuple[int, int]]) -> dict[int, int]:
+        """Coefficients, per column, of the vector that ``reduce`` took to
+        zero with these hits."""
+        out: dict[int, int] = {}
+        for lead, m in hits:
+            _subtract(out, -m, self.combos[lead], self.p)
+        return out
+
+
+def _subtract(vec: dict[int, int], m: int, other: Mapping[int, int], p: int) -> None:
+    """vec -= m * other mod p, in place, keeping only nonzero entries."""
+    for i, x in other.items():
+        y = (vec.get(i, 0) - m * x) % p
+        if y:
+            vec[i] = y
+        else:
+            vec.pop(i, None)
+
+
+def _integer(field: Field, col: Mapping[int, Raw]) -> tuple[int, dict[int, int]]:
+    """(s, s * col) with s * col integral: the lcm of the denominators over
+    the rationals, 1 over GF(p).  Scaling a column keeps its span."""
+    if not field.is_rationals:
+        return 1, dict(col)
+    scale = math.lcm(*(x.denominator for x in col.values()))
+    return scale, {i: x.numerator * (scale // x.denominator) for i, x in col.items()}
+
+
+def _mod(p: int, col: Mapping[int, int]) -> dict[int, int]:
+    out = {}
+    for i, x in col.items():
+        x %= p
+        if x:
+            out[i] = x
+    return out
+
+
+def _echelon_columns(matrix: ExactMatrix, deadline: float | None, track: bool = False):
+    """The echelon of the columns mod p, stopping at full row rank, and the
+    integer columns it read; ``deadline`` is checked per column."""
+    field, p = matrix.field, modulus(matrix.field)
+    echelon = _Echelon(p, track)
+    read = []
+    for j, col in enumerate(matrix.columns):
+        if len(echelon.basis) == matrix.nrows:
+            break
+        check_deadline(deadline)
+        read.append(_integer(field, col))
+        echelon.add(j, _mod(p, read[-1][1]))
+    return echelon, read
+
+
+def _rational(a: int, p: int) -> Fraction | None:
+    """The fraction n/d with |n|, |d| <= sqrt(p/2) and n = a*d mod p, if
+    there is one: extended Euclid on (p, a), stopped halfway."""
+    bound = math.isqrt(p // 2)
+    r0, r1, t0, t1 = p, a, 0, 1
+    while r1 > bound:
+        q = r0 // r1
+        r0, r1 = r1, r0 - q * r1
+        t0, t1 = t1, t0 - q * t1
+    if abs(t1) > bound or math.gcd(r1, t1) != 1:
+        return None
+    return Fraction(r1, t1)
+
+
+def _lift(field: Field, values: Mapping[int, int]) -> dict[int, Raw] | None:
+    """The residues as field values: themselves over GF(p), their rational
+    reconstructions over the rationals (None if one has none)."""
+    if not field.is_rationals:
+        return dict(values)
+    out = {}
+    for k, a in values.items():
+        q = _rational(a, PRIME)
+        if q is None:
+            return None
+        out[k] = q
+    return out
+
+
+def _is_zero(field: Field, total: int) -> bool:
+    return total % field.p == 0 if field.p else total == 0
+
+
+def _dot(y: Mapping[int, int], col: Mapping[int, int]) -> int:
+    return sum(y[i] * x for i, x in col.items() if i in y)
+
+
+def _is_dual(
+    field: Field,
+    y: Mapping[int, int],
+    columns: Iterable[tuple[int, dict[int, int]]],
+    v: Mapping[int, int] | None = None,
+) -> bool:
+    """Whether the integer vector y is exactly orthogonal to every integer
+    column, and not to v when v is given."""
+    return all(_is_zero(field, _dot(y, col)) for _, col in columns) and (
+        v is None or not _is_zero(field, _dot(y, v))
+    )
+
+
+def _checked_dual(
+    field: Field,
+    residues: Mapping[int, int],
+    columns: list[tuple[int, dict[int, int]]],
+    v: Mapping[int, int] | None = None,
+) -> dict[int, int] | None:
+    """A dual vector mod p lifted and cleared of denominators (a dual
+    vector's multiples are dual vectors), or None if the lift or the exact
+    check fails."""
+    y = _lift(field, residues)
+    if y is None:
+        return None
+    y = _integer(field, y)[1]
+    return y if _is_dual(field, y, columns, v) else None
+
+
+def _dense(field: Field, n: int, entries: Mapping[int, Raw]) -> list[Scalar]:
+    return [Scalar(field, entries.get(i, field.zero)) for i in range(n)]
+
+
+# -- the exact fallback -------------------------------------------------------------
 
 
 def _integer_rows(field: Field, rows: Iterable[Sequence[Raw]]) -> list[list[int]]:
@@ -97,43 +353,137 @@ def _echelon(field: Field, rows: list[list[int]], deadline: float | None = None)
     return pivots
 
 
-def rank(matrix: ExactMatrix, *, deadline: float | None = None) -> int:
-    """Exact rank: the number of pivots the elimination kernel finds."""
-    rows = _integer_rows(matrix.field, matrix.rows)
-    return len(_echelon(matrix.field, rows, deadline))
+def _bareiss(
+    matrix: ExactMatrix, v: Sequence[Raw], deadline: float | None
+) -> tuple[list[int], list[list[int]]]:
+    """Eliminate ``[A | v | I]`` exactly; return the pivots among A's
+    columns and the echelon rows.  A row whose A block is zero ends in a
+    dual vector: the identity block holds the multiples of the input rows
+    that make it up."""
+    field, n = matrix.field, matrix.ncols
+    one, zero = field.one, field.zero
+    rows = [
+        list(row) + [x] + [one if k == i else zero for k in range(matrix.nrows)]
+        for i, (row, x) in enumerate(zip(matrix.rows, v))
+    ]
+    echelon = _integer_rows(field, rows)
+    pivots = _echelon(field, echelon, deadline)
+    return [c for c in pivots if c < n], echelon
 
 
-def in_span(vector: Sequence, matrix: ExactMatrix) -> tuple[bool, list[Scalar] | None]:
+def _primitive_dual(field: Field, row: list[int], n: int) -> dict[int, int]:
+    """The identity block of an echelon row of ``[A | v | I]``, divided by
+    its content over the integers."""
+    y = {i: x for i, x in enumerate(row[n + 1:]) if x}
+    if field.is_rationals and y:
+        g = math.gcd(*y.values())
+        y = {i: x // g for i, x in y.items()}
+    return y
+
+
+# -- rank and span membership -------------------------------------------------------
+
+
+def rank(matrix: ExactMatrix, *, deadline: float | None = None, certify: bool = False):
+    """Exact rank; with ``certify``, a ``RankCertificate`` that also holds
+    the prime and, below full row rank, one exactly checked left-kernel
+    vector.  ``deadline`` is checked per column of the elimination and per
+    left-kernel vector checked."""
+    field = matrix.field
+    echelon, read = _echelon_columns(matrix, deadline)
+    first = None
+    for row in range(matrix.nrows):
+        if row not in echelon.basis:
+            check_deadline(deadline)
+            y = _checked_dual(field, echelon.dual(row), read)
+            if y is None:
+                return _rank_fallback(matrix, deadline, certify)
+            first = first or y
+    r = len(echelon.basis)
+    if not certify:
+        return r
+    return RankCertificate(r, modulus(field), first and _dense(field, matrix.nrows, first))
+
+
+def _rank_fallback(matrix: ExactMatrix, deadline: float | None, certify: bool):
+    field = matrix.field
+    pivots, rows = _bareiss(matrix, [field.zero] * matrix.nrows, deadline)
+    r = len(pivots)
+    if not certify:
+        return r
+    if r == matrix.nrows:
+        return RankCertificate(r, None, None)
+    y = _primitive_dual(field, rows[r], matrix.ncols)
+    if not _is_dual(field, y, (_integer(field, col) for col in matrix.columns)):
+        raise CertificateError("left-kernel vector failed exact re-verification")
+    return RankCertificate(r, None, _dense(field, matrix.nrows, y))
+
+
+def in_span(
+    vector: Sequence, matrix: ExactMatrix, *, certify: bool = False
+) -> tuple[bool, list[Scalar] | None]:
     """Decide whether the vector lies in the span of the matrix columns.
 
-    Returns ``(True, certificate)`` with one coefficient per column
-    (zeros off the greedy left-to-right independent columns), re-verified
-    by multiplication before returning, or ``(False, None)``.
+    Returns ``(True, certificate)`` with one coefficient per column (zeros
+    off the greedy left-to-right independent columns), re-verified by
+    multiplication before returning, or ``(False, None)``; with
+    ``certify``, ``(False, y)`` with a dual vector y, one entry per row,
+    such that y.A = 0 and y.v != 0 hold exactly.
     """
     field = matrix.field
     v = [field.coerce(x) for x in vector]
     if len(v) != matrix.nrows:
         raise ValueError(f"vector length {len(v)} != row count {matrix.nrows}")
-    n = matrix.ncols
-    rows = _integer_rows(field, (row + (x,) for row, x in zip(matrix.rows, v)))
-    pivots = _echelon(field, rows)
-    if pivots and pivots[-1] == n:
-        return False, None
+    echelon, read = _echelon_columns(matrix, None, track=True)
+    v_scale, v_int = _integer(field, {i: x for i, x in enumerate(v) if x})
+    rest = _mod(echelon.p, v_int)
+    hits = echelon.reduce(rest)
+    if not rest:
+        lifted = _lift(field, echelon.combination(hits))
+        if lifted is not None:
+            # a coefficient on a scaled column, for a scaled target
+            coeffs = {
+                j: field.div(field.mul(c, read[j][0]), v_scale) for j, c in lifted.items()
+            }
+            if _combines_to(matrix, coeffs, v):
+                return True, _dense(field, matrix.ncols, coeffs)
+    else:
+        y = _checked_dual(field, echelon.dual(min(rest)), read, v_int)
+        if y is not None:
+            return False, _dense(field, matrix.nrows, y) if certify else None
+    return _span_fallback(matrix, v, certify)
 
-    zero = field.zero
-    certificate = [zero] * n
-    for r in reversed(range(len(pivots))):
-        row = rows[r]
+
+def _combines_to(matrix: ExactMatrix, coeffs: Mapping[int, Raw], v: Sequence[Raw]) -> bool:
+    field = matrix.field
+    total: dict[int, Raw] = {}
+    for j, c in coeffs.items():
+        for i, x in matrix.columns[j].items():
+            total[i] = field.add(total.get(i, field.zero), field.mul(x, c))
+    return all(total.get(i, field.zero) == x for i, x in enumerate(v))
+
+
+def _span_fallback(
+    matrix: ExactMatrix, v: list[Raw], certify: bool
+) -> tuple[bool, list[Scalar] | None]:
+    field, n = matrix.field, matrix.ncols
+    pivots, rows = _bareiss(matrix, v, None)
+    r = len(pivots)
+    if r < matrix.nrows and rows[r][n]:
+        if not certify:
+            return False, None
+        y = _primitive_dual(field, rows[r], n)
+        columns = (_integer(field, col) for col in matrix.columns)
+        if not _is_dual(field, y, columns, _integer(field, dict(enumerate(v)))[1]):
+            raise CertificateError("dual vector failed exact re-verification")
+        return False, _dense(field, matrix.nrows, y)
+    coeffs: dict[int, Raw] = {}
+    for k in reversed(range(r)):
+        row = rows[k]
         rest = field.coerce(row[n])
-        for c in pivots[r + 1:]:
-            rest = field.sub(rest, field.mul(row[c], certificate[c]))
-        certificate[pivots[r]] = field.div(rest, row[pivots[r]])
-    # re-verify: columns . certificate == vector
-    support = [(j, c) for j, c in enumerate(certificate) if c != zero]
-    for row, x in zip(matrix.rows, v):
-        total = zero
-        for j, c in support:
-            total = field.add(total, field.mul(row[j], c))
-        if total != x:
-            raise CertificateError("span certificate failed re-verification")
-    return True, [Scalar(field, c) for c in certificate]
+        for c in pivots[k + 1:]:
+            rest = field.sub(rest, field.mul(field.coerce(row[c]), coeffs[c]))
+        coeffs[pivots[k]] = field.div(rest, field.coerce(row[pivots[k]]))
+    if not _combines_to(matrix, coeffs, v):
+        raise CertificateError("span certificate failed re-verification")
+    return True, _dense(field, n, coeffs)

@@ -544,17 +544,15 @@ class SupportSet:
 class SupportProfile:
     homogeneous: bool
     degree: int | None
-    k_min_positive: int
     squarefree: bool
     symmetric: bool
     types: frozenset[tuple[int, ...]]
 
 
 def analyze_support(support: SupportSet) -> SupportProfile:
-    """Degree, positivity, square-freeness, symmetry, and type data."""
+    """Degree, square-freeness, symmetry, and type data."""
     degrees = {sum(m) for m in support.elements}
     homogeneous = len(degrees) == 1
-    k_min = min(sum(1 for e in m if e > 0) for m in support.elements)
     squarefree = all(e <= 1 for m in support.elements for e in m)
     types = frozenset(monomial_type(m) for m in support.elements)
     symmetric = all(
@@ -563,7 +561,6 @@ def analyze_support(support: SupportSet) -> SupportProfile:
     return SupportProfile(
         homogeneous=homogeneous,
         degree=next(iter(degrees)) if homogeneous else None,
-        k_min_positive=k_min,
         squarefree=squarefree,
         symmetric=symmetric,
         types=types,

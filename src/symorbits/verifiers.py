@@ -265,10 +265,7 @@ def radical_orbit_equality(
     if f.nvars != group.degree:
         raise ValueError("variable count mismatch")
     generators = list(orbit_ideal([f], group).expanded)
-    supports = {
-        frozenset(i + 1 for i, e in enumerate(m) if e) for g in generators for m in g.terms
-    }
-    minimal = {s for s in supports if not any(t < s for t in supports)}
+    minimal = _minimal_supports(generators)
     # the minimal supports of an orbit form a G-stable set
     representatives = []
     remaining = set(minimal)
@@ -293,10 +290,7 @@ def radical_orbit_equality(
                 break
     if not verdict:
         witness = monomial_free_witness(f, group, deadline=deadline)
-        # a common zero of the generators proves something only off V(M),
-        # where some x_S does not vanish and so lies outside the radical
-        if witness is not None and any(all(not witness[i - 1].is_zero for i in s)
-                                       for s in minimal):
+        if witness is not None:
             found = f"witness point {tuple(str(x) for x in witness)} kills every generator"
             notes = f"{notes}; {found}" if notes else found
     return VerdictReport(
@@ -315,6 +309,16 @@ def radical_orbit_equality(
 
 
 # -- witness search -------------------------------------------------------------
+
+
+def _minimal_supports(generators) -> set[frozenset[int]]:
+    """The inclusion-minimal supports (1-based variable sets) of the terms
+    of the generators: the x_S for these S generate the monomial ideal M
+    that holds every term."""
+    supports = {
+        frozenset(i + 1 for i, e in enumerate(m) if e) for g in generators for m in g.terms
+    }
+    return {s for s in supports if not any(t < s for t in supports)}
 
 
 def _constant_point_roots(f: Polynomial) -> list:
@@ -384,7 +388,10 @@ def monomial_free_witness(
     *,
     deadline: float | None = None,
 ) -> tuple[Scalar, ...] | None:
-    """Search for a point killing every generator of the orbit ideal of f.
+    """Search for a point killing every generator of the orbit ideal of f
+    off V(M), M the monomial ideal of the minimal term supports: some x_S
+    must be nonzero there, so that x_S lies outside the radical.  A point
+    that kills every term proves nothing.
 
     Tried in order: the all-ones point; constant points (t, ..., t) with t
     a nonzero root of f on the diagonal; then a finite pool of sign/zero
@@ -396,13 +403,15 @@ def monomial_free_witness(
     if f.is_zero:
         raise ValueError("zero polynomial")
     generators = orbit(f, group)
+    minimal = _minimal_supports(generators)
     field = f.field
     nvars = f.nvars
 
     def verify(point) -> tuple[Scalar, ...] | None:
         check_deadline(deadline)
         scalars = tuple(field.scalar(x) for x in point)
-        if all(g.evaluate(scalars).is_zero for g in generators):
+        off_v_of_m = any(all(not scalars[i - 1].is_zero for i in s) for s in minimal)
+        if off_v_of_m and all(g.evaluate(scalars).is_zero for g in generators):
             return scalars
         return None
 

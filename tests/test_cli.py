@@ -1,4 +1,5 @@
 import json
+import time
 from pathlib import Path
 
 import pytest
@@ -64,6 +65,20 @@ class TestExitCodes:
             "--poly", "x1^3*x2^2*x3 + 2*x2^3*x1^2*x3 - x4^3*x5^2*x6", "--timeout", "0.001",
         )
         assert code == 3 and out == "" and "budget" in err
+
+    def test_rank_condition_s8_within_budget(self, capsys):
+        # 336 monomials of type (3,2,1) against 20,160 orbit vectors; the
+        # deadline is checked per column of the build and of the elimination
+        argv = ("verify", "rank-condition", "--group", "S8", "--poly",
+                "x1^3*x2^2*x3 + 2*x2^3*x1^2*x3 - x4^3*x5^2*x6", "--format", "machine")
+        start = time.monotonic()
+        code, out, _ = invoke(capsys, *argv)
+        assert code == 0 and "verdict=true" in out and "param.rank=336" in out
+        assert time.monotonic() - start < 2.0
+        start = time.monotonic()
+        code, out, err = invoke(capsys, *argv, "--timeout", "0.1")
+        assert code == 3 and out == "" and "budget" in err
+        assert time.monotonic() - start < 2.0
 
     def test_witness_timeout_exits_three(self, capsys):
         # the witness search checks the deadline once per candidate point
@@ -131,6 +146,14 @@ class TestCommands:
             "--poly", "x1^2*x2 + x1*x2^2",
         )
         assert code == 0 and "certificate.point" in out
+
+    def test_verify_witness_rejects_points_that_kill_every_term(self, capsys):
+        # (-1, 0, 0, 0, 1) kills every generator only by killing every term
+        code, out, _ = invoke(
+            capsys, "verify", "witness", "--group", "S5", "--poly", "x1*x2*x3",
+            "--format", "machine",
+        )
+        assert code == 1 and "verdict=false" in out and "certificate=none" in out
 
     def test_verify_rank_condition(self, capsys):
         code, out, _ = invoke(

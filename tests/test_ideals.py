@@ -15,6 +15,7 @@ from symorbits import (
     graded_member,
     graded_piece,
     ideal_equal,
+    monomials_of_degree,
     monomials_of_type,
     orbit_ideal,
     parse_polynomial,
@@ -22,6 +23,25 @@ from symorbits import (
     symmetrize,
 )
 from symorbits.fields import binomial
+
+
+def functional(dual_vector, nvars, field):
+    """The linear functional that a ``{monomial: coefficient}`` dual vector
+    certificate stands for."""
+    dual = {
+        next(iter(parse_polynomial(mono, nvars, field).terms)): field.coerce(
+            Fraction(c) if field is QQ else int(c)
+        )
+        for mono, c in dual_vector.items()
+    }
+
+    def pairing(h):
+        total = field.zero
+        for m, c in h.terms.items():
+            total = field.add(total, field.mul(c, dual.get(m, field.zero)))
+        return total
+
+    return pairing
 
 
 class TestOrbitIdeal:
@@ -109,6 +129,30 @@ class TestGradedMember:
         ideal = orbit_ideal([P("x1*x2", 3)], PermGroup.symmetric(3))
         with pytest.raises(ValueError):
             graded_member(P("x1 + x1*x2", 3), ideal)
+
+    def test_false_verdict_carries_dual_vector(self, P):
+        # the functional vanishes on every multiple u*g searched, not on the target
+        cases = [
+            (QQ, "x1^2 + x1*x2", "x1^2", 3),
+            (GF(32003), "x1^2*x2 + x2^2*x3", "x1^4 + x1^2*x2*x3", 3),
+            (GF(2), "x1 + x2 + x1^2 - x2^2", "x1", 3),
+            (QQ, "x1*x2 - 2*x3*x4", "x1^3 + x1*x2*x3", 4),
+        ]
+        for field, seed, target_text, nvars in cases:
+            group = PermGroup.symmetric(nvars)
+            ideal = orbit_ideal([parse_polynomial(seed, nvars, field)], group)
+            target = parse_polynomial(target_text, nvars, field)
+            report = graded_member(target, ideal)
+            assert not report.verdict
+            pairing = functional(report.certificate["dual_vector"], nvars, field)
+            degree = target.total_degree()
+            homogeneous = all(g.is_homogeneous() for g in ideal.expanded)
+            for g in ideal.expanded:
+                low = degree - g.total_degree() if homogeneous else 0
+                for d in range(max(low, 0), degree - g.min_degree() + 1):
+                    for u in monomials_of_degree(nvars, d):
+                        assert pairing(Polynomial.from_monomial(field, u) * g) == field.zero
+            assert pairing(target) != field.zero
 
     def test_certificates_reverify_by_construction(self, P):
         # graded_member raises internally if a certificate fails; touching
@@ -236,6 +280,28 @@ class TestRankCondition:
                     matrix[i] = [x - factor * y for x, y in zip(matrix[i], matrix[r])]
             r += 1
         assert r == 6
+
+    def test_certificate_names_the_prime(self, P):
+        report = rank_condition(P("x1^2*x2 + 2*x1*x2^2", 3), PermGroup.symmetric(3))
+        assert report.certificate == {"full_rank": True, "prime": 2**61 - 1}
+        f = parse_polynomial("x1^2*x2 + 2*x1*x2^2", 3, GF(32003))
+        report = rank_condition(f, PermGroup.symmetric(3))
+        assert report.certificate == {"full_rank": True, "prime": 32003}
+
+    def test_false_verdict_carries_left_kernel_vector(self, P):
+        # rank 1; coefficients summing to zero over QQ, and to zero mod 5
+        cases = [
+            (Polynomial(QQ, 3, {m: 1 for m in monomials_of_type((2, 1), 3)}), 3),
+            (P("x1^2*x2*x3 - 3*x1*x2^2*x4 + 2*x3^2*x4*x5", 5), 5),
+            (parse_polynomial("x1^2 + 4*x2^2", 3, GF(5)), 3),
+        ]
+        for f, n in cases:
+            group = PermGroup.symmetric(n)
+            report = rank_condition(f, group)
+            assert not report.verdict and not report.certificate["full_rank"]
+            assert report.certificate["dual_vector"]
+            pairing = functional(report.certificate["dual_vector"], n, f.field)
+            assert all(pairing(g) == f.field.zero for g in orbit_ideal([f], group).expanded)
 
     def test_mixed_type_rejected(self, P):
         with pytest.raises(ValueError):

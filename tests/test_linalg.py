@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from symorbits import GF, QQ, BudgetExceededError, ExactMatrix, in_span, rank
+from symorbits import GF, QQ, BudgetExceededError, ExactMatrix, in_span, linalg, rank
 
 
 def naive_rank(field, rows):
@@ -33,30 +33,34 @@ def naive_rank(field, rows):
 
 class TestRank:
     def test_identity(self):
-        m = ExactMatrix(QQ, [[1, 0, 0], [0, 1, 0], [0, 0, 1]])
+        m = ExactMatrix.from_rows(QQ, [[1, 0, 0], [0, 1, 0], [0, 0, 1]])
         assert rank(m) == 3
 
     def test_proportional_rows(self):
-        assert rank(ExactMatrix(QQ, [[1, 2], [2, 4]])) == 1
+        assert rank(ExactMatrix.from_rows(QQ, [[1, 2], [2, 4]])) == 1
 
     def test_f2_all_ones(self):
-        assert rank(ExactMatrix(GF(2), [[1, 1], [1, 1]])) == 1
+        assert rank(ExactMatrix.from_rows(GF(2), [[1, 1], [1, 1]])) == 1
 
     def test_rational_entries(self):
-        singular = ExactMatrix(QQ, [[Fraction(1, 2), Fraction(1, 3)], [Fraction(3, 2), 1]])
+        singular = ExactMatrix.from_rows(
+            QQ, [[Fraction(1, 2), Fraction(1, 3)], [Fraction(3, 2), 1]]
+        )
         assert rank(singular) == naive_rank(QQ, singular.rows) == 1
-        regular = ExactMatrix(QQ, [[Fraction(1, 2), Fraction(1, 3)], [Fraction(3, 2), 2]])
+        regular = ExactMatrix.from_rows(
+            QQ, [[Fraction(1, 2), Fraction(1, 3)], [Fraction(3, 2), 2]]
+        )
         assert rank(regular) == naive_rank(QQ, regular.rows) == 2
 
     def test_zero_matrix(self):
-        assert rank(ExactMatrix(QQ, [[0, 0], [0, 0]])) == 0
+        assert rank(ExactMatrix.from_rows(QQ, [[0, 0], [0, 0]])) == 0
 
     def test_deadline(self):
-        m = ExactMatrix(QQ, [[1, 2], [3, 4]])
+        m = ExactMatrix.from_rows(QQ, [[1, 2], [3, 4]])
         assert rank(m, deadline=time.monotonic() + 60) == 2
         for field in (QQ, GF(7)):
             with pytest.raises(BudgetExceededError):
-                rank(ExactMatrix(field, m.rows), deadline=time.monotonic() - 1)
+                rank(ExactMatrix.from_rows(field, m.rows), deadline=time.monotonic() - 1)
 
     def test_against_naive_gauss_randomized(self):
         rng = random.Random(61)
@@ -64,7 +68,7 @@ class TestRank:
             for _ in range(40):
                 nrows, ncols = rng.randint(1, 6), rng.randint(1, 6)
                 rows = [[rng.randint(-4, 4) for _ in range(ncols)] for _ in range(nrows)]
-                m = ExactMatrix(field, rows)
+                m = ExactMatrix.from_rows(field, rows)
                 assert rank(m) == naive_rank(field, rows)
 
     def test_rank_equals_transpose_rank(self):
@@ -75,7 +79,7 @@ class TestRank:
             rows *= 1
             nrows = rng.randint(1, 5)
             ncols = len(rows[0])
-            m = ExactMatrix(
+            m = ExactMatrix.from_rows(
                 QQ,
                 [[Fraction(rng.randint(-6, 6), rng.randint(1, 4)) for _ in range(ncols)]
                  for _ in range(nrows)],
@@ -155,9 +159,17 @@ class TestInSpan:
         empty = ExactMatrix.from_columns(QQ, 0, [[], []])
         assert (empty.nrows, empty.ncols) == (0, 2)
         assert in_span([], empty) == (True, [QQ.scalar(0), QQ.scalar(0)])
-        flat = ExactMatrix(QQ, [[], []]).transpose()
+        flat = ExactMatrix.from_rows(QQ, [[], []]).transpose()
         assert (flat.nrows, flat.ncols) == (0, 2)
         assert (flat.transpose().nrows, flat.transpose().ncols) == (2, 0)
+
+    def test_sparse_columns(self):
+        m = ExactMatrix(GF(5), 3, [{0: 6, 2: 10}, {}, {1: Fraction(1, 2)}])
+        assert m.columns == ({0: 1}, {}, {1: 3})
+        assert m.rows == ((1, 0, 0), (0, 0, 3), (0, 0, 0))
+        assert (m.nrows, m.ncols) == (3, 3)
+        with pytest.raises(ValueError):
+            ExactMatrix(QQ, 2, [{2: 1}])
 
     def test_certificate_on_greedy_pivot_columns(self):
         # column j is a greedy pivot iff it raises the rank of cols[:j]
@@ -194,3 +206,132 @@ class TestInSpan:
                     for col, c in zip(cols, cert):
                         total = field.add(total, field.mul(field.coerce(col[i]), c.value))
                     assert total == field.coerce(v[i])
+
+
+def bareiss_pivots(field, matrix):
+    """The exact greedy pivot columns, from the fraction-free fallback."""
+    return linalg._echelon(field, linalg._integer_rows(field, matrix.rows))
+
+
+def is_dual(field, y, cols, v=None):
+    """y . col == 0 for every column, and y . v != 0 when v is given."""
+    def dot(vec):
+        total = field.zero
+        for a, b in zip(y, vec):
+            total = field.add(total, field.mul(a.value, field.coerce(b)))
+        return total
+
+    return all(dot(col) == field.zero for col in cols) and (v is None or dot(v) != field.zero)
+
+
+@pytest.fixture
+def fallbacks(monkeypatch):
+    """Count the calls of the exact fallback."""
+    calls = []
+    original = linalg._bareiss
+
+    def spy(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(linalg, "_bareiss", spy)
+    return calls
+
+
+class TestModularKernel:
+    """The elimination mod p against the exact fraction-free elimination."""
+
+    @pytest.mark.parametrize("field", [QQ, GF(2), GF(5), GF(32003)])
+    def test_against_bareiss_randomized(self, field, fallbacks):
+        rng = random.Random(89)
+        for _ in range(80):
+            nrows, ncols = rng.randint(1, 7), rng.randint(1, 8)
+            cols = []
+            for _ in range(ncols):
+                kind = rng.random()
+                if cols and kind < 0.25:  # a combination of earlier columns
+                    a, b = rng.choice(cols), rng.choice(cols)
+                    k = rng.randint(-2, 2)
+                    cols.append([x + k * y for x, y in zip(a, b)])
+                elif kind < 0.35:
+                    cols.append([0] * nrows)
+                else:
+                    den = rng.randint(1, 4) if field is QQ else 1
+                    cols.append([Fraction(rng.randint(-5, 5), den) for _ in range(nrows)])
+            m = ExactMatrix.from_columns(field, nrows, cols)
+            exact = bareiss_pivots(field, m)
+            assert linalg._echelon_columns(m, None)[0].pivots == exact
+            got = rank(m, certify=True)
+            assert got.rank == rank(m) == len(exact)
+            assert got.prime == linalg.modulus(field)
+            if got.rank < nrows:
+                assert is_dual(field, got.dual, cols) and any(got.dual)
+            else:
+                assert got.dual is None
+            v = [rng.randint(-3, 3) for _ in range(nrows)]
+            augmented = ExactMatrix.from_columns(field, nrows, cols + [v])
+            member = len(bareiss_pivots(field, augmented)) == len(exact)
+            ok, cert = in_span(v, m, certify=True)
+            assert ok == member
+            if ok:
+                assert all(c.is_zero for j, c in enumerate(cert) if j not in exact)
+            else:
+                assert is_dual(field, cert, cols, v)
+        # 2^61 - 1 divides no minor of these small entries
+        assert fallbacks == []
+
+    def test_prime_dividing_a_minor(self, fallbacks):
+        p = linalg.PRIME
+        # det = p: rank 2 over QQ, 1 mod p
+        m = ExactMatrix.from_rows(QQ, [[1, 1], [1, 1 + p]])
+        assert rank(m) == 2 == len(bareiss_pivots(QQ, m))
+        assert rank(m, certify=True) == (2, None, None)
+        ok, cert = in_span([0, 1], m)
+        assert ok and [c.value for c in cert] == [Fraction(-1, p), Fraction(1, p)]
+        # the second column differs from the first by p*e3, so the rank drops
+        # mod p; a dependent third column and a zero row keep it deficient
+        rng = random.Random(97)
+        c0 = [rng.randint(-9, 9) for _ in range(3)] + [0]
+        c1 = c0[:2] + [c0[2] + p, 0]
+        c2 = [2 * x for x in c0]
+        cols = [c0, c1, c2]
+        m = ExactMatrix.from_columns(QQ, 4, cols)
+        assert linalg._echelon_columns(m, None)[0].pivots == [0]
+        got = rank(m, certify=True)
+        assert got.rank == 2 and got.prime is None and is_dual(QQ, got.dual, cols)
+        v = [x + y for x, y in zip(c0, c1)]
+        ok, cert = in_span(v, m)
+        assert ok and [c.value for c in cert] == [1, 1, 0]
+        ok, dual = in_span([0, 0, 0, 1], m, certify=True)
+        assert not ok and is_dual(QQ, dual, cols, [0, 0, 0, 1])
+        assert len(fallbacks) == 5
+
+    def test_solution_too_tall_for_one_prime(self, fallbacks):
+        # 3^40 and 5^30 exceed the reconstruction bound sqrt(p/2) ~ 2^30
+        ok, cert = in_span([1], ExactMatrix.from_rows(QQ, [[3**40]]))
+        assert ok and cert[0].value == Fraction(1, 3**40)
+        ok, cert = in_span([5**30], ExactMatrix.from_rows(QQ, [[1]]))
+        assert ok and cert[0].value == 5**30
+        tall = ExactMatrix.from_rows(QQ, [[1], [3**40]])
+        got = rank(tall, certify=True)
+        assert got.rank == 1 and got.prime is None
+        assert [y.value for y in got.dual] == [-(3**40), 1]
+        ok, dual = in_span([0, 1], tall, certify=True)
+        assert not ok and is_dual(QQ, dual, [[1, 3**40]], [0, 1])
+        assert len(fallbacks) == 4
+        # the same questions with small entries stay modular
+        assert in_span([1], ExactMatrix.from_rows(QQ, [[3**4]]))[1][0].value == Fraction(1, 81)
+        assert len(fallbacks) == 4
+
+    def test_in_span_false_keeps_its_public_form(self):
+        m = ExactMatrix.from_columns(QQ, 2, [[1, 2]])
+        assert in_span([1, 0], m) == (False, None)
+        ok, dual = in_span([1, 0], m, certify=True)
+        assert not ok and [y.value for y in dual] == [-2, 1]
+
+    def test_rational_reconstruction(self):
+        p = linalg.PRIME
+        for q in (Fraction(0), Fraction(1), Fraction(-7, 3), Fraction(2**29, 2**30 - 1)):
+            residue = q.numerator * pow(q.denominator, -1, p) % p
+            assert linalg._rational(residue, p) == q
+        assert linalg._rational(5**30 % p, p) != 5**30

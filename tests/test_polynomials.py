@@ -206,19 +206,16 @@ class TestSupportAnalysis:
     def test_mixed_degree_example(self, P):
         prof = analyze_support(P("x1^2*x2 + x1*x2^2", 3).support())
         assert prof.homogeneous and prof.degree == 3
-        assert prof.k_min_positive == 2
         assert prof.types == frozenset({(2, 1)})
         assert not prof.squarefree
 
     def test_symmetric_squarefree(self):
         prof = analyze_support(elementary_symmetric(3, (1, 2, 3), 2, QQ).support())
         assert prof.homogeneous and prof.degree == 2
-        assert prof.k_min_positive == 2
         assert prof.squarefree and prof.symmetric
 
     def test_asymmetric_example(self, P):
         prof = analyze_support(P("x1^3 + x1*x2*x3", 3).support())
-        assert prof.k_min_positive == 1
         assert prof.types == frozenset({(3,), (1, 1, 1)})
         assert not prof.symmetric  # x2^3 is absent
 

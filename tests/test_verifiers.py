@@ -394,9 +394,22 @@ class TestWitnessSearch:
         # every x_S too and proves nothing about the radical
         monkeypatch.setattr("symorbits.verifiers.radical_member", lambda *a, **kw: False)
         f = P("x1*x2*x3", 5)
-        assert monomial_free_witness(f, PermGroup.symmetric(5)) is not None
+        assert monomial_free_witness(f, PermGroup.symmetric(5)) is None
         report = radical_orbit_equality(f, PermGroup.symmetric(5))
         assert report.notes == "x1*x2*x3 is not in the radical"
+
+    def test_witness_must_leave_some_minimal_support_nonzero(self, P):
+        # every candidate kills each generator, but only points where some
+        # minimal support x_S is nonzero count
+        f = P("x1*x2 + x3*x4", 4)
+        group = PermGroup.generated(4, ["(1 2)"])
+        patterns = [(1, 0, 1, 0), (1, 1, 1, -1)]
+        witness = monomial_free_witness(f, group, patterns=patterns)
+        assert [x.value for x in witness] == [1, 1, 1, -1]
+        gens = orbit_ideal([f], group).expanded
+        assert all(g.evaluate(witness).is_zero for g in gens)
+        assert all(g.evaluate([QQ.scalar(x) for x in patterns[0]]).is_zero for g in gens)
+        assert monomial_free_witness(f, group, patterns=patterns[:1]) is None
 
     def test_classification(self):
         point = (QQ.scalar(1), QQ.scalar(-1), QQ.scalar(0))
