@@ -384,7 +384,9 @@ def _primitive_dual(field: Field, row: list[int], n: int) -> dict[int, int]:
 # -- rank and span membership -------------------------------------------------------
 
 
-def rank(matrix: ExactMatrix, *, deadline: float | None = None, certify: bool = False):
+def rank(
+    matrix: ExactMatrix, *, deadline: float | None = None, certify: bool = False
+) -> int | RankCertificate:
     """Exact rank; with ``certify``, a ``RankCertificate`` that also holds
     the prime and, below full row rank, one exactly checked left-kernel
     vector.  ``deadline`` is checked per column of the elimination and per
@@ -405,7 +407,9 @@ def rank(matrix: ExactMatrix, *, deadline: float | None = None, certify: bool = 
     return RankCertificate(r, modulus(field), first and _dense(field, matrix.nrows, first))
 
 
-def _rank_fallback(matrix: ExactMatrix, deadline: float | None, certify: bool):
+def _rank_fallback(
+    matrix: ExactMatrix, deadline: float | None, certify: bool
+) -> int | RankCertificate:
     field = matrix.field
     pivots, rows = _bareiss(matrix, [field.zero] * matrix.nrows, deadline)
     r = len(pivots)
