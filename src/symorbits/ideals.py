@@ -15,7 +15,7 @@ from typing import Iterable, Sequence
 
 from .fields import Field
 from .groebner import DEFAULT_MAX_PAIRS, GroebnerBasis, buchberger
-from .linalg import ExactMatrix, in_span, rank
+from .linalg import ExactMatrix, _span, rank
 from .permutations import PermGroup, orbit, orbit_images
 from .polynomials import (
     GREVLEX,
@@ -181,7 +181,7 @@ def graded_member(target: Polynomial, ideal: OrbitIdeal) -> VerdictReport:
         matrix = _matrix(ideal.field, index, products)
     vector = [target.terms.get(m, target.field.zero) for m in index]
 
-    member, coeffs = in_span(vector, matrix, certify=True)
+    member, coeffs = _span(vector, matrix)
     parameters = {
         "target": str(target),
         "group": ideal.group.descriptor,
@@ -305,7 +305,7 @@ def rank_condition(
                 yield g.terms
 
     matrix = _matrix(f.field, row_index, distinct(), deadline)
-    got = rank(matrix, deadline=deadline, certify=True)
+    got = rank(matrix, deadline=deadline)
     verdict = got.rank == len(row_index)
     certificate = {"full_rank": verdict, "prime": got.prime}
     if not verdict:

@@ -2,41 +2,32 @@
 certificates both ways.
 
 One kernel serves both questions.  It brings the columns, left to right, to
-reduced column echelon form modulo a prime.  Each basis vector is 1 at its
-lead, its smallest nonzero row, and 0 at every other lead, so one pass of
-subtractions at the leads a column meets leaves it on rows that lead none.
-It is then zero (a dependent column) or, scaled to 1 at its smallest row,
-the next basis vector.  The pivots are therefore the greedy left-to-right
-independent columns mod p, and the elimination stops once every row leads
-a basis vector.
+reduced column echelon form modulo a prime: each basis vector is 1 at its
+lead, its smallest row, and 0 at every other lead, so the pivots are the
+greedy left-to-right independent columns mod p, and the elimination stops
+once every row leads a basis vector.
 
 The prime is the field's own over GF(p), where the elimination is exact.
-Over the rationals it is the fixed prime ``PRIME`` = 2^61 - 1, applied after
-scaling each column, and the target vector, to integers by the lcm of its
-denominators; nothing selects another one.  There every verdict is still
-exact, because each is certified:
+Over the rationals it is the fixed ``PRIME`` = 2^61 - 1, applied after
+scaling each column, and the target vector, to integers; nothing selects
+another one.  There every verdict is certified exactly:
 
-* rank >= r: the r pivot columns have an r x r minor that is nonzero mod p,
+* rank >= r: the pivot columns have an r x r minor that is nonzero mod p,
   so it is a nonzero integer;
-* rank <= r: each of the nrows - r rows that lead no basis vector gives a
-  left-kernel vector mod p (1 on that row, 0 on the other such rows).  It is
-  lifted by rational reconstruction (Wang, Guy & Davenport, SIGSAM Bull.
-  1982) and checked exactly against every column, which has only a few
-  nonzero entries;
+* rank <= r: each row that leads no basis vector gives a left-kernel vector
+  mod p (1 on that row, 0 on the other such rows), lifted by rational
+  reconstruction (Wang, Guy & Davenport, SIGSAM Bull. 1982) and checked
+  exactly against every column;
 * v in the span: the solution on the pivot columns is lifted and re-verified
   by exact multiplication;
 * v not in the span: a dual vector y is lifted, and y.A = 0 and y.v != 0 are
   both checked exactly.
 
-The pivots mod p are the exact greedy pivots unless p divides one of the
-minors that decide them; a combination found then is still exact and
-re-verified, only supported on other independent columns.
-
-If a lift or a check fails (a solution too tall for one prime, or a rank
-that drops mod p), the question goes to the exact fallback: fraction-free
-(Bareiss) row elimination over the integers on ``[A | v | I]``, whose
-identity block records the row operations, so that the row ending in a zero
-block of A carries its dual vector.  No floating point.
+If a lift or a check fails (an entry too tall for one prime, or a rank that
+drops mod p), fraction-free (Bareiss) row elimination over the integers on
+``[A | v | I]`` decides instead; its identity block records the row
+operations, so a row whose A block vanishes carries a dual vector.  No
+floating point.
 """
 
 from __future__ import annotations
@@ -83,14 +74,6 @@ class ExactMatrix:
             raise ValueError(f"column length differs from row count {nrows}")
         return cls(field, nrows, [dict(enumerate(col)) for col in columns])
 
-    @classmethod
-    def from_rows(cls, field: Field, rows: Sequence[Sequence]) -> "ExactMatrix":
-        """The matrix with the given dense rows; the column count holds with
-        no rows."""
-        if rows and any(len(r) != len(rows[0]) for r in rows):
-            raise ValueError("ragged rows")
-        return cls.from_columns(field, len(rows), list(zip(*rows)))
-
     @property
     def rows(self) -> tuple[tuple[Raw, ...], ...]:
         zero = self.field.zero
@@ -115,34 +98,26 @@ class RankCertificate(NamedTuple):
     dual: list[Scalar] | None  # an exactly checked left-kernel vector when rank < nrows
 
 
-def modulus(field: Field) -> int:
-    """The prime the elimination works modulo: the field's own, else ``PRIME``."""
-    return field.p or PRIME
-
-
 # -- the modular kernel ----------------------------------------------------------
 
 
 class _Echelon:
-    """Reduced column echelon form mod p, grown one column at a time.
+    """Reduced column echelon form mod p, grown one column at a time:
+    ``basis`` maps each lead row to its vector, ``pivots`` lists the columns
+    that became basis vectors and, with ``track``, ``combos`` maps each lead
+    to the combination of columns that makes its vector."""
 
-    ``basis`` maps each lead row to its vector, which is 1 at the lead, 0 at
-    every other lead and 0 above its own lead; ``pivots`` lists the columns
-    that became basis vectors.  With ``track``, ``combos`` maps each lead to
-    the combination of columns that makes its vector.
-    """
-
-    def __init__(self, p: int, track: bool = False):
+    def __init__(self, p: int, track: bool):
         self.p = p
         self.basis: dict[int, dict[int, int]] = {}
         self.pivots: list[int] = []
         self.combos: dict[int, dict[int, int]] | None = {} if track else None
 
     def reduce(self, vec: dict[int, int]) -> list[tuple[int, int]]:
-        """Subtract from vec, in place, its multiple of each basis vector
-        whose lead it meets, which leaves it on rows that lead none; return
-        the (lead, multiplier) pairs.  A basis vector is 0 at the other
-        leads, so one pass does it."""
+        """Subtract from vec, in place, its entry times the basis vector of
+        each lead it meets; one pass leaves it on rows that lead none, since
+        a basis vector is 0 at the other leads.  Return the (lead, entry)
+        pairs."""
         hits = [(row, x) for row, x in vec.items() if row in self.basis]
         for lead, m in hits:
             _subtract(vec, m, self.basis[lead], self.p)
@@ -182,14 +157,6 @@ class _Echelon:
                 y[lead] = self.p - b[row]
         return y
 
-    def combination(self, hits: list[tuple[int, int]]) -> dict[int, int]:
-        """Coefficients, per column, of the vector that ``reduce`` took to
-        zero with these hits."""
-        out: dict[int, int] = {}
-        for lead, m in hits:
-            _subtract(out, -m, self.combos[lead], self.p)
-        return out
-
 
 def _subtract(vec: dict[int, int], m: int, other: Mapping[int, int], p: int) -> None:
     """vec -= m * other mod p, in place, keeping only nonzero entries."""
@@ -211,26 +178,21 @@ def _integer(field: Field, col: Mapping[int, Raw]) -> tuple[int, dict[int, int]]
 
 
 def _mod(p: int, col: Mapping[int, int]) -> dict[int, int]:
-    out = {}
-    for i, x in col.items():
-        x %= p
-        if x:
-            out[i] = x
-    return out
+    return {i: r for i, x in col.items() if (r := x % p)}
 
 
 def _echelon_columns(matrix: ExactMatrix, deadline: float | None, track: bool = False):
     """The echelon of the columns mod p, stopping at full row rank, and the
     integer columns it read; ``deadline`` is checked per column."""
-    field, p = matrix.field, modulus(matrix.field)
-    echelon = _Echelon(p, track)
+    field = matrix.field
+    echelon = _Echelon(field.p or PRIME, track)
     read = []
     for j, col in enumerate(matrix.columns):
         if len(echelon.basis) == matrix.nrows:
             break
         check_deadline(deadline)
         read.append(_integer(field, col))
-        echelon.add(j, _mod(p, read[-1][1]))
+        echelon.add(j, _mod(echelon.p, read[-1][1]))
     return echelon, read
 
 
@@ -262,33 +224,18 @@ def _lift(field: Field, values: Mapping[int, int]) -> dict[int, Raw] | None:
     return out
 
 
-def _is_zero(field: Field, total: int) -> bool:
-    return total % field.p == 0 if field.p else total == 0
-
-
-def _dot(y: Mapping[int, int], col: Mapping[int, int]) -> int:
-    return sum(y[i] * x for i, x in col.items() if i in y)
-
-
-def _is_dual(
-    field: Field,
-    y: Mapping[int, int],
-    columns: Iterable[tuple[int, dict[int, int]]],
-    v: Mapping[int, int] | None = None,
-) -> bool:
+def _is_dual(field: Field, y: Mapping[int, int], columns, v: Mapping[int, int] | None) -> bool:
     """Whether the integer vector y is exactly orthogonal to every integer
-    column, and not to v when v is given."""
-    return all(_is_zero(field, _dot(y, col)) for _, col in columns) and (
-        v is None or not _is_zero(field, _dot(y, v))
-    )
+    (scale, column) pair, and not to v when v is given."""
+
+    def zero(col):
+        total = sum(y[i] * x for i, x in col.items() if i in y)
+        return total % field.p == 0 if field.p else total == 0
+
+    return all(zero(col) for _, col in columns) and (v is None or not zero(v))
 
 
-def _checked_dual(
-    field: Field,
-    residues: Mapping[int, int],
-    columns: list[tuple[int, dict[int, int]]],
-    v: Mapping[int, int] | None = None,
-) -> dict[int, int] | None:
+def _checked_dual(field: Field, residues, columns, v=None) -> dict[int, int] | None:
     """A dual vector mod p lifted and cleared of denominators (a dual
     vector's multiples are dual vectors), or None if the lift or the exact
     check fails."""
@@ -353,44 +300,41 @@ def _echelon(field: Field, rows: list[list[int]], deadline: float | None = None)
     return pivots
 
 
-def _bareiss(
-    matrix: ExactMatrix, v: Sequence[Raw], deadline: float | None
-) -> tuple[list[int], list[list[int]]]:
-    """Eliminate ``[A | v | I]`` exactly; return the pivots among A's
-    columns and the echelon rows.  A row whose A block is zero ends in a
-    dual vector: the identity block holds the multiples of the input rows
-    that make it up."""
+def _bareiss(matrix: ExactMatrix, v: Sequence[Raw], deadline: float | None):
+    """Eliminate ``[A | v | I]`` exactly.  Return the pivots among A's
+    columns, the echelon rows and, below full row rank, the identity block
+    of the first row whose A block vanishes, divided by its content: a dual
+    vector, with y.v != 0 exactly when v is outside the span.  The dual
+    vector is checked before it is returned."""
     field, n = matrix.field, matrix.ncols
     one, zero = field.one, field.zero
-    rows = [
+    rows = _integer_rows(field, (
         list(row) + [x] + [one if k == i else zero for k in range(matrix.nrows)]
         for i, (row, x) in enumerate(zip(matrix.rows, v))
-    ]
-    echelon = _integer_rows(field, rows)
-    pivots = _echelon(field, echelon, deadline)
-    return [c for c in pivots if c < n], echelon
-
-
-def _primitive_dual(field: Field, row: list[int], n: int) -> dict[int, int]:
-    """The identity block of an echelon row of ``[A | v | I]``, divided by
-    its content over the integers."""
-    y = {i: x for i, x in enumerate(row[n + 1:]) if x}
-    if field.is_rationals and y:
+    ))
+    pivots = [c for c in _echelon(field, rows, deadline) if c < n]
+    r = len(pivots)
+    if r == matrix.nrows:
+        return pivots, rows, None
+    y = {i: x for i, x in enumerate(rows[r][n + 1:]) if x}
+    if field.is_rationals:
         g = math.gcd(*y.values())
         y = {i: x // g for i, x in y.items()}
-    return y
+    columns = [_integer(field, col) for col in matrix.columns]
+    target = _integer(field, dict(enumerate(v)))[1] if rows[r][n] else None
+    if not _is_dual(field, y, columns, target):
+        raise CertificateError("dual vector failed exact re-verification")
+    return pivots, rows, y
 
 
 # -- rank and span membership -------------------------------------------------------
 
 
-def rank(
-    matrix: ExactMatrix, *, deadline: float | None = None, certify: bool = False
-) -> int | RankCertificate:
-    """Exact rank; with ``certify``, a ``RankCertificate`` that also holds
-    the prime and, below full row rank, one exactly checked left-kernel
-    vector.  ``deadline`` is checked per column of the elimination and per
-    left-kernel vector checked."""
+def rank(matrix: ExactMatrix, *, deadline: float | None = None) -> RankCertificate:
+    """The exact rank, the prime whose pivots prove it (None when the exact
+    fallback decided) and, below full row rank, one exactly checked
+    left-kernel vector.  ``deadline`` is checked per column of the
+    elimination and per left-kernel vector checked."""
     field = matrix.field
     echelon, read = _echelon_columns(matrix, deadline)
     first = None
@@ -399,41 +343,28 @@ def rank(
             check_deadline(deadline)
             y = _checked_dual(field, echelon.dual(row), read)
             if y is None:
-                return _rank_fallback(matrix, deadline, certify)
+                pivots, _, y = _bareiss(matrix, [field.zero] * matrix.nrows, deadline)
+                return RankCertificate(len(pivots), None, y and _dense(field, matrix.nrows, y))
             first = first or y
-    r = len(echelon.basis)
-    if not certify:
-        return r
-    return RankCertificate(r, modulus(field), first and _dense(field, matrix.nrows, first))
+    return RankCertificate(
+        len(echelon.basis), echelon.p, first and _dense(field, matrix.nrows, first)
+    )
 
 
-def _rank_fallback(
-    matrix: ExactMatrix, deadline: float | None, certify: bool
-) -> int | RankCertificate:
-    field = matrix.field
-    pivots, rows = _bareiss(matrix, [field.zero] * matrix.nrows, deadline)
-    r = len(pivots)
-    if not certify:
-        return r
-    if r == matrix.nrows:
-        return RankCertificate(r, None, None)
-    y = _primitive_dual(field, rows[r], matrix.ncols)
-    if not _is_dual(field, y, (_integer(field, col) for col in matrix.columns)):
-        raise CertificateError("left-kernel vector failed exact re-verification")
-    return RankCertificate(r, None, _dense(field, matrix.nrows, y))
-
-
-def in_span(
-    vector: Sequence, matrix: ExactMatrix, *, certify: bool = False
-) -> tuple[bool, list[Scalar] | None]:
+def in_span(vector: Sequence, matrix: ExactMatrix) -> tuple[bool, list[Scalar] | None]:
     """Decide whether the vector lies in the span of the matrix columns.
 
     Returns ``(True, certificate)`` with one coefficient per column (zeros
     off the greedy left-to-right independent columns), re-verified by
-    multiplication before returning, or ``(False, None)``; with
-    ``certify``, ``(False, y)`` with a dual vector y, one entry per row,
-    such that y.A = 0 and y.v != 0 hold exactly.
+    multiplication before returning, or ``(False, None)``.
     """
+    member, certificate = _span(vector, matrix)
+    return member, certificate if member else None
+
+
+def _span(vector: Sequence, matrix: ExactMatrix) -> tuple[bool, list[Scalar]]:
+    """``in_span`` with, on a false verdict, a dual vector y, one entry per
+    row, such that y.A = 0 and y.v != 0 hold exactly."""
     field = matrix.field
     v = [field.coerce(x) for x in vector]
     if len(v) != matrix.nrows:
@@ -443,7 +374,10 @@ def in_span(
     rest = _mod(echelon.p, v_int)
     hits = echelon.reduce(rest)
     if not rest:
-        lifted = _lift(field, echelon.combination(hits))
+        combination: dict[int, int] = {}
+        for lead, m in hits:
+            _subtract(combination, -m, echelon.combos[lead], echelon.p)
+        lifted = _lift(field, combination)
         if lifted is not None:
             # a coefficient on a scaled column, for a scaled target
             coeffs = {
@@ -454,8 +388,8 @@ def in_span(
     else:
         y = _checked_dual(field, echelon.dual(min(rest)), read, v_int)
         if y is not None:
-            return False, _dense(field, matrix.nrows, y) if certify else None
-    return _span_fallback(matrix, v, certify)
+            return False, _dense(field, matrix.nrows, y)
+    return _span_fallback(matrix, v)
 
 
 def _combines_to(matrix: ExactMatrix, coeffs: Mapping[int, Raw], v: Sequence[Raw]) -> bool:
@@ -467,19 +401,11 @@ def _combines_to(matrix: ExactMatrix, coeffs: Mapping[int, Raw], v: Sequence[Raw
     return all(total.get(i, field.zero) == x for i, x in enumerate(v))
 
 
-def _span_fallback(
-    matrix: ExactMatrix, v: list[Raw], certify: bool
-) -> tuple[bool, list[Scalar] | None]:
+def _span_fallback(matrix: ExactMatrix, v: list[Raw]) -> tuple[bool, list[Scalar]]:
     field, n = matrix.field, matrix.ncols
-    pivots, rows = _bareiss(matrix, v, None)
+    pivots, rows, y = _bareiss(matrix, v, None)
     r = len(pivots)
-    if r < matrix.nrows and rows[r][n]:
-        if not certify:
-            return False, None
-        y = _primitive_dual(field, rows[r], n)
-        columns = (_integer(field, col) for col in matrix.columns)
-        if not _is_dual(field, y, columns, _integer(field, dict(enumerate(v)))[1]):
-            raise CertificateError("dual vector failed exact re-verification")
+    if y is not None and rows[r][n]:
         return False, _dense(field, matrix.nrows, y)
     coeffs: dict[int, Raw] = {}
     for k in reversed(range(r)):
