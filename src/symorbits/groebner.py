@@ -6,13 +6,33 @@ together with the product and chain criteria.  Every run is bounded by a
 configurable budget of S-polynomial reductions (pairs the criteria skip do
 not count; each reduction adds at most one element, so the pairs popped
 stay bounded too) and an optional wall-clock deadline, checked at every
-popped pair and between the element reductions of interreduction;
-exceeding either raises :class:`BudgetExceededError`, which is distinct
-from any membership verdict.
+popped pair, between the element reductions of interreduction and at
+every heap pop inside one reduction (over QQ one pop can take a tenth of a
+second once coefficients run to thousands of bits); exceeding either raises
+:class:`BudgetExceededError`, which is distinct from any membership verdict.
 
-Divisors are kept as one list of ``(key, lm, tail)`` entries of monic
-polynomials, sorted by the order key of the leading monomial and updated
-by insertion, so no step re-sorts the whole basis.
+Inside the kernel a monomial is one int (Monagan and Pearce, *Polynomial
+division using dynamic arrays, heaps, and packed exponent vectors*, CASC
+2007).  Each exponent has a field of ``width`` bits whose top bit is a
+guard, always 0 in a valid monomial; for N variables the low N fields hold
+the exponents D (lex: x1 most significant; grevlex: xN most significant),
+and above them sits minus an order key K (lex: D itself; grevlex: the total
+degree), so the packed monomial is ``D - (K << width*N)``.  Then
+multiplication is addition, a divides b iff ``(b - a) & guards == 0`` (a
+negative field borrows into its own guard bit), and a smaller int is a
+larger monomial in both orders; the constant monomial is 0, the largest
+int.  The width comes from the input: the largest total degree of the
+generators (or of the polynomial being reduced) fits twice over, in at
+least 7 value bits.  A product whose exponent outgrows its field sets a
+guard bit, and every new term is checked; the computation then restarts
+from its input at double the width, so no overflow passes silently and the
+result never depends on the width.  Tuples appear only at the boundary:
+packing the monic generators and the polynomial to reduce, and unpacking
+the basis and the remainder.
+
+Divisors are kept as one list of ``(lm, tail)`` entries of monic
+polynomials, ascending by leading monomial (so descending as ints) and
+updated by insertion, so no step re-sorts the whole basis.
 
 For homogeneous generators the radical is (x1, ..., xN) exactly when
 K[x]/I is finite-dimensional, which holds exactly when every variable has
@@ -26,84 +46,134 @@ from __future__ import annotations
 
 import bisect
 import heapq
-from operator import itemgetter
+from time import monotonic
 from typing import Sequence
 
 from .fields import Field
-from .polynomials import (
-    GREVLEX,
-    Monomial,
-    MonomialOrder,
-    Polynomial,
-    mono_divides,
-    mono_lcm,
-)
-from .reports import BudgetExceededError, check_deadline
+from .polynomials import GREVLEX, LEX, Monomial, MonomialOrder, Polynomial
+from .reports import BudgetExceededError, CertificateError, check_deadline
 
 DEFAULT_MAX_PAIRS = 1_000_000
-_KEY = itemgetter(0)
 
 
-def _neg(key: tuple[int, ...]) -> tuple[int, ...]:
-    return tuple(-k for k in key)
+class _Overflow(Exception):
+    """An exponent outgrew its packed field: redo the work at double width."""
+
+
+class _Packing:
+    """Packed ints for the monomials of one order in ``nvars`` variables."""
+
+    __slots__ = ("lex", "nvars", "width", "top", "low", "guards", "limit", "shifts")
+
+    def __init__(self, order: MonomialOrder, nvars: int, width: int):
+        if order not in (LEX, GREVLEX):
+            raise ValueError(f"unsupported monomial order {order}")
+        self.lex = order == LEX
+        self.nvars = nvars
+        self.width = width
+        self.top = width * nvars
+        self.low = (1 << self.top) - 1
+        self.guards = sum(1 << (width * i + width - 1) for i in range(nvars))
+        self.limit = (1 << (width - 1)) - 1  # largest exponent; also the value-bit mask
+        fields = range(nvars - 1, -1, -1) if self.lex else range(nvars)
+        self.shifts = tuple(width * i for i in fields)  # field of x1, ..., xN
+
+    @classmethod
+    def for_degree(cls, order: MonomialOrder, nvars: int, degree: int) -> "_Packing":
+        return cls(order, nvars, max(7, (2 * degree).bit_length()) + 1)
+
+    def wider(self) -> "_Packing":
+        return _Packing(LEX if self.lex else GREVLEX, self.nvars, 2 * self.width)
+
+    def pack(self, m: Monomial) -> int:
+        if max(m) > self.limit:
+            raise _Overflow
+        d = 0
+        for e, s in zip(m, self.shifts):
+            d |= e << s
+        return d - ((d if self.lex else sum(m)) << self.top)
+
+    def unpack(self, p: int) -> Monomial:
+        d, limit = p & self.low, self.limit
+        return tuple(d >> s & limit for s in self.shifts)
+
+    def degree(self, p: int) -> int:
+        return sum(self.unpack(p)) if self.lex else -(p >> self.top)
+
+    def lcm(self, a: int, b: int) -> int:
+        """Fieldwise maximum: a guard survives (a | guards) - b exactly in
+        the fields where a >= b, and no borrow crosses a field."""
+        a &= self.low
+        b &= self.low
+        ge = ((a | self.guards) - b) & self.guards
+        take_a = ge - (ge >> (self.width - 1))  # value bits of those fields
+        d = a & take_a | b & ~take_a
+        return d - ((d if self.lex else sum(self.unpack(d))) << self.top)
+
+    def entries(self, polys: Sequence[Polynomial]) -> list:
+        """(lm, tail) entries of monic polynomials, ascending by leading monomial."""
+        out = []
+        for g in polys:
+            terms = {self.pack(m): c for m, c in g.terms.items()}
+            lm = min(terms)
+            del terms[lm]
+            out.append((lm, list(terms.items())))
+        return sorted(out, key=_rank)
+
+    def polynomial(self, field: Field, entry) -> Polynomial:
+        lm, tail = entry
+        terms = {self.unpack(m): c for m, c in tail}
+        terms[self.unpack(lm)] = field.one
+        return Polynomial.zero(field, self.nvars)._make(terms)  # already valid
+
+
+def _rank(entry) -> int:
+    """Sort key of an entry, ascending in its leading monomial."""
+    return -entry[0]
 
 
 def _reduce_terms(
-    terms: dict[Monomial, object],
-    basis: list[tuple[tuple[int, ...], Monomial, list]],
-    order: MonomialOrder,
+    terms: dict[int, object],
+    basis: list[tuple[int, list]],
+    guards: int,
     field: Field,
-) -> dict[Monomial, object]:
-    """Remainder of the term dict modulo monic (key, lm, tail) divisors,
+    deadline: float | None = None,
+) -> dict[int, object]:
+    """Remainder of the packed term dict modulo monic (lm, tail) divisors,
     each term divided by the first divisor in list order."""
     zero = field.zero
+    sub, mul = field.sub, field.mul
     work = dict(terms)
-    remainder: dict[Monomial, object] = {}
-    key = order.key
-    heap = [(_neg(key(m)), m) for m in work]
+    remainder: dict[int, object] = {}
+    heap = list(work)
     heapq.heapify(heap)
     push = heapq.heappush
     pop = heapq.heappop
     while heap:
-        _, m = pop(heap)
+        m = pop(heap)
         c = work.pop(m, None)
         if c is None:
             continue
-        for _, lm, tail in basis:
-            if mono_divides(lm, m):
-                q = tuple(a - b for a, b in zip(m, lm))
+        if deadline is not None and monotonic() > deadline:
+            raise BudgetExceededError("wall-clock budget exceeded")
+        for lm, tail in basis:
+            q = m - lm
+            if not q & guards:
                 for tm, tc in tail:
-                    nm = tuple(a + b for a, b in zip(tm, q))
-                    acc = field.sub(work.get(nm, zero), field.mul(c, tc))
+                    nm = tm + q
+                    if nm & guards:
+                        raise _Overflow
+                    acc = sub(work.get(nm, zero), mul(c, tc))
                     if acc == zero:
                         work.pop(nm, None)
                     else:
                         if nm not in work:
-                            push(heap, (_neg(key(nm)), nm))
+                            push(heap, nm)
                         work[nm] = acc
                 break
         else:
             remainder[m] = c
     return remainder
-
-
-def _entry(g: Polynomial, order: MonomialOrder):
-    """(order key of the leading monomial, leading monomial, tail items)
-    of a monic polynomial."""
-    lm = g.leading_monomial(order)
-    return order.key(lm), lm, [(m, c) for m, c in g.terms.items() if m != lm]
-
-
-def _basis_data(polys: Sequence[Polynomial], order: MonomialOrder):
-    """Entries of monic polynomials, ascending by leading monomial."""
-    return sorted((_entry(g, order) for g in polys), key=_KEY)
-
-
-def _polynomial(field: Field, nvars: int, entry) -> Polynomial:
-    _, lm, tail = entry
-    terms = dict(tail)
-    terms[lm] = field.one
-    return Polynomial(field, nvars, terms)
 
 
 class GroebnerBasis:
@@ -124,7 +194,25 @@ class GroebnerBasis:
         self.nvars = basis[0].nvars if basis else (
             source_generators[0].nvars if source_generators else 0
         )
-        self._data = _basis_data(self.basis, order)
+        self._packed = None  # (packing, entries), made on first use
+
+    def _pack(self, packing: _Packing):
+        # one attribute, so that a reader never pairs a packing with entries
+        # packed at another width
+        self._packed = (packing, packing.entries(self.basis))
+
+    def _widening(self, work):
+        """work(packing, entries) at the basis's packing, made on first use
+        and repacked at double width while some exponent outgrows its field."""
+        if self._packed is None:
+            degree = max((g.total_degree() for g in self.basis), default=0)
+            self._pack(_Packing.for_degree(self.order, self.nvars, degree))
+        while True:
+            packing, data = self._packed
+            try:
+                return work(packing, data)
+            except _Overflow:
+                self._pack(packing.wider())
 
     def __iter__(self):
         return iter(self.basis)
@@ -142,11 +230,45 @@ class GroebnerBasis:
     def normal_form(self, f: Polynomial) -> Polynomial:
         if f.field != self.field or (self.basis and f.nvars != self.nvars):
             raise ValueError("polynomial incompatible with basis")
-        reduced = _reduce_terms(f.terms, self._data, self.order, self.field)
-        return Polynomial(f.field, f.nvars, reduced)
+        if not self.basis:
+            return f._make(dict(f.terms))
+
+        def reduce(packing, data):
+            terms = {packing.pack(m): c for m, c in f.terms.items()}
+            reduced = _reduce_terms(terms, data, packing.guards, self.field)
+            return {packing.unpack(m): c for m, c in reduced.items()}
+
+        return f._make(self._widening(reduce))
 
     def contains(self, f: Polynomial) -> bool:
         return self.normal_form(f).is_zero
+
+    def verify(self) -> None:
+        """Raise :class:`CertificateError` unless every S-polynomial of two
+        basis elements and every source generator reduces to 0 modulo the
+        basis: then the basis is a Groebner basis of an ideal that contains
+        the source ideal.  That each element lies in the source ideal holds
+        by construction and is not re-checked here."""
+
+        def spairs(packing, data):
+            guards = packing.guards
+            for j, gj in enumerate(data):
+                for gi in data[:j]:
+                    lcm = packing.lcm(gi[0], gj[0])
+                    s = _spoly_terms(gi, gj, lcm, guards, self.field)
+                    if _reduce_terms(s, data, guards, self.field):
+                        return packing.unpack(gi[0]), packing.unpack(gj[0])
+            return None
+
+        bad = self._widening(spairs)
+        if bad is not None:
+            raise CertificateError(
+                f"the S-polynomial of the elements led by {bad[0]} and {bad[1]} "
+                "does not reduce to 0"
+            )
+        for g in self.source_generators:
+            if not self.contains(g):
+                raise CertificateError(f"source generator {g!r} does not reduce to 0")
 
 
 def buchberger(
@@ -159,8 +281,9 @@ def buchberger(
     """Reduced Groebner basis of the ideal generated by ``generators``.
 
     ``max_pairs`` bounds the S-polynomials reduced; ``deadline`` is an
-    absolute ``time.monotonic()`` instant, checked at every popped pair and
-    between the element reductions of interreduction.
+    absolute ``time.monotonic()`` instant, checked at every popped pair,
+    between the element reductions of interreduction and at every heap pop
+    inside one reduction.
     """
     gens = [g for g in generators if not g.is_zero]
     if not generators:
@@ -173,96 +296,104 @@ def buchberger(
     if not gens:
         return GroebnerBasis(order, field, [], generators)
 
-    data = _basis_data([g.monic(order) for g in gens], order)
-    _interreduce(data, order, field, deadline)
-    basis = [_polynomial(field, nvars, e) for e in data]
-    lms: list[Monomial] = [lm for _, lm, _ in data]
-    key = order.key
+    monic = [g.monic(order) for g in gens]
+    packing = _Packing.for_degree(order, nvars, max(g.total_degree() for g in gens))
+    while True:
+        try:
+            data = _groebner(packing.entries(monic), packing, field, max_pairs, deadline)
+            break
+        except _Overflow:
+            packing = packing.wider()
+    gb = GroebnerBasis(order, field, [packing.polynomial(field, e) for e in data], generators)
+    gb._packed = (packing, data)
+    return gb
+
+
+def _groebner(
+    data: list, packing: _Packing, field: Field, max_pairs: int, deadline: float | None
+):
+    """Reduced basis entries of the ideal of the sorted monic entries;
+    the constant entry alone for the unit ideal."""
+    guards = packing.guards
+    _interreduce(data, guards, field, deadline)
+    elems = list(data)  # by index, in the order the pairs name them
+    lms = [lm for lm, _ in elems]
+    lcm_of, degree = packing.lcm, packing.degree
 
     def pair_entry(i: int, j: int):
-        lcm = mono_lcm(lms[i], lms[j])
-        return (sum(lcm), key(lcm), i, j)
+        lcm = lcm_of(lms[i], lms[j])
+        return (degree(lcm), -lcm, i, j)
 
-    pairs = [pair_entry(i, j) for j in range(len(basis)) for i in range(j)]
+    pairs = [pair_entry(i, j) for j in range(len(elems)) for i in range(j)]
     heapq.heapify(pairs)
     done: set[tuple[int, int]] = set()
     reductions = 0
 
     while pairs:
-        _, _, i, j = heapq.heappop(pairs)
+        _, neg_lcm, i, j = heapq.heappop(pairs)
         check_deadline(deadline, reductions)
         done.add((i, j))
-        lcm = mono_lcm(lms[i], lms[j])
-        # product criterion: coprime leading monomials reduce to zero
-        if all(a == 0 or b == 0 for a, b in zip(lms[i], lms[j])):
+        lcm = -neg_lcm
+        # product criterion: coprime leading monomials (their lcm is their
+        # product) reduce to zero
+        if lcm == lms[i] + lms[j]:
             continue
         # chain criterion: a third element dividing the lcm whose pairs with
         # both i and j were already treated makes this pair redundant
-        skip = False
-        for k in range(len(basis)):
-            if k == i or k == j:
-                continue
+        for k, lm in enumerate(lms):
             if (
-                mono_divides(lms[k], lcm)
-                and (min(i, k), max(i, k)) in done
-                and (min(j, k), max(j, k)) in done
+                not (lcm - lm) & guards
+                and k != i
+                and k != j
+                and ((i, k) if i < k else (k, i)) in done
+                and ((j, k) if j < k else (k, j)) in done
             ):
-                skip = True
                 break
-        if skip:
-            continue
+        else:  # no element chains the pair: reduce it
+            reductions += 1
+            if reductions > max_pairs:
+                raise BudgetExceededError(
+                    f"S-pair budget of {max_pairs} exceeded", reductions
+                )
+            s_terms = _spoly_terms(elems[i], elems[j], lcm, guards, field)
+            remainder = _reduce_terms(s_terms, data, guards, field, deadline)
+            if not remainder:
+                continue
+            lm = min(remainder)
+            if lm == 0:  # a constant: the unit ideal
+                return [(0, [])]
+            inv = field.inv(remainder.pop(lm))
+            entry = (lm, [(m, field.mul(c, inv)) for m, c in remainder.items()])
+            t = len(elems)
+            elems.append(entry)
+            lms.append(lm)
+            bisect.insort(data, entry, key=_rank)
+            for k in range(t):
+                heapq.heappush(pairs, pair_entry(k, t))
 
-        reductions += 1
-        if reductions > max_pairs:
-            raise BudgetExceededError(
-                f"S-pair budget of {max_pairs} exceeded", reductions
-            )
-        s_terms = _spoly_terms(basis[i], basis[j], lms[i], lms[j], lcm, field)
-        remainder = _reduce_terms(s_terms, data, order, field)
-        if not remainder:
-            continue
-        r = Polynomial(field, nvars, remainder).monic(order)
-        if r.is_constant:
-            return GroebnerBasis(
-                order, field, [Polynomial.constant(field, nvars, 1)], generators
-            )
-        t = len(basis)
-        basis.append(r)
-        entry = _entry(r, order)
-        lms.append(entry[1])
-        bisect.insort(data, entry, key=_KEY)
-        for k in range(t):
-            heapq.heappush(pairs, pair_entry(k, t))
-
-    reduced = _reduce_basis(data, order, field, deadline)
-    return GroebnerBasis(
-        order, field, [_polynomial(field, nvars, e) for e in reduced], generators
-    )
+    return _reduce_basis(data, guards, field, deadline)
 
 
-def _spoly_terms(gi, gj, lmi, lmj, lcm, field):
-    ui = tuple(a - b for a, b in zip(lcm, lmi))
-    uj = tuple(a - b for a, b in zip(lcm, lmj))
+def _spoly_terms(gi, gj, lcm: int, guards: int, field: Field) -> dict[int, object]:
+    """S-polynomial of two monic entries as a packed term dict; the leading
+    terms cancel, so only the tails are multiplied out."""
     zero = field.zero
-    out: dict[Monomial, object] = {}
-    for m, c in gi.terms.items():
-        nm = tuple(a + b for a, b in zip(m, ui))
-        acc = field.add(out.get(nm, zero), c)
-        if acc == zero:
-            out.pop(nm, None)
-        else:
-            out[nm] = acc
-    for m, c in gj.terms.items():
-        nm = tuple(a + b for a, b in zip(m, uj))
-        acc = field.sub(out.get(nm, zero), c)
-        if acc == zero:
-            out.pop(nm, None)
-        else:
-            out[nm] = acc
+    out: dict[int, object] = {}
+    for (lm, tail), combine in ((gi, field.add), (gj, field.sub)):
+        u = lcm - lm
+        for m, c in tail:
+            nm = m + u
+            if nm & guards:
+                raise _Overflow
+            acc = combine(out.get(nm, zero), c)
+            if acc == zero:
+                out.pop(nm, None)
+            else:
+                out[nm] = acc
     return out
 
 
-def _interreduce(data: list, order: MonomialOrder, field: Field, deadline: float | None):
+def _interreduce(data: list, guards: int, field: Field, deadline: float | None):
     """Reduce each entry of the sorted list modulo the others, in place,
     until no leading monomial changes; entries that reduce to zero drop out.
 
@@ -271,7 +402,6 @@ def _interreduce(data: list, order: MonomialOrder, field: Field, deadline: float
     element never gets a larger leading monomial, so it goes back in at or
     before its old position and the pass goes on with the next entry.
     """
-    key = order.key
     one = field.one
     changed = True
     while changed:
@@ -279,34 +409,34 @@ def _interreduce(data: list, order: MonomialOrder, field: Field, deadline: float
         i = 0
         while i < len(data):
             check_deadline(deadline)
-            k, lm, tail = data.pop(i)  # the others are the list without it
+            lm, tail = data.pop(i)  # the others are the list without it
             terms = dict(tail)
             terms[lm] = one
-            remainder = _reduce_terms(terms, data, order, field)
+            remainder = _reduce_terms(terms, data, guards, field, deadline)
             if not remainder:
                 continue
-            new_lm = max(remainder, key=key)
+            new_lm = min(remainder)
             if new_lm == lm:
                 del remainder[lm]
-                data.insert(i, (k, lm, list(remainder.items())))
+                data.insert(i, (lm, list(remainder.items())))
             else:
                 changed = True
                 inv = field.inv(remainder.pop(new_lm))
                 tail = [(m, field.mul(c, inv)) for m, c in remainder.items()]
-                bisect.insort(data, (key(new_lm), new_lm, tail), key=_KEY)
+                bisect.insort(data, (new_lm, tail), key=_rank)
             i += 1
     return data
 
 
-def _reduce_basis(data: list, order: MonomialOrder, field: Field, deadline: float | None):
+def _reduce_basis(data: list, guards: int, field: Field, deadline: float | None):
     """The reduced basis, as sorted entries, of a Groebner basis given as
     sorted entries."""
     # minimalize: drop elements whose leading monomial a smaller one divides
     minimal: list = []
     for entry in data:
-        if not any(mono_divides(lm, entry[1]) for _, lm, _ in minimal):
+        if all((entry[0] - lm) & guards for lm, _ in minimal):
             minimal.append(entry)
-    return _interreduce(minimal, order, field, deadline)
+    return _interreduce(minimal, guards, field, deadline)
 
 
 def radical_member(
@@ -354,8 +484,8 @@ def radical_equals_irrelevant(
             raise ValueError("generators must be homogeneous of positive degree")
     gb = buchberger(generators, GREVLEX, max_pairs=max_pairs, deadline=deadline)
     powers = set()
-    for _, lm, _ in gb._data:
-        support = [i for i, e in enumerate(lm) if e]
+    for g in gb.basis:
+        support = [i for i, e in enumerate(g.leading_monomial(GREVLEX)) if e]
         if len(support) == 1:
             powers.add(support[0])
     return len(powers) == gb.nvars

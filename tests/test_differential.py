@@ -3,7 +3,8 @@
 ``sympy.groebner`` is the oracle: on seeded small orbit ideals over QQ and
 GF(32003), in lex and in grevlex, both reduced bases must agree as sets
 once each element is made monic by its leading coefficient in that order
-(sympy clears denominators and normalises its own way).  sympy is a
+(sympy clears denominators and normalises its own way), and each basis
+must pass its own ``GroebnerBasis.verify``.  sympy is a
 test-only dependency; without it the module is skipped.
 """
 
@@ -86,4 +87,5 @@ def _sympy_basis(gens, order):
 def test_reduced_basis_matches_sympy(index, order):
     gens = INSTANCES[index]
     ours = buchberger(gens, order)
+    ours.verify()
     assert {_monic(g.terms, order, g.field) for g in ours} == _sympy_basis(gens, order)

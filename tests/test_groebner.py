@@ -9,6 +9,7 @@ from symorbits import (
     LEX,
     QQ,
     BudgetExceededError,
+    CertificateError,
     PermGroup,
     Polynomial,
     buchberger,
@@ -149,12 +150,50 @@ class TestBuchberger:
         with pytest.raises(BudgetExceededError):
             buchberger(gens, GREVLEX, deadline=time.monotonic() - 1)
         # the final reduction of a finished pair loop checks it too
-        data = groebner._basis_data([P("x1^2 + x1*x2", 2), P("x1*x2", 2)], GREVLEX)
+        packing = groebner._Packing.for_degree(GREVLEX, 2, 2)
+        data = packing.entries([P("x1^2 + x1*x2", 2), P("x1*x2", 2)])
         with pytest.raises(BudgetExceededError):
-            groebner._reduce_basis(data, GREVLEX, QQ, time.monotonic() - 1)
-        reduced = groebner._reduce_basis(data, GREVLEX, QQ, None)
-        assert [lm for _, lm, _ in reduced] == [(1, 1), (2, 0)]
-        assert [tail for _, _, tail in reduced] == [[], []]
+            groebner._reduce_basis(data, packing.guards, QQ, time.monotonic() - 1)
+        reduced = groebner._reduce_basis(data, packing.guards, QQ, None)
+        assert [packing.unpack(lm) for lm, _ in reduced] == [(1, 1), (2, 0)]
+        assert [tail for _, tail in reduced] == [[], []]
+
+    def test_deadline_bounds_one_reduction(self):
+        # over QQ the lex basis of this C4 orbit grows coefficients of
+        # thousands of bits, and a single reduction used to run some 20 s
+        # past a 2 s deadline
+        f = parse_polynomial("-x1^2 - 2*x1*x4 + x4", 4, QQ)
+        gens = list(orbit(f, PermGroup.cyclic(4)))
+        start = time.monotonic()
+        with pytest.raises(BudgetExceededError):
+            buchberger(gens, LEX, deadline=start + 2)
+        assert time.monotonic() - start < 3
+
+    def test_exponents_beyond_the_starting_width(self, P):
+        # x1 = x2^5 = x3^25 and x1^6 = x3, so x3^150 = x3: the exponent 150
+        # does not fit the fields chosen for generators of degree 6
+        assert groebner._Packing.for_degree(LEX, 3, 6).limit < 150
+        gens = [P("x2 - x3^5", 3), P("x1 - x2^5", 3), P("x1^6 - x3", 3)]
+        gb = buchberger(gens, LEX)
+        assert set(gb.basis) == {P("x1 - x3^25", 3), P("x2 - x3^5", 3), P("x3^150 - x3", 3)}
+        gb.verify()
+        assert gb.normal_form(P("x1^7", 3)) == P("x3^26", 3)  # x3^175 = x3^25 * x3^150
+        # a polynomial to reduce may outgrow the basis's fields too
+        gb = buchberger([P("x1 - x2", 2)], GREVLEX)
+        assert gb.normal_form(P("x1^300 + x1*x2^299", 2)) == P("2*x2^300", 2)
+
+    def test_spolynomial_terms_check_their_guard_bits(self, P):
+        # S(x1^100 + x2^100, x1*x2^50) multiplies x2^100 by x2^50, past
+        # the largest exponent of 8-bit fields
+        packing = groebner._Packing(LEX, 2, 8)
+        gi, gj = packing.entries([P("x1^100 + x2^100", 2), P("x1*x2^50", 2)])[::-1]
+        lcm = packing.lcm(gi[0], gj[0])
+        with pytest.raises(groebner._Overflow):
+            groebner._spoly_terms(gi, gj, lcm, packing.guards, QQ)
+        wide = packing.wider()
+        gi, gj = wide.entries([P("x1^100 + x2^100", 2), P("x1*x2^50", 2)])[::-1]
+        spoly = groebner._spoly_terms(gi, gj, wide.lcm(gi[0], gj[0]), wide.guards, QQ)
+        assert {wide.unpack(m): c for m, c in spoly.items()} == {(0, 150): QQ.one}
 
     def test_interreduce_keeps_sorted_reduced_entries(self):
         # a reduced, key-sorted list, also when elements reduce to zero
@@ -165,19 +204,49 @@ class TestBuchberger:
             gens = [g for g in gens if not g.is_zero]
             gens += [gens[0].scale(2)] + [g.scale(3) + gens[0] for g in gens[1:3]]
             monic = [g.monic(GREVLEX) for g in gens if not g.is_zero]
-            out = groebner._interreduce(
-                groebner._basis_data(monic, GREVLEX), GREVLEX, QQ, None
-            )
-            keys = [k for k, _, _ in out]
+            packing = groebner._Packing.for_degree(GREVLEX, 3, 2)
+            out = groebner._interreduce(packing.entries(monic), packing.guards, QQ, None)
+            # ascending leading monomials are descending packed ints
+            keys = [GREVLEX.key(packing.unpack(lm)) for lm, _ in out]
             assert keys == sorted(set(keys))
-            lms = [lm for _, lm, _ in out]
-            for i, (k, lm, tail) in enumerate(out):
-                assert GREVLEX.key(lm) == k
+            lms = [packing.unpack(lm) for lm, _ in out]
+            for i, (lm, tail) in enumerate(out):
+                assert all(lm < m for m, _ in tail)  # the packed lm is the leading term
                 for m in [lm] + [m for m, _ in tail]:
+                    m = packing.unpack(m)
                     assert not any(mono_divides(lms[j], m) for j in range(len(lms)) if j != i)
             # the entries generate the same ideal as the input
-            polys = [groebner._polynomial(QQ, 3, e) for e in out]
+            polys = [packing.polynomial(QQ, e) for e in out]
             assert buchberger(polys, GREVLEX).basis == buchberger(gens, GREVLEX).basis
+
+
+class TestVerify:
+    def test_seeded_orbit_ideals_in_both_orders(self, seeded_orbit_seeds):
+        # QQ and GF(32003) alternate in the fixture
+        for order in (GREVLEX, LEX):
+            for group, f in seeded_orbit_seeds:
+                buchberger(list(orbit(f, group)), order).verify()
+        for field in (QQ, GF(2), GF(3)):
+            ideal = orbit_ideal(
+                [elementary_symmetric(5, (1, 2, 3), 2, field)], PermGroup.symmetric(5)
+            )
+            ideal.groebner_basis(GREVLEX).verify()
+
+    def test_unit_and_zero_ideals(self, P):
+        buchberger([P("x1 + 1", 2), P("x1", 2)], GREVLEX).verify()
+        buchberger([P("0", 2)], GREVLEX).verify()
+
+    def test_rejects_a_basis_with_a_nonzero_spair(self, P):
+        gens = [P("x1^2 - x2", 2), P("x1*x2 - 1", 2)]
+        forged = groebner.GroebnerBasis(GREVLEX, QQ, [g.monic(GREVLEX) for g in gens], gens)
+        with pytest.raises(CertificateError, match="S-polynomial"):
+            forged.verify()
+        buchberger(gens, GREVLEX).verify()
+
+    def test_rejects_a_basis_missing_a_generator(self, P):
+        forged = groebner.GroebnerBasis(GREVLEX, QQ, [P("x1", 2)], [P("x1", 2), P("x2", 2)])
+        with pytest.raises(CertificateError, match="source generator"):
+            forged.verify()
 
 
 class TestNormalForm:
