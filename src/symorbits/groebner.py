@@ -63,11 +63,12 @@ class _Overflow(Exception):
 class _Packing:
     """Packed ints for the monomials of one order in ``nvars`` variables."""
 
-    __slots__ = ("lex", "nvars", "width", "top", "low", "guards", "limit", "shifts")
+    __slots__ = ("order", "lex", "nvars", "width", "top", "low", "guards", "limit", "shifts")
 
     def __init__(self, order: MonomialOrder, nvars: int, width: int):
         if order not in (LEX, GREVLEX):
             raise ValueError(f"unsupported monomial order {order}")
+        self.order = order
         self.lex = order == LEX
         self.nvars = nvars
         self.width = width
@@ -83,7 +84,7 @@ class _Packing:
         return cls(order, nvars, max(7, (2 * degree).bit_length()) + 1)
 
     def wider(self) -> "_Packing":
-        return _Packing(LEX if self.lex else GREVLEX, self.nvars, 2 * self.width)
+        return _Packing(self.order, self.nvars, 2 * self.width)
 
     def pack(self, m: Monomial) -> int:
         if max(m) > self.limit:
@@ -250,22 +251,18 @@ class GroebnerBasis:
         the source ideal.  That each element lies in the source ideal holds
         by construction and is not re-checked here."""
 
-        def spairs(packing, data):
+        def check_spairs(packing, data):
             guards = packing.guards
-            for j, gj in enumerate(data):
-                for gi in data[:j]:
-                    lcm = packing.lcm(gi[0], gj[0])
-                    s = _spoly_terms(gi, gj, lcm, guards, self.field)
+            for j, (lm, _) in enumerate(data):
+                for other in data[:j]:
+                    s = _spoly_terms(other, data[j], packing.lcm(other[0], lm), guards, self.field)
                     if _reduce_terms(s, data, guards, self.field):
-                        return packing.unpack(gi[0]), packing.unpack(gj[0])
-            return None
+                        raise CertificateError(
+                            f"the S-polynomial of the elements led by {packing.unpack(other[0])}"
+                            f" and {packing.unpack(lm)} does not reduce to 0"
+                        )
 
-        bad = self._widening(spairs)
-        if bad is not None:
-            raise CertificateError(
-                f"the S-polynomial of the elements led by {bad[0]} and {bad[1]} "
-                "does not reduce to 0"
-            )
+        self._widening(check_spairs)
         for g in self.source_generators:
             if not self.contains(g):
                 raise CertificateError(f"source generator {g!r} does not reduce to 0")
