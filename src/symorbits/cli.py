@@ -186,7 +186,7 @@ def _radical_member(args) -> int:
 
 def _eliminate(args) -> int:
     coeffs = elimination_coefficients(args.n, args.d, args.field)
-    report = verify_elimination_identity(args.n, args.d, args.field)
+    report = verify_elimination_identity(args.n, args.d, args.field, deadline=_deadline(args))
     if args.format == "machine":
         for j, c in enumerate(coeffs):
             print(f"coefficient.{j}={c}")
@@ -326,7 +326,7 @@ COMMANDS = {
         ("poly", "--ideal", "--field", "--nvars", "--format", "--budget", "--timeout"),
         ("--ideal",)),
     "eliminate": Command(_eliminate, "elimination coefficients and identity",
-                         ("--n", "--d", "--field", "--format"), ("--n", "--d")),
+                         ("--n", "--d", "--field", "--format", "--timeout"), ("--n", "--d")),
     "sample-genericity": Command(
         _sample_genericity, "randomized genericity sampling",
         ("--support", "--group", "--property", "--field", "--nvars", "--format",

@@ -15,6 +15,10 @@ from fractions import Fraction
 
 Raw = Fraction | int
 
+# a Fraction is immutable, so every rational zero and one can be shared
+_ZERO = Fraction(0)
+_ONE = Fraction(1)
+
 
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 # the least strong pseudoprime to every base above: Miller-Rabin on these
@@ -76,11 +80,11 @@ class Field:
 
     @property
     def zero(self) -> Raw:
-        return Fraction(0) if self.p is None else 0
+        return _ZERO if self.p is None else 0
 
     @property
     def one(self) -> Raw:
-        return Fraction(1) if self.p is None else 1
+        return _ONE if self.p is None else 1
 
     def coerce(self, x) -> Raw:
         """Normalize an int, Fraction, or Scalar to this field's raw form."""

@@ -27,12 +27,22 @@ least 7 value bits.  A product whose exponent outgrows its field sets a
 guard bit, and every new term is checked; the computation then restarts
 from its input at double the width, so no overflow passes silently and the
 result never depends on the width.  Tuples appear only at the boundary:
-packing the monic generators and the polynomial to reduce, and unpacking
+packing the generators and the polynomial to reduce, and unpacking
 the basis and the remainder.
 
-Divisors are kept as one list of ``(lm, tail)`` entries of monic
-polynomials, ascending by leading monomial (so descending as ints) and
-updated by insertion, so no step re-sorts the whole basis.
+Divisors are kept as one list of ``(lm, D, tail)`` entries (leading
+monomial, leading coefficient, other terms), ascending by leading monomial
+(so descending as ints) and updated by insertion, so no step re-sorts the
+whole basis.  The kernel is fraction-free (Bareiss, *Math. Comp.* 1968,
+applied to polynomial reduction).  Over QQ an entry is a primitive integer
+polynomial with D > 0; reducing a term c*m by it multiplies the polynomial
+being reduced by D / gcd(c, D) only when D does not divide c, so every
+division is exact, and each new or interreduced element is divided by its
+content.  Over GF(p) an entry is monic and residues are reduced mod p
+inline.  Fractions appear only at the boundary: packing clears
+denominators, the basis is unpacked monic, and a normal form is divided by
+its input's denominator lcm times the factor its reduction accumulated, so
+every result equals that of monic reduction over QQ.
 
 For homogeneous generators the radical is (x1, ..., xN) exactly when
 K[x]/I is finite-dimensional, which holds exactly when every variable has
@@ -46,6 +56,8 @@ from __future__ import annotations
 
 import bisect
 import heapq
+from fractions import Fraction
+from math import gcd, lcm
 from time import monotonic
 from typing import Sequence
 
@@ -111,19 +123,25 @@ class _Packing:
         d = a & take_a | b & ~take_a
         return d - ((d if self.lex else sum(self.unpack(d))) << self.top)
 
+    def integer_terms(self, f: Polynomial) -> tuple[dict[int, int], int]:
+        """f's packed terms times the lcm of its denominators (1 over
+        GF(p), where the terms are residues), and that lcm."""
+        if f.field.p:
+            return {self.pack(m): c for m, c in f.terms.items()}, 1
+        den = lcm(*(c.denominator for c in f.terms.values()))
+        return {self.pack(m): c.numerator * (den // c.denominator) for m, c in f.terms.items()}, den
+
     def entries(self, polys: Sequence[Polynomial]) -> list:
-        """(lm, tail) entries of monic polynomials, ascending by leading monomial."""
-        out = []
-        for g in polys:
-            terms = {self.pack(m): c for m, c in g.terms.items()}
-            lm = min(terms)
-            del terms[lm]
-            out.append((lm, list(terms.items())))
-        return sorted(out, key=_rank)
+        """Entries of nonzero polynomials, ascending by leading monomial."""
+        return sorted((_entry(self.integer_terms(g)[0], g.field.p) for g in polys), key=_rank)
 
     def polynomial(self, field: Field, entry) -> Polynomial:
-        lm, tail = entry
-        terms = {self.unpack(m): c for m, c in tail}
+        """The monic polynomial of an entry."""
+        lm, d, tail = entry
+        if field.p:
+            terms = {self.unpack(m): c for m, c in tail}
+        else:
+            terms = {self.unpack(m): Fraction(c, d) for m, c in tail}
         terms[self.unpack(lm)] = field.one
         return Polynomial.zero(field, self.nvars)._make(terms)  # already valid
 
@@ -133,19 +151,35 @@ def _rank(entry) -> int:
     return -entry[0]
 
 
+def _entry(terms: dict[int, int], p: int | None) -> tuple[int, int, list]:
+    """The entry of a nonzero packed term dict, whose leading term it pops:
+    monic over GF(p); over QQ divided by its content, with D > 0."""
+    lm = min(terms)
+    d = terms.pop(lm)
+    if p:
+        inv = pow(d, p - 2, p)
+        return lm, 1, [(m, c * inv % p) for m, c in terms.items()]
+    g = gcd(d, *terms.values()) if d > 0 else -gcd(d, *terms.values())
+    return lm, d // g, [(m, c // g) for m, c in terms.items()]
+
+
 def _reduce_terms(
-    terms: dict[int, object],
-    basis: list[tuple[int, list]],
+    terms: dict[int, int],
+    basis: list[tuple[int, int, list]],
     guards: int,
     field: Field,
     deadline: float | None = None,
-) -> dict[int, object]:
-    """Remainder of the packed term dict modulo monic (lm, tail) divisors,
-    each term divided by the first divisor in list order."""
-    zero = field.zero
-    sub, mul = field.sub, field.mul
+    scale: list[int] | None = None,
+) -> dict[int, int]:
+    """Remainder of the packed term dict (integers over QQ, residues over
+    GF(p)) modulo the (lm, D, tail) divisors, each term divided by the
+    first divisor in list order.  Over QQ a term c*m whose divisor's D does
+    not divide c first multiplies everything by D / gcd(c, D); the product
+    of these factors goes to ``scale[0]`` when ``scale`` is given."""
+    p = field.p
     work = dict(terms)
-    remainder: dict[int, object] = {}
+    remainder: dict[int, int] = {}
+    total = 1
     heap = list(work)
     heapq.heapify(heap)
     push = heapq.heappush
@@ -157,23 +191,35 @@ def _reduce_terms(
             continue
         if deadline is not None and monotonic() > deadline:
             raise BudgetExceededError("wall-clock budget exceeded")
-        for lm, tail in basis:
+        for lm, d, tail in basis:
             q = m - lm
             if not q & guards:
+                if d != 1:
+                    g = gcd(c, d)
+                    if g != d:
+                        s = d // g
+                        total *= s
+                        work = {k: v * s for k, v in work.items()}
+                        remainder = {k: v * s for k, v in remainder.items()}
+                    c //= g
                 for tm, tc in tail:
                     nm = tm + q
                     if nm & guards:
                         raise _Overflow
-                    acc = sub(work.get(nm, zero), mul(c, tc))
-                    if acc == zero:
-                        work.pop(nm, None)
-                    else:
+                    acc = work.get(nm, 0) - c * tc
+                    if p:
+                        acc %= p
+                    if acc:
                         if nm not in work:
                             push(heap, nm)
                         work[nm] = acc
+                    else:
+                        work.pop(nm, None)
                 break
         else:
             remainder[m] = c
+    if scale is not None:
+        scale[0] = total
     return remainder
 
 
@@ -235,9 +281,13 @@ class GroebnerBasis:
             return f._make(dict(f.terms))
 
         def reduce(packing, data):
-            terms = {packing.pack(m): c for m, c in f.terms.items()}
-            reduced = _reduce_terms(terms, data, packing.guards, self.field)
-            return {packing.unpack(m): c for m, c in reduced.items()}
+            terms, den = packing.integer_terms(f)
+            scale = [1]
+            reduced = _reduce_terms(terms, data, packing.guards, self.field, scale=scale)
+            if self.field.p:
+                return {packing.unpack(m): c for m, c in reduced.items()}
+            den *= scale[0]
+            return {packing.unpack(m): Fraction(c, den) for m, c in reduced.items()}
 
         return f._make(self._widening(reduce))
 
@@ -253,7 +303,7 @@ class GroebnerBasis:
 
         def check_spairs(packing, data):
             guards = packing.guards
-            for j, (lm, _) in enumerate(data):
+            for j, (lm, _, _) in enumerate(data):
                 for other in data[:j]:
                     s = _spoly_terms(other, data[j], packing.lcm(other[0], lm), guards, self.field)
                     if _reduce_terms(s, data, guards, self.field):
@@ -293,11 +343,10 @@ def buchberger(
     if not gens:
         return GroebnerBasis(order, field, [], generators)
 
-    monic = [g.monic(order) for g in gens]
     packing = _Packing.for_degree(order, nvars, max(g.total_degree() for g in gens))
     while True:
         try:
-            data = _groebner(packing.entries(monic), packing, field, max_pairs, deadline)
+            data = _groebner(packing.entries(gens), packing, field, max_pairs, deadline)
             break
         except _Overflow:
             packing = packing.wider()
@@ -309,12 +358,12 @@ def buchberger(
 def _groebner(
     data: list, packing: _Packing, field: Field, max_pairs: int, deadline: float | None
 ):
-    """Reduced basis entries of the ideal of the sorted monic entries;
-    the constant entry alone for the unit ideal."""
+    """Reduced basis entries of the ideal of the sorted entries; the
+    constant entry alone for the unit ideal."""
     guards = packing.guards
     _interreduce(data, guards, field, deadline)
     elems = list(data)  # by index, in the order the pairs name them
-    lms = [lm for lm, _ in elems]
+    lms = [e[0] for e in elems]
     lcm_of, degree = packing.lcm, packing.degree
 
     def pair_entry(i: int, j: int):
@@ -356,14 +405,12 @@ def _groebner(
             remainder = _reduce_terms(s_terms, data, guards, field, deadline)
             if not remainder:
                 continue
-            lm = min(remainder)
-            if lm == 0:  # a constant: the unit ideal
-                return [(0, [])]
-            inv = field.inv(remainder.pop(lm))
-            entry = (lm, [(m, field.mul(c, inv)) for m, c in remainder.items()])
+            if min(remainder) == 0:  # a constant: the unit ideal
+                return [(0, 1, [])]
+            entry = _entry(remainder, field.p)
             t = len(elems)
             elems.append(entry)
-            lms.append(lm)
+            lms.append(entry[0])
             bisect.insort(data, entry, key=_rank)
             for k in range(t):
                 heapq.heappush(pairs, pair_entry(k, t))
@@ -371,22 +418,26 @@ def _groebner(
     return _reduce_basis(data, guards, field, deadline)
 
 
-def _spoly_terms(gi, gj, lcm: int, guards: int, field: Field) -> dict[int, object]:
-    """S-polynomial of two monic entries as a packed term dict; the leading
-    terms cancel, so only the tails are multiplied out."""
-    zero = field.zero
-    out: dict[int, object] = {}
-    for (lm, tail), combine in ((gi, field.add), (gj, field.sub)):
+def _spoly_terms(gi, gj, lcm: int, guards: int, field: Field) -> dict[int, int]:
+    """S-polynomial (D_j/g)(lcm/lm_i) g_i - (D_i/g)(lcm/lm_j) g_j of two
+    entries, g = gcd(D_i, D_j), as a packed term dict; the leading terms
+    cancel, so only the tails are multiplied out."""
+    p = field.p
+    g = gcd(gi[1], gj[1])
+    out: dict[int, int] = {}
+    for (lm, _, tail), factor in ((gi, gj[1] // g), (gj, -(gi[1] // g))):
         u = lcm - lm
         for m, c in tail:
             nm = m + u
             if nm & guards:
                 raise _Overflow
-            acc = combine(out.get(nm, zero), c)
-            if acc == zero:
-                out.pop(nm, None)
-            else:
+            acc = out.get(nm, 0) + factor * c
+            if p:
+                acc %= p
+            if acc:
                 out[nm] = acc
+            else:
+                out.pop(nm, None)
     return out
 
 
@@ -399,28 +450,24 @@ def _interreduce(data: list, guards: int, field: Field, deadline: float | None):
     element never gets a larger leading monomial, so it goes back in at or
     before its old position and the pass goes on with the next entry.
     """
-    one = field.one
     changed = True
     while changed:
         changed = False
         i = 0
         while i < len(data):
             check_deadline(deadline)
-            lm, tail = data.pop(i)  # the others are the list without it
+            lm, d, tail = data.pop(i)  # the others are the list without it
             terms = dict(tail)
-            terms[lm] = one
+            terms[lm] = d
             remainder = _reduce_terms(terms, data, guards, field, deadline)
             if not remainder:
                 continue
-            new_lm = min(remainder)
-            if new_lm == lm:
-                del remainder[lm]
-                data.insert(i, (lm, list(remainder.items())))
+            entry = _entry(remainder, field.p)
+            if entry[0] == lm:
+                data.insert(i, entry)
             else:
                 changed = True
-                inv = field.inv(remainder.pop(new_lm))
-                tail = [(m, field.mul(c, inv)) for m, c in remainder.items()]
-                bisect.insort(data, (new_lm, tail), key=_rank)
+                bisect.insort(data, entry, key=_rank)
             i += 1
     return data
 
@@ -431,7 +478,7 @@ def _reduce_basis(data: list, guards: int, field: Field, deadline: float | None)
     # minimalize: drop elements whose leading monomial a smaller one divides
     minimal: list = []
     for entry in data:
-        if all((entry[0] - lm) & guards for lm, _ in minimal):
+        if all((entry[0] - e[0]) & guards for e in minimal):
             minimal.append(entry)
     return _interreduce(minimal, guards, field, deadline)
 

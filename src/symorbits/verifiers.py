@@ -9,6 +9,7 @@ ideals whose radical contains no monomial.
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -72,28 +73,36 @@ def elimination_coefficients(n: int, d: int, field: Field = QQ) -> list[Scalar]:
     return out
 
 
-def verify_elimination_identity(n: int, d: int, field: Field = QQ) -> VerdictReport:
+def verify_elimination_identity(
+    n: int, d: int, field: Field = QQ, *, deadline: float | None = None
+) -> VerdictReport:
     """Expand, in n+d variables,
 
         C(n, d) * x1...xd  ==  sum_{j=0}^{d} (-1)^j c_j
                                sum_{J} e_n^d(x_J)
 
     where J runs over the n-element subsets of {1..n+d} meeting {1..d} in
-    exactly d-j indices, and compare both sides exactly."""
+    exactly d-j indices, and compare both sides exactly.  Every e_n^d(x_J)
+    is expanded term by term: the j-th count records how often each
+    square-free monomial (a d-subset of indices) occurs in the j-th inner
+    sum.  ``deadline`` is checked once per subset J."""
     nvars = n + d
     coeffs = elimination_coefficients(n, d, field)
-    rhs = Polynomial.zero(field, nvars)
-    for j in range(d + 1):
-        inner = Polynomial.zero(field, nvars)
-        for subset in itertools.combinations(range(1, nvars + 1), n):
-            if sum(1 for i in subset if i <= d) != d - j:
-                continue
-            inner = inner + elementary_symmetric(nvars, subset, d, field)
+    counts = [Counter() for _ in range(d + 1)]
+    for subset in itertools.combinations(range(1, nvars + 1), n):
+        check_deadline(deadline)
+        counts[d - sum(1 for i in subset if i <= d)].update(itertools.combinations(subset, d))
+    terms = {}
+    for j, count in enumerate(counts):
         signed = coeffs[j].value if j % 2 == 0 else field.neg(coeffs[j].value)
-        rhs = rhs + inner.scale(signed)
-    lhs_mono = tuple(1 if i < d else 0 for i in range(nvars))
-    lhs = Polynomial(field, nvars, {lhs_mono: binomial(n, d)})
-    difference = rhs - lhs
+        for support, k in count.items():
+            terms[support] = field.add(terms.get(support, field.zero), field.mul(signed, k))
+    lhs = tuple(range(1, d + 1))
+    terms[lhs] = field.sub(terms.get(lhs, field.zero), field.coerce(binomial(n, d)))
+    difference = Polynomial(
+        field, nvars,
+        {tuple(int(i in support) for i in range(1, nvars + 1)): c for support, c in terms.items()},
+    )
     return VerdictReport(
         "elimination-identity",
         {"n": n, "d": d, "field": str(field), "nvars": nvars},

@@ -88,6 +88,14 @@ class TestExitCodes:
         )
         assert code == 3 and out == "" and "budget" in err
 
+    def test_eliminate_timeout_exits_three(self, capsys):
+        # the identity check expands C(18, 12) = 18,564 subsets, some 4 s of
+        # work, and checks the deadline once per subset
+        start = time.monotonic()
+        code, out, err = invoke(capsys, "eliminate", "--n", "12", "--d", "6", "--timeout", "0.1")
+        assert code == 3 and out == "" and "budget" in err
+        assert time.monotonic() - start < 0.5
+
     def test_witness_of_zero_polynomial_is_usage_error(self, capsys):
         # every point kills the zero polynomial; it used to exit 0 with verdict true
         code, out, err = invoke(capsys, "verify", "witness", "--group", "S3", "--poly", "0")
@@ -315,7 +323,7 @@ UNREAD = {
     "gb": "--seed --trials --coeff-box",
     "member": "--seed --trials --coeff-box",
     "radical-member": "--order --seed --trials --coeff-box",
-    "eliminate": "--order --seed --trials --coeff-box --budget --timeout",
+    "eliminate": "--order --seed --trials --coeff-box --budget",
     "sample-genericity": "--order --k",
     "repro": "--field --nvars --order --seed --trials --coeff-box",
     "verify squarefree": "--group --k --ideal --seed --trials --coeff-box --order --budget",

@@ -89,3 +89,16 @@ def test_reduced_basis_matches_sympy(index, order):
     ours = buchberger(gens, order)
     ours.verify()
     assert {_monic(g.terms, order, g.field) for g in ours} == _sympy_basis(gens, order)
+
+
+@pytest.mark.parametrize("order", [LEX, GREVLEX], ids=str)
+def test_fractional_coefficients_match_sympy(order):
+    # denominators on the way in, cleared by the fraction-free kernel and
+    # restored in the monic basis
+    f = Polynomial(
+        QQ, 3, {(2, 1, 0): Fraction(2, 3), (0, 1, 2): Fraction(-5, 7), (1, 1, 1): Fraction(1, 4)}
+    )
+    gens = list(orbit(f, PermGroup.cyclic(3))) + [Polynomial(QQ, 3, {(1, 2, 0): Fraction(3, 11)})]
+    ours = buchberger(gens, order)
+    ours.verify()
+    assert {_monic(g.terms, order, g.field) for g in ours} == _sympy_basis(gens, order)

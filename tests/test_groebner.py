@@ -1,7 +1,15 @@
+import math
 import random
 import time
+from fractions import Fraction
 
 import pytest
+
+try:  # hypothesis is a test-only dependency; without it its tests are left out
+    from hypothesis import given, settings
+    from hypothesis import strategies as st
+except ImportError:
+    st = None
 
 from symorbits import (
     GF,
@@ -155,8 +163,8 @@ class TestBuchberger:
         with pytest.raises(BudgetExceededError):
             groebner._reduce_basis(data, packing.guards, QQ, time.monotonic() - 1)
         reduced = groebner._reduce_basis(data, packing.guards, QQ, None)
-        assert [packing.unpack(lm) for lm, _ in reduced] == [(1, 1), (2, 0)]
-        assert [tail for _, tail in reduced] == [[], []]
+        assert [packing.unpack(lm) for lm, _, _ in reduced] == [(1, 1), (2, 0)]
+        assert [(d, tail) for _, d, tail in reduced] == [(1, []), (1, [])]
 
     def test_deadline_bounds_one_reduction(self):
         # over QQ the lex basis of this C4 orbit grows coefficients of
@@ -207,11 +215,12 @@ class TestBuchberger:
             packing = groebner._Packing.for_degree(GREVLEX, 3, 2)
             out = groebner._interreduce(packing.entries(monic), packing.guards, QQ, None)
             # ascending leading monomials are descending packed ints
-            keys = [GREVLEX.key(packing.unpack(lm)) for lm, _ in out]
+            keys = [GREVLEX.key(packing.unpack(lm)) for lm, _, _ in out]
             assert keys == sorted(set(keys))
-            lms = [packing.unpack(lm) for lm, _ in out]
-            for i, (lm, tail) in enumerate(out):
+            lms = [packing.unpack(lm) for lm, _, _ in out]
+            for i, (lm, d, tail) in enumerate(out):
                 assert all(lm < m for m, _ in tail)  # the packed lm is the leading term
+                assert d > 0 and math.gcd(d, *(c for _, c in tail)) == 1  # primitive
                 for m in [lm] + [m for m, _ in tail]:
                     m = packing.unpack(m)
                     assert not any(mono_divides(lms[j], m) for j in range(len(lms)) if j != i)
@@ -261,6 +270,14 @@ class TestNormalForm:
             for g in gens:
                 assert gb.normal_form(g).is_zero
 
+    def test_remainders_modulo_a_non_monic_generator(self, P):
+        # the kernel keeps 2*x1 + 1 and must scale x1^2 by 2 twice before
+        # its remainder 4 can be divided back to 1/4
+        gb = buchberger([P("2*x1 + 1", 1)], GREVLEX)
+        assert gb.basis == (P("x1 + 1/2", 1),)
+        assert gb.normal_form(P("x1^2", 1)) == P("1/4", 1)
+        assert gb.normal_form(P("1/3*x1^3 + x1", 1)) == P("-13/24", 1)
+
     def test_one_survives_proper_homogeneous_ideal(self, P):
         gb = buchberger([P("x1*x2", 3), P("x2*x3", 3)], GREVLEX)
         one = P("1", 3)
@@ -301,6 +318,52 @@ class TestNormalForm:
             assert gb.normal_form(nf_f) == nf_f
             assert gb.normal_form(f + g) == nf_f + nf_g
             assert gb.normal_form(f - nf_f).is_zero
+
+
+if st is not None:
+    # nonzero rationals that are mostly not integers
+    RATIONALS = st.builds(Fraction, st.integers(1, 9) | st.integers(-9, -1), st.integers(1, 8))
+
+    @st.composite
+    def rational_polys(draw, nvars, max_degree=2, max_terms=3):
+        monos = st.tuples(*[st.integers(0, max_degree)] * nvars)
+        terms = draw(st.dictionaries(monos, RATIONALS, min_size=1, max_size=max_terms))
+        return Polynomial(QQ, nvars, terms)
+
+    @st.composite
+    def rational_systems(draw):
+        """(order, generators, f) with non-integer rational coefficients on
+        both sides: grevlex in two or three variables, lex in two (lex
+        bases of random systems in three grow past test sizes)."""
+        order = draw(st.sampled_from([GREVLEX, LEX]))
+        nvars = draw(st.integers(2, 3 if order == GREVLEX else 2))
+        gens = draw(st.lists(rational_polys(nvars), min_size=1, max_size=3))
+        return order, gens, draw(rational_polys(nvars, 3, 4))
+
+    class TestRationalBoundary:
+        """The fraction-free kernel clears denominators on the way in and
+        divides them back out on the way to a monic basis or a remainder."""
+
+        @settings(max_examples=60, deadline=None)
+        @given(rational_systems(), st.data())
+        def test_basis_ignores_generator_scaling(self, system, data):
+            order, gens, _ = system
+            gb = buchberger(gens, order)
+            gb.verify()
+            k = data.draw(st.integers(0, len(gens) - 1))
+            scaled = list(gens)
+            scaled[k] = scaled[k].scale(data.draw(RATIONALS))
+            assert buchberger(scaled, order).basis == gb.basis
+
+        @settings(max_examples=60, deadline=None)
+        @given(rational_systems(), RATIONALS)
+        def test_normal_form_is_linear_and_reduces_away(self, system, c):
+            order, gens, f = system
+            gb = buchberger(gens, order)
+            nf = gb.normal_form(f)
+            assert gb.normal_form(f.scale(c)) == nf.scale(c)
+            assert gb.normal_form(f - nf).is_zero
+            assert gb.normal_form(nf) == nf
 
 
 class TestMembership:

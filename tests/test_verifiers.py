@@ -76,6 +76,26 @@ class TestEliminationIdentity:
                 assert report.verdict, (n, d)
                 assert report.certificate["difference"] == "0"
 
+    def test_wrong_coefficient_leaves_its_inner_sum(self, monkeypatch):
+        # raising c_1 by one changes the right side by minus the j = 1 inner
+        # sum, which the term-by-term expansion must report exactly
+        coeffs = elimination_coefficients(4, 2, QQ)
+        wrong = [coeffs[0], QQ.scalar(coeffs[1].value + 1), coeffs[2]]
+        monkeypatch.setattr(
+            "symorbits.verifiers.elimination_coefficients", lambda n, d, field: wrong
+        )
+        report = verify_elimination_identity(4, 2, QQ)
+        inner = Polynomial.zero(QQ, 6)
+        for subset in itertools.combinations(range(1, 7), 4):
+            if sum(1 for i in subset if i <= 2) == 1:
+                inner = inner + elementary_symmetric(6, subset, 2, QQ)
+        assert not report.verdict
+        assert report.certificate["difference"] == str(inner.scale(-1))
+
+    def test_deadline_is_checked_per_subset(self):
+        with pytest.raises(BudgetExceededError):
+            verify_elimination_identity(12, 6, QQ, deadline=time.monotonic() - 1)
+
     def test_identity_under_evaluation(self):
         # independent spot-check: both sides agree at random integer points
         import itertools
