@@ -56,8 +56,8 @@ from __future__ import annotations
 
 import bisect
 import heapq
+import math
 from fractions import Fraction
-from math import gcd, lcm
 from time import monotonic
 from typing import Sequence
 
@@ -128,7 +128,7 @@ class _Packing:
         GF(p), where the terms are residues), and that lcm."""
         if f.field.p:
             return {self.pack(m): c for m, c in f.terms.items()}, 1
-        den = lcm(*(c.denominator for c in f.terms.values()))
+        den = math.lcm(*(c.denominator for c in f.terms.values()))
         return {self.pack(m): c.numerator * (den // c.denominator) for m, c in f.terms.items()}, den
 
     def entries(self, polys: Sequence[Polynomial]) -> list:
@@ -159,7 +159,7 @@ def _entry(terms: dict[int, int], p: int | None) -> tuple[int, int, list]:
     if p:
         inv = pow(d, p - 2, p)
         return lm, 1, [(m, c * inv % p) for m, c in terms.items()]
-    g = gcd(d, *terms.values()) if d > 0 else -gcd(d, *terms.values())
+    g = math.gcd(d, *terms.values()) * (1 if d > 0 else -1)
     return lm, d // g, [(m, c // g) for m, c in terms.items()]
 
 
@@ -195,7 +195,7 @@ def _reduce_terms(
             q = m - lm
             if not q & guards:
                 if d != 1:
-                    g = gcd(c, d)
+                    g = math.gcd(c, d)
                     if g != d:
                         s = d // g
                         total *= s
@@ -423,7 +423,7 @@ def _spoly_terms(gi, gj, lcm: int, guards: int, field: Field) -> dict[int, int]:
     entries, g = gcd(D_i, D_j), as a packed term dict; the leading terms
     cancel, so only the tails are multiplied out."""
     p = field.p
-    g = gcd(gi[1], gj[1])
+    g = math.gcd(gi[1], gj[1])
     out: dict[int, int] = {}
     for (lm, _, tail), factor in ((gi, gj[1] // g), (gj, -(gi[1] // g))):
         u = lcm - lm

@@ -271,8 +271,8 @@ class TestNormalForm:
                 assert gb.normal_form(g).is_zero
 
     def test_remainders_modulo_a_non_monic_generator(self, P):
-        # the kernel keeps 2*x1 + 1 and must scale x1^2 by 2 twice before
-        # its remainder 4 can be divided back to 1/4
+        # the kernel keeps 2*x1 + 1, so reducing x1^2 scales it by 2 twice
+        # and the integer remainder 1 is divided by 4
         gb = buchberger([P("2*x1 + 1", 1)], GREVLEX)
         assert gb.basis == (P("x1 + 1/2", 1),)
         assert gb.normal_form(P("x1^2", 1)) == P("1/4", 1)
