@@ -91,13 +91,15 @@ class GradedPiece:
     column_meta: tuple[tuple[int, Monomial], ...]
 
 
-def _multiples(ideal: OrbitIdeal, degree: int, *, exact: bool):
+def _multiples(ideal: OrbitIdeal, degree: int, *, exact: bool, deadline: float | None):
     """The products u * g as term dicts, with (generator index, u) for each:
     deg(u * g) = degree for homogeneous generators (``exact``), else every
-    u of degree at most degree - mindeg(g)."""
+    u of degree at most degree - mindeg(g).  ``deadline`` is checked per
+    generator."""
     products = []
     meta = []
     for gi, g in enumerate(ideal.expanded):
+        check_deadline(deadline)
         top = degree - g.min_degree()
         if top < 0:
             continue
@@ -138,16 +140,22 @@ def _by_monomial(index: Sequence[Monomial], vector) -> dict[str, str]:
     }
 
 
-def graded_piece(ideal: OrbitIdeal, degree: int) -> GradedPiece:
-    """The degree slice spanned by {u * g} with deg(u) + deg(g) = degree."""
+def graded_piece(
+    ideal: OrbitIdeal, degree: int, *, deadline: float | None = None
+) -> GradedPiece:
+    """The degree slice spanned by {u * g} with deg(u) + deg(g) = degree;
+    ``deadline`` is checked per generator and per column."""
     if not all(g.is_homogeneous() for g in ideal.expanded):
         raise ValueError("graded piece requires homogeneous generators")
     index = sorted(monomials_of_degree(ideal.nvars, degree), key=GREVLEX.key, reverse=True)
-    products, meta = _multiples(ideal, degree, exact=True)
-    return GradedPiece(degree, tuple(index), _matrix(ideal.field, index, products), meta)
+    products, meta = _multiples(ideal, degree, exact=True, deadline=deadline)
+    matrix = _matrix(ideal.field, index, products, deadline)
+    return GradedPiece(degree, tuple(index), matrix, meta)
 
 
-def graded_member(target: Polynomial, ideal: OrbitIdeal) -> VerdictReport:
+def graded_member(
+    target: Polynomial, ideal: OrbitIdeal, *, deadline: float | None = None
+) -> VerdictReport:
     """Membership of a bounded-degree combination, by exact linear algebra.
 
     With homogeneous seeds and a homogeneous target this decides ideal
@@ -156,7 +164,8 @@ def graded_member(target: Polynomial, ideal: OrbitIdeal) -> VerdictReport:
     truncated at multiplier degree deg(target) - mindeg(seed).  A true
     verdict carries the combination, re-verified by polynomial arithmetic;
     a false one a dual vector over the monomials that vanishes on every
-    multiple searched and not on the target, checked exactly.
+    multiple searched and not on the target, checked exactly.  ``deadline``
+    is checked per column of the build and of the elimination.
     """
     if target.field != ideal.field or target.nvars != ideal.nvars:
         raise ValueError("target incompatible with ideal")
@@ -172,16 +181,18 @@ def graded_member(target: Polynomial, ideal: OrbitIdeal) -> VerdictReport:
     if homogeneous_setting:
         if not target.is_homogeneous():
             raise ValueError("target must be homogeneous when the seeds are homogeneous")
-        piece = graded_piece(ideal, target.total_degree())
+        piece = graded_piece(ideal, target.total_degree(), deadline=deadline)
         index, matrix, meta = piece.monomial_index, piece.matrix, piece.column_meta
     else:
         # multipliers of degree at most deg(target) - mindeg(generator)
-        products, meta = _multiples(ideal, target.total_degree(), exact=False)
+        products, meta = _multiples(
+            ideal, target.total_degree(), exact=False, deadline=deadline
+        )
         index = sorted(set(target.terms).union(*products), key=GREVLEX.key, reverse=True)
-        matrix = _matrix(ideal.field, index, products)
+        matrix = _matrix(ideal.field, index, products, deadline)
     vector = [target.terms.get(m, target.field.zero) for m in index]
 
-    member, coeffs = _span(vector, matrix)
+    member, coeffs = _span(vector, matrix, deadline)
     parameters = {
         "target": str(target),
         "group": ideal.group.descriptor,
@@ -277,9 +288,9 @@ def rank_condition(
     Columns are the coefficient vectors of the distinct orbit images of f
     (deduplicated as sparse polynomials) inside the space spanned by all
     monomials of the shared type; the verdict is true iff their span is the
-    whole space.  The certificate holds the prime whose pivots prove the
-    rank (none when the exact fallback decided it) and, on a false verdict,
-    a left-kernel vector over the monomials.  ``deadline`` is checked per
+    whole space.  The certificate holds the prime that settled the rank
+    (2^61 - 1, or a larger listed prime after a failed lift or check) and,
+    on a false verdict, a left-kernel vector over the monomials.  ``deadline`` is checked per
     column of the build and of the elimination.
     """
     if f.is_zero:

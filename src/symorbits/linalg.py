@@ -8,9 +8,9 @@ greedy left-to-right independent columns mod p, and the elimination stops
 once every row leads a basis vector.
 
 The prime is the field's own over GF(p), where the elimination is exact.
-Over the rationals it is the fixed ``PRIME`` = 2^61 - 1, applied after
-scaling each column, and the target vector, to integers; nothing selects
-another one.  There every verdict is certified exactly:
+Over the rationals it is first ``PRIME`` = 2^61 - 1, applied after scaling
+each column, and the target vector, to integers.  There every verdict is
+certified exactly:
 
 * rank >= r: the pivot columns have an r x r minor that is nonzero mod p,
   so it is a nonzero integer;
@@ -23,23 +23,31 @@ another one.  There every verdict is certified exactly:
 * v not in the span: a dual vector y is lifted, and y.A = 0 and y.v != 0 are
   both checked exactly.
 
-If a lift or a check fails (an entry too tall for one prime, or a rank that
-drops mod p), fraction-free (Bareiss) row elimination over the integers on
-``[A | v | I]`` decides instead; its identity block records the row
-operations, so a row whose A block vanishes carries a dual vector.  No
-floating point.
+If a lift or a check fails (an entry too tall for the prime, or a rank that
+drops mod p), the same elimination runs once more, at the least prime of
+``PRIMES`` above 2 H^2, where H^2 is the product of the ``nrows`` largest
+squared norms of the integer columns (and the target).  A minor has at most
+``nrows`` columns, so it is at most H in size (Hadamard): at that prime no
+nonzero minor vanishes, the greedy pivots are the exact ones, and every
+entry to lift, a ratio of two minors, is within the reconstruction bound.
+A failed check there is an internal fault (``CertificateError``); a bound
+past the last listed prime is a resource limit (``BudgetExceededError``).
+No floating point.
 """
 
 from __future__ import annotations
 
+import heapq
 import math
 from fractions import Fraction
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from .fields import Field, Raw, Scalar
-from .reports import CertificateError, check_deadline
+from .reports import BudgetExceededError, CertificateError, check_deadline
 
-PRIME = 2**61 - 1  # a Mersenne prime, the modulus for rational matrices
+# Mersenne primes, the moduli for rational matrices
+PRIMES = tuple(2**e - 1 for e in (61, 127, 521, 1279, 2203, 4423, 9941, 19937, 44497, 86243))
+PRIME = PRIMES[0]
 
 
 class ExactMatrix:
@@ -94,7 +102,7 @@ class ExactMatrix:
 
 class RankCertificate(NamedTuple):
     rank: int
-    prime: int | None  # the modulus whose pivots prove rank >= r; None after the fallback
+    prime: int  # the modulus that settled the rank; its pivots prove rank >= r
     dual: list[Scalar] | None  # an exactly checked left-kernel vector when rank < nrows
 
 
@@ -181,19 +189,39 @@ def _mod(p: int, col: Mapping[int, int]) -> dict[int, int]:
     return {i: r for i, x in col.items() if (r := x % p)}
 
 
-def _echelon_columns(matrix: ExactMatrix, deadline: float | None, track: bool = False):
+def _echelon_columns(matrix: ExactMatrix, p: int, deadline: float | None, track: bool = False):
     """The echelon of the columns mod p, stopping at full row rank, and the
     integer columns it read; ``deadline`` is checked per column."""
     field = matrix.field
-    echelon = _Echelon(field.p or PRIME, track)
+    echelon = _Echelon(p, track)
     read = []
     for j, col in enumerate(matrix.columns):
         if len(echelon.basis) == matrix.nrows:
             break
         check_deadline(deadline)
         read.append(_integer(field, col))
-        echelon.add(j, _mod(echelon.p, read[-1][1]))
+        echelon.add(j, _mod(p, read[-1][1]))
     return echelon, read
+
+
+def _moduli(matrix: ExactMatrix, target: Mapping[int, int] | None = None):
+    """The primes to eliminate at, in turn: the field's own over GF(p); over
+    the rationals ``PRIME``, then the least of ``PRIMES`` above 2 H^2 (see
+    the module docstring), unless that is ``PRIME`` again."""
+    field = matrix.field
+    if not field.is_rationals:
+        yield field.p
+        return
+    yield PRIME
+    norms = [sum(x * x for x in _integer(field, col)[1].values()) for col in matrix.columns]
+    if target:
+        norms.append(sum(x * x for x in target.values()))
+    bound = 2 * math.prod(heapq.nlargest(matrix.nrows, filter(None, norms)))
+    p = next((q for q in PRIMES if q > bound), None)
+    if p is None:
+        raise BudgetExceededError(f"Hadamard bound 2^{bound.bit_length() - 1} past the last prime")
+    if p != PRIME:
+        yield p
 
 
 def _rational(a: int, p: int) -> Fraction | None:
@@ -210,145 +238,58 @@ def _rational(a: int, p: int) -> Fraction | None:
     return Fraction(r1, t1)
 
 
-def _lift(field: Field, values: Mapping[int, int]) -> dict[int, Raw] | None:
+def _lift(field: Field, values: Mapping[int, int], p: int) -> dict[int, Raw] | None:
     """The residues as field values: themselves over GF(p), their rational
     reconstructions over the rationals (None if one has none)."""
     if not field.is_rationals:
         return dict(values)
-    out = {}
-    for k, a in values.items():
-        q = _rational(a, PRIME)
-        if q is None:
-            return None
-        out[k] = q
-    return out
+    out = {k: _rational(a, p) for k, a in values.items()}
+    return None if None in out.values() else out
 
 
-def _is_dual(field: Field, y: Mapping[int, int], columns, v: Mapping[int, int] | None) -> bool:
-    """Whether the integer vector y is exactly orthogonal to every integer
-    (scale, column) pair, and not to v when v is given."""
+def _checked_dual(field: Field, residues, columns, p: int, v=None) -> dict[int, int] | None:
+    """A dual vector mod p lifted and cleared of denominators (a dual
+    vector's multiples are dual vectors), if the lift succeeds and the
+    integer vector is exactly orthogonal to every integer (scale, column)
+    pair, and not to v when v is given; else None."""
+    y = _lift(field, residues, p)
+    if y is None:
+        return None
+    y = _integer(field, y)[1]
 
     def zero(col):
         total = sum(y[i] * x for i, x in col.items() if i in y)
         return total % field.p == 0 if field.p else total == 0
 
-    return all(zero(col) for _, col in columns) and (v is None or not zero(v))
-
-
-def _checked_dual(field: Field, residues, columns, v=None) -> dict[int, int] | None:
-    """A dual vector mod p lifted and cleared of denominators (a dual
-    vector's multiples are dual vectors), or None if the lift or the exact
-    check fails."""
-    y = _lift(field, residues)
-    if y is None:
-        return None
-    y = _integer(field, y)[1]
-    return y if _is_dual(field, y, columns, v) else None
+    return y if all(zero(col) for _, col in columns) and (v is None or not zero(v)) else None
 
 
 def _dense(field: Field, n: int, entries: Mapping[int, Raw]) -> list[Scalar]:
     return [Scalar(field, entries.get(i, field.zero)) for i in range(n)]
 
 
-# -- the exact fallback -------------------------------------------------------------
-
-
-def _integer_rows(field: Field, rows: Iterable[Sequence[Raw]]) -> list[list[int]]:
-    """Mutable integer copies of the rows; scaling a row by the lcm of its
-    denominators keeps its row space and the solutions it imposes."""
-    if not field.is_rationals:
-        return [list(row) for row in rows]
-    out = []
-    for row in rows:
-        scale = math.lcm(*(x.denominator for x in row)) if row else 1
-        out.append([x.numerator * (scale // x.denominator) for x in row])
-    return out
-
-
-def _echelon(field: Field, rows: list[list[int]], deadline: float | None = None) -> list[int]:
-    """Bring integer rows to row echelon form in place; return the pivot
-    columns, pivot row r holding the pivot of column ``pivots[r]``.
-    ``deadline`` (a ``time.monotonic()`` instant) is checked per column."""
-    p = field.p
-    nrows = len(rows)
-    ncols = len(rows[0]) if rows else 0
-    pivots: list[int] = []
-    prev = 1
-    for c in range(ncols):
-        r = len(pivots)
-        if r == nrows:
-            break
-        check_deadline(deadline)
-        pivot_row = next((i for i in range(r, nrows) if rows[i][c]), None)
-        if pivot_row is None:
-            continue
-        rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
-        top = rows[r]
-        piv = top[c]
-        for i in range(r + 1, nrows):
-            row = rows[i]
-            m = row[c]
-            if p:
-                if m:
-                    rows[i] = [(piv * x - m * y) % p for x, y in zip(row, top)]
-            else:
-                # every entry is a minor of the input, so the division by
-                # the previous pivot is exact
-                rows[i] = [(piv * x - m * y) // prev for x, y in zip(row, top)]
-        prev = piv
-        pivots.append(c)
-    return pivots
-
-
-def _bareiss(matrix: ExactMatrix, v: Sequence[Raw], deadline: float | None):
-    """Eliminate ``[A | v | I]`` exactly.  Return the pivots among A's
-    columns, the echelon rows and, below full row rank, the identity block
-    of the first row whose A block vanishes, divided by its content: a dual
-    vector, with y.v != 0 exactly when v is outside the span.  The dual
-    vector is checked before it is returned."""
-    field, n = matrix.field, matrix.ncols
-    one, zero = field.one, field.zero
-    rows = _integer_rows(field, (
-        list(row) + [x] + [one if k == i else zero for k in range(matrix.nrows)]
-        for i, (row, x) in enumerate(zip(matrix.rows, v))
-    ))
-    pivots = [c for c in _echelon(field, rows, deadline) if c < n]
-    r = len(pivots)
-    if r == matrix.nrows:
-        return pivots, rows, None
-    y = {i: x for i, x in enumerate(rows[r][n + 1:]) if x}
-    if field.is_rationals:
-        g = math.gcd(*y.values())
-        y = {i: x // g for i, x in y.items()}
-    columns = [_integer(field, col) for col in matrix.columns]
-    target = _integer(field, dict(enumerate(v)))[1] if rows[r][n] else None
-    if not _is_dual(field, y, columns, target):
-        raise CertificateError("dual vector failed exact re-verification")
-    return pivots, rows, y
-
-
 # -- rank and span membership -------------------------------------------------------
 
 
 def rank(matrix: ExactMatrix, *, deadline: float | None = None) -> RankCertificate:
-    """The exact rank, the prime whose pivots prove it (None when the exact
-    fallback decided) and, below full row rank, one exactly checked
-    left-kernel vector.  ``deadline`` is checked per column of the
-    elimination and per left-kernel vector checked."""
+    """The exact rank, the prime whose pivots prove it and, below full row
+    rank, one exactly checked left-kernel vector.  ``deadline`` is checked
+    per column of the elimination and per left-kernel vector checked."""
     field = matrix.field
-    echelon, read = _echelon_columns(matrix, deadline)
-    first = None
-    for row in range(matrix.nrows):
-        if row not in echelon.basis:
-            check_deadline(deadline)
-            y = _checked_dual(field, echelon.dual(row), read)
-            if y is None:
-                pivots, _, y = _bareiss(matrix, [field.zero] * matrix.nrows, deadline)
-                return RankCertificate(len(pivots), None, y and _dense(field, matrix.nrows, y))
-            first = first or y
-    return RankCertificate(
-        len(echelon.basis), echelon.p, first and _dense(field, matrix.nrows, first)
-    )
+    for p in _moduli(matrix):
+        echelon, read = _echelon_columns(matrix, p, deadline)
+        first = None
+        for row in range(matrix.nrows):
+            if row not in echelon.basis:
+                check_deadline(deadline)
+                y = _checked_dual(field, echelon.dual(row), read, p)
+                if y is None:
+                    break
+                first = first or y
+        else:
+            dual = first and _dense(field, matrix.nrows, first)
+            return RankCertificate(len(echelon.basis), p, dual)
+    raise CertificateError("left-kernel vector failed exact re-verification")
 
 
 def in_span(vector: Sequence, matrix: ExactMatrix) -> tuple[bool, list[Scalar] | None]:
@@ -362,22 +303,30 @@ def in_span(vector: Sequence, matrix: ExactMatrix) -> tuple[bool, list[Scalar] |
     return member, certificate if member else None
 
 
-def _span(vector: Sequence, matrix: ExactMatrix) -> tuple[bool, list[Scalar]]:
+def _span(
+    vector: Sequence, matrix: ExactMatrix, deadline: float | None = None
+) -> tuple[bool, list[Scalar]]:
     """``in_span`` with, on a false verdict, a dual vector y, one entry per
-    row, such that y.A = 0 and y.v != 0 hold exactly."""
+    row, such that y.A = 0 and y.v != 0 hold exactly.  ``deadline`` is
+    checked per column of the elimination."""
     field = matrix.field
     v = [field.coerce(x) for x in vector]
     if len(v) != matrix.nrows:
         raise ValueError(f"vector length {len(v)} != row count {matrix.nrows}")
-    echelon, read = _echelon_columns(matrix, None, track=True)
     v_scale, v_int = _integer(field, {i: x for i, x in enumerate(v) if x})
-    rest = _mod(echelon.p, v_int)
-    hits = echelon.reduce(rest)
-    if not rest:
+    for p in _moduli(matrix, v_int):
+        echelon, read = _echelon_columns(matrix, p, deadline, track=True)
+        rest = _mod(p, v_int)
+        hits = echelon.reduce(rest)
+        if rest:
+            y = _checked_dual(field, echelon.dual(min(rest)), read, p, v_int)
+            if y is not None:
+                return False, _dense(field, matrix.nrows, y)
+            continue
         combination: dict[int, int] = {}
         for lead, m in hits:
-            _subtract(combination, -m, echelon.combos[lead], echelon.p)
-        lifted = _lift(field, combination)
+            _subtract(combination, -m, echelon.combos[lead], p)
+        lifted = _lift(field, combination, p)
         if lifted is not None:
             # a coefficient on a scaled column, for a scaled target
             coeffs = {
@@ -385,11 +334,7 @@ def _span(vector: Sequence, matrix: ExactMatrix) -> tuple[bool, list[Scalar]]:
             }
             if _combines_to(matrix, coeffs, v):
                 return True, _dense(field, matrix.ncols, coeffs)
-    else:
-        y = _checked_dual(field, echelon.dual(min(rest)), read, v_int)
-        if y is not None:
-            return False, _dense(field, matrix.nrows, y)
-    return _span_fallback(matrix, v)
+    raise CertificateError("span certificate failed exact re-verification")
 
 
 def _combines_to(matrix: ExactMatrix, coeffs: Mapping[int, Raw], v: Sequence[Raw]) -> bool:
@@ -399,21 +344,3 @@ def _combines_to(matrix: ExactMatrix, coeffs: Mapping[int, Raw], v: Sequence[Raw
         for i, x in matrix.columns[j].items():
             total[i] = field.add(total.get(i, field.zero), field.mul(x, c))
     return all(total.get(i, field.zero) == x for i, x in enumerate(v))
-
-
-def _span_fallback(matrix: ExactMatrix, v: list[Raw]) -> tuple[bool, list[Scalar]]:
-    field, n = matrix.field, matrix.ncols
-    pivots, rows, y = _bareiss(matrix, v, None)
-    r = len(pivots)
-    if y is not None and rows[r][n]:
-        return False, _dense(field, matrix.nrows, y)
-    coeffs: dict[int, Raw] = {}
-    for k in reversed(range(r)):
-        row = rows[k]
-        rest = field.coerce(row[n])
-        for c in pivots[k + 1:]:
-            rest = field.sub(rest, field.mul(field.coerce(row[c]), coeffs[c]))
-        coeffs[pivots[k]] = field.div(rest, field.coerce(row[pivots[k]]))
-    if not _combines_to(matrix, coeffs, v):
-        raise CertificateError("span certificate failed re-verification")
-    return True, _dense(field, n, coeffs)

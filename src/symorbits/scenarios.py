@@ -2,8 +2,9 @@
 
 Each scenario re-runs one computation from the paper and compares it with
 the known answer.  It takes the S-pair budget and the absolute deadline
-(``None`` for none) of its Groebner computations and returns
-``(ok, reports)``; the CLI prints the reports and exits nonzero unless ok.
+(``None`` for none) of its Groebner and linear-algebra computations and
+returns ``(ok, reports)``; the CLI prints the reports and exits nonzero
+unless ok.
 """
 
 from __future__ import annotations
@@ -82,7 +83,8 @@ def counterexample_x1sq(max_pairs: int, deadline: float | None) -> tuple[bool, l
         square, mixed = (2,) + (0,) * (n - 1), (1, 1) + (0,) * (n - 2)
         for t in (1, 2, -1, 0):
             seed = Polynomial(QQ, n, {square: 1, mixed: t})
-            member = graded_member(target, orbit_ideal([seed], group)).verdict
+            ideal = orbit_ideal([seed], group)
+            member = graded_member(target, ideal, deadline=deadline).verdict
             reports.append(VerdictReport(
                 "counterexample-x1sq", {"n": n, "t": t}, member == (t == 0),
                 notes=f"x1^2 {'in' if member else 'not in'} orbit ideal",
@@ -113,7 +115,7 @@ def inhomogeneous_monomial(max_pairs: int, deadline: float | None) -> tuple[bool
     def graded(target: str, field: Field):
         f = parse_polynomial("x1 + x2 + x1^2 - x2^2", 3, field)
         ideal = orbit_ideal([f], PermGroup.symmetric(3))
-        return graded_member(parse_polynomial(target, 3, field), ideal)
+        return graded_member(parse_polynomial(target, 3, field), ideal, deadline=deadline)
 
     over_q = graded("2*x1", QQ)
     escapes = not graded("x1", GF(2)).verdict

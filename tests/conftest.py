@@ -1,8 +1,33 @@
 import random
+import signal
 
 import pytest
 
 from symorbits import GF, QQ, PermGroup, Polynomial, monomials_of_degree, parse_polynomial
+
+TEST_TIME_LIMIT = 120  # seconds; the heaviest test takes about 7 s
+
+
+@pytest.fixture(autouse=True)
+def time_limit():
+    """Fail a test that runs past ``TEST_TIME_LIMIT``, so that a computation
+    that never ends (say, Buchberger on a wrong S-polynomial, with the
+    default budget of a million pairs) fails the suite instead of hanging
+    it.  Where the platform has no SIGALRM the limit is not enforced."""
+    if not hasattr(signal, "SIGALRM"):
+        yield
+        return
+
+    def expire(signum, frame):
+        pytest.fail(f"test ran past {TEST_TIME_LIMIT} s", pytrace=False)
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, TEST_TIME_LIMIT)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 @pytest.fixture

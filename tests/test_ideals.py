@@ -1,5 +1,6 @@
 import itertools
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -8,6 +9,7 @@ from symorbits import (
     GF,
     GREVLEX,
     QQ,
+    BudgetExceededError,
     PermGroup,
     Polynomial,
     buchberger,
@@ -153,6 +155,15 @@ class TestGradedMember:
                     for u in monomials_of_degree(nvars, d):
                         assert pairing(Polynomial.from_monomial(field, u) * g) == field.zero
             assert pairing(target) != field.zero
+
+    def test_deadline(self, P):
+        # 360 generators times 126 multipliers of degree 4, some 2 s of build
+        # and elimination; the deadline is checked per generator and column
+        ideal = orbit_ideal([P("x1^2*x2 + 2*x2^2*x3 - x3*x4*x5", 6)], PermGroup.symmetric(6))
+        start = time.monotonic()
+        with pytest.raises(BudgetExceededError):
+            graded_member(P("x1^7", 6), ideal, deadline=start + 0.1)
+        assert time.monotonic() - start < 0.5
 
     def test_certificates_reverify_by_construction(self, P):
         # graded_member raises internally if a certificate fails; touching

@@ -1,10 +1,13 @@
+import math
 import random
 import time
 from fractions import Fraction
 
 import pytest
 
-from symorbits import GF, QQ, BudgetExceededError, ExactMatrix, in_span, linalg, rank
+from symorbits import (
+    GF, QQ, BudgetExceededError, CertificateError, ExactMatrix, in_span, linalg, rank
+)
 
 
 def from_rows(field, rows):
@@ -13,7 +16,7 @@ def from_rows(field, rows):
 
 
 def naive_rank(field, rows):
-    """Independent oracle: plain Gauss over the field, no Bareiss."""
+    """Independent oracle: plain Gauss over the field."""
     m = [[field.coerce(x) for x in row] for row in rows]
     if not m:
         return 0
@@ -66,6 +69,8 @@ class TestRank:
         for field in (QQ, GF(7)):
             with pytest.raises(BudgetExceededError):
                 rank(from_rows(field, m.rows), deadline=time.monotonic() - 1)
+            with pytest.raises(BudgetExceededError):
+                linalg._span([1, 0], from_rows(field, m.rows), time.monotonic() - 1)
 
     def test_against_naive_gauss_randomized(self):
         rng = random.Random(61)
@@ -177,7 +182,6 @@ class TestInSpan:
             ExactMatrix(QQ, 2, [{2: 1}])
 
     def test_certificate_on_greedy_pivot_columns(self):
-        # column j is a greedy pivot iff it raises the rank of cols[:j]
         rng = random.Random(83)
         for field in (QQ, GF(2), GF(7)):
             for _ in range(60):
@@ -197,10 +201,7 @@ class TestInSpan:
                     v = [sum(w * col[i] for w, col in zip(weights, cols)) for i in range(nrows)]
                 else:
                     v = [rng.randint(-3, 3) for _ in range(nrows)]
-                pivots = {
-                    j for j in range(len(cols))
-                    if naive_rank(field, cols[:j + 1]) > naive_rank(field, cols[:j])
-                }
+                pivots = set(greedy_pivots(field, cols))
                 ok, cert = in_span(v, ExactMatrix.from_columns(field, nrows, cols))
                 assert ok == (naive_rank(field, cols + [v]) == naive_rank(field, cols))
                 if not ok:
@@ -213,9 +214,13 @@ class TestInSpan:
                     assert total == field.coerce(v[i])
 
 
-def bareiss_pivots(field, matrix):
-    """The exact greedy pivot columns, from the fraction-free fallback."""
-    return linalg._echelon(field, linalg._integer_rows(field, matrix.rows))
+def greedy_pivots(field, cols):
+    """The exact greedy pivot columns: column j is one iff it raises the
+    rank of cols[:j]."""
+    return [
+        j for j in range(len(cols))
+        if naive_rank(field, cols[:j + 1]) > naive_rank(field, cols[:j])
+    ]
 
 
 def is_dual(field, y, cols, v=None):
@@ -229,25 +234,38 @@ def is_dual(field, y, cols, v=None):
     return all(dot(col) == field.zero for col in cols) and (v is None or dot(v) != field.zero)
 
 
+def above_hadamard(prime, cols, nrows):
+    """Whether prime is the least listed prime above 2 H^2, H^2 the product
+    of the nrows largest squared norms of the integer columns."""
+    norms = sorted((sum(x * x for x in col) for col in cols if any(col)), reverse=True)
+    bound = 2 * math.prod(norms[:nrows])
+    return prime == min(q for q in linalg.PRIMES if q > bound)
+
+
 @pytest.fixture
-def fallbacks(monkeypatch):
-    """Count the calls of the exact fallback."""
+def moduli(monkeypatch):
+    """The (field, prime) of every elimination, in call order."""
     calls = []
-    original = linalg._bareiss
+    original = linalg._echelon_columns
 
-    def spy(*args, **kwargs):
-        calls.append(args)
-        return original(*args, **kwargs)
+    def spy(matrix, p, *args, **kwargs):
+        calls.append((matrix.field, p))
+        return original(matrix, p, *args, **kwargs)
 
-    monkeypatch.setattr(linalg, "_bareiss", spy)
+    monkeypatch.setattr(linalg, "_echelon_columns", spy)
     return calls
 
 
+def retries(moduli):
+    """The eliminations over the rationals at a prime other than PRIME."""
+    return [p for field, p in moduli if field.is_rationals and p != linalg.PRIME]
+
+
 class TestModularKernel:
-    """The elimination mod p against the exact fraction-free elimination."""
+    """The elimination mod p against the exact greedy pivots of plain Gauss."""
 
     @pytest.mark.parametrize("field", [QQ, GF(2), GF(5), GF(32003)])
-    def test_against_bareiss_randomized(self, field, fallbacks):
+    def test_against_greedy_pivots_randomized(self, field, moduli):
         rng = random.Random(89)
         for _ in range(80):
             nrows, ncols = rng.randint(1, 7), rng.randint(1, 8)
@@ -264,32 +282,36 @@ class TestModularKernel:
                     den = rng.randint(1, 4) if field is QQ else 1
                     cols.append([Fraction(rng.randint(-5, 5), den) for _ in range(nrows)])
             m = ExactMatrix.from_columns(field, nrows, cols)
-            exact = bareiss_pivots(field, m)
-            assert linalg._echelon_columns(m, None)[0].pivots == exact
+            exact = greedy_pivots(field, cols)
+            p = field.p or linalg.PRIME
+            assert linalg._echelon_columns(m, p, None)[0].pivots == exact
             got = rank(m)
             assert got.rank == len(exact)
-            assert got.prime == (field.p or linalg.PRIME)
+            assert got.prime == p
             if got.rank < nrows:
                 assert is_dual(field, got.dual, cols) and any(got.dual)
             else:
                 assert got.dual is None
             v = [rng.randint(-3, 3) for _ in range(nrows)]
-            augmented = ExactMatrix.from_columns(field, nrows, cols + [v])
-            member = len(bareiss_pivots(field, augmented)) == len(exact)
+            member = naive_rank(field, cols + [v]) == len(exact)
             ok, cert = linalg._span(v, m)
             assert ok == member
             if ok:
                 assert all(c.is_zero for j, c in enumerate(cert) if j not in exact)
             else:
                 assert is_dual(field, cert, cols, v)
-        # 2^61 - 1 divides no minor of these small entries
-        assert fallbacks == []
+        # 2^61 - 1 divides no minor of these small entries, and a finite
+        # field is only ever eliminated at its own prime
+        assert {q for _, q in moduli} == {p}
 
-    def test_prime_dividing_a_minor(self, fallbacks):
+    def test_prime_dividing_a_minor(self, moduli):
         p = linalg.PRIME
         # det = p: rank 2 over QQ, 1 mod p
         m = from_rows(QQ, [[1, 1], [1, 1 + p]])
-        assert rank(m) == (2, None, None) and len(bareiss_pivots(QQ, m)) == 2
+        got = rank(m)
+        assert got.rank == 2 and got.dual is None
+        assert above_hadamard(got.prime, [[1, 1], [1, 1 + p]], 2)
+        assert greedy_pivots(QQ, [[1, 1], [1, 1 + p]]) == [0, 1]
         ok, cert = in_span([0, 1], m)
         assert ok and [c.value for c in cert] == [Fraction(-1, p), Fraction(1, p)]
         # the second column differs from the first by p*e3, so the rank drops
@@ -300,17 +322,18 @@ class TestModularKernel:
         c2 = [2 * x for x in c0]
         cols = [c0, c1, c2]
         m = ExactMatrix.from_columns(QQ, 4, cols)
-        assert linalg._echelon_columns(m, None)[0].pivots == [0]
+        assert linalg._echelon_columns(m, p, None)[0].pivots == [0]
         got = rank(m)
-        assert got.rank == 2 and got.prime is None and is_dual(QQ, got.dual, cols)
+        assert got.rank == 2 and is_dual(QQ, got.dual, cols)
+        assert above_hadamard(got.prime, cols, 4)
         v = [x + y for x, y in zip(c0, c1)]
         ok, cert = in_span(v, m)
         assert ok and [c.value for c in cert] == [1, 1, 0]
         ok, dual = linalg._span([0, 0, 0, 1], m)
         assert not ok and is_dual(QQ, dual, cols, [0, 0, 0, 1])
-        assert len(fallbacks) == 4
+        assert len(retries(moduli)) == 4
 
-    def test_solution_too_tall_for_one_prime(self, fallbacks):
+    def test_solution_too_tall_for_one_prime(self, moduli):
         # 3^40 and 5^30 exceed the reconstruction bound sqrt(p/2) ~ 2^30
         ok, cert = in_span([1], from_rows(QQ, [[3**40]]))
         assert ok and cert[0].value == Fraction(1, 3**40)
@@ -318,14 +341,66 @@ class TestModularKernel:
         assert ok and cert[0].value == 5**30
         tall = from_rows(QQ, [[1], [3**40]])
         got = rank(tall)
-        assert got.rank == 1 and got.prime is None
+        assert got.rank == 1 and above_hadamard(got.prime, [[1, 3**40]], 2)
         assert [y.value for y in got.dual] == [-(3**40), 1]
         ok, dual = linalg._span([0, 1], tall)
         assert not ok and is_dual(QQ, dual, [[1, 3**40]], [0, 1])
-        assert len(fallbacks) == 4
+        assert len(retries(moduli)) == 4
         # the same questions with small entries stay modular
         assert in_span([1], from_rows(QQ, [[3**4]]))[1][0].value == Fraction(1, 81)
-        assert len(fallbacks) == 4
+        assert len(retries(moduli)) == 4
+
+    @pytest.mark.parametrize("cols, target", [
+        ([[3**40]], [1]),  # the solution is too tall
+        ([[1]], [5**30]),  # the target is too tall
+        ([[1, 3**40]], [0, 1]),  # the dual vector is too tall
+        ([[1, 1], [1, 1 + linalg.PRIME]], [0, 1]),  # PRIME divides the determinant
+    ])
+    def test_one_retry_settles_span(self, cols, target, moduli):
+        ok, _ = linalg._span(target, ExactMatrix.from_columns(QQ, len(target), cols))
+        assert ok == (naive_rank(QQ, cols + [target]) == naive_rank(QQ, cols))
+        (_, first), (_, second) = moduli
+        assert first == linalg.PRIME and above_hadamard(second, cols + [target], len(target))
+
+    @pytest.mark.parametrize("cols", [[[1, 3**40]], [[1, 1], [1, 1 + linalg.PRIME]]])
+    def test_one_retry_settles_rank(self, cols, moduli):
+        got = rank(ExactMatrix.from_columns(QQ, len(cols[0]), cols))
+        assert got.rank == naive_rank(QQ, cols)
+        assert moduli == [(QQ, linalg.PRIME), (QQ, got.prime)]
+        assert above_hadamard(got.prime, cols, len(cols[0]))
+
+    @pytest.mark.parametrize("field", [GF(2), GF(7), GF(32003)])
+    def test_finite_field_uses_only_its_prime(self, field, moduli):
+        p = linalg.PRIME
+        for cols, target in [
+            ([[3**40]], [1]), ([[1, 3**40]], [0, 1]), ([[1, 1], [1, 1 + p]], [0, 1]),
+        ]:
+            m = ExactMatrix.from_columns(field, len(target), cols)
+            assert rank(m).rank == naive_rank(field, cols)
+            assert rank(m).prime == field.p
+            ok, _ = linalg._span(target, m)
+            assert ok == (naive_rank(field, cols + [target]) == naive_rank(field, cols))
+        assert {q for _, q in moduli} == {field.p}
+
+    def test_bound_past_the_last_prime_is_a_resource_limit(self, monkeypatch):
+        monkeypatch.setattr(linalg, "PRIMES", (linalg.PRIME,))
+        with pytest.raises(BudgetExceededError):
+            rank(from_rows(QQ, [[1], [3**40]]))
+        with pytest.raises(BudgetExceededError):
+            in_span([1], from_rows(QQ, [[3**40]]))
+        # entries that one prime settles never need the list
+        assert rank(from_rows(QQ, [[1], [3**4]])).rank == 1
+
+    def test_failed_check_at_the_bound_is_a_fault(self, monkeypatch, moduli):
+        monkeypatch.setattr(linalg, "_lift", lambda field, values, p: None)
+        # small entries: the bound is below PRIME, so there is no retry
+        with pytest.raises(CertificateError):
+            in_span([1], from_rows(QQ, [[3]]))
+        assert moduli == [(QQ, linalg.PRIME)]
+        moduli.clear()
+        with pytest.raises(CertificateError):
+            rank(from_rows(QQ, [[1], [3**40]]))
+        assert len(retries(moduli)) == 1
 
     def test_in_span_false_keeps_its_public_form(self):
         m = ExactMatrix.from_columns(QQ, 2, [[1, 2]])
