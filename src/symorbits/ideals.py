@@ -10,10 +10,10 @@ expanded generators.  This route is independent of the Groebner route in
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
-from .fields import Field
 from .groebner import DEFAULT_MAX_PAIRS, GroebnerBasis, buchberger
 from .linalg import ExactMatrix, _span, rank
 from .permutations import PermGroup, orbit, orbit_images
@@ -91,45 +91,53 @@ class GradedPiece:
     column_meta: tuple[tuple[int, Monomial], ...]
 
 
-def _multiples(ideal: OrbitIdeal, degree: int, *, exact: bool, deadline: float | None):
-    """The products u * g as term dicts, with (generator index, u) for each:
-    deg(u * g) = degree for homogeneous generators (``exact``), else every
-    u of degree at most degree - mindeg(g).  ``deadline`` is checked per
-    generator."""
-    products = []
-    meta = []
-    for gi, g in enumerate(ideal.expanded):
+def _product_matrix(
+    ideal: OrbitIdeal, degree: int, target: Polynomial | None = None, *, deadline: float | None
+) -> tuple[tuple[Monomial, ...], ExactMatrix, tuple[tuple[int, Monomial], ...]]:
+    """The row index, the matrix of the products u * g and (generator index,
+    u) for each column: deg(u * g) = degree for homogeneous generators (no
+    ``target``), else every u of degree at most degree - mindeg(g), with
+    rows for the monomials of the products and the target.  Inside, a
+    monomial of degree at most D, the largest product degree, is the int
+    sum e_i (D+1)^i, so u * m is code(u) + code(m).  ``deadline`` is checked
+    per generator and per column."""
+    n, gens = ideal.nvars, ideal.expanded
+    tops = [degree - g.min_degree() for g in gens]
+    radix = 1 + max([degree] + [top + g.total_degree() for top, g in zip(tops, gens)])
+    weights = [radix**i for i in range(n)]
+
+    def code(m: Monomial) -> int:
+        return sum(map(operator.mul, m, weights))
+
+    multipliers: dict[int, list[tuple[Monomial, int]]] = {}
+    blocks = []  # (generator index, its (code, coefficient) terms, multipliers)
+    for gi, (g, top) in enumerate(zip(gens, tops)):
         check_deadline(deadline)
-        top = degree - g.min_degree()
         if top < 0:
             continue
-        for mult_degree in range(top if exact else 0, top + 1):
-            for u in monomials_of_degree(ideal.nvars, mult_degree):
-                products.append(
-                    {tuple(a + b for a, b in zip(m, u)): c for m, c in g.terms.items()}
-                )
-                meta.append((gi, u))
-    return products, tuple(meta)
+        terms = [(code(m), c) for m, c in g.terms.items()]
+        for k in range(top if target is None else 0, top + 1):
+            if k not in multipliers:
+                multipliers[k] = [(u, code(u)) for u in monomials_of_degree(n, k)]
+            blocks.append((gi, terms, multipliers[k]))
+    if target is None:
+        index = monomials_of_degree(n, degree)
+    else:
+        codes = {code(m) for m in target.terms}
+        for _, terms, us in blocks:
+            codes.update(cu + cm for _, cu in us for cm, _ in terms)
+        index = [tuple(c // w % radix for w in weights) for c in codes]
+    index.sort(key=GREVLEX.key, reverse=True)
+    pos = {code(m): i for i, m in enumerate(index)}
 
+    def columns():
+        for _, terms, us in blocks:
+            for _, cu in us:
+                check_deadline(deadline)
+                yield {pos[cu + cm]: c for cm, c in terms}
 
-def _matrix(
-    field: Field,
-    index: Sequence[Monomial],
-    columns: Iterable[dict],
-    deadline: float | None = None,
-) -> ExactMatrix:
-    """The matrix whose j-th column holds the coefficients of the j-th term
-    dict of ``columns`` on the rows of ``index``, which holds all their
-    monomials.  This is the one place a matrix is filled from polynomials;
-    ``deadline`` is checked per column."""
-    index_pos = {m: i for i, m in enumerate(index)}
-
-    def sparse():
-        for terms in columns:
-            check_deadline(deadline)
-            yield {index_pos[m]: c for m, c in terms.items()}
-
-    return ExactMatrix(field, len(index), sparse())
+    matrix = ExactMatrix(ideal.field, len(index), columns())
+    return tuple(index), matrix, tuple((gi, u) for gi, _, us in blocks for u, _ in us)
 
 
 def _by_monomial(index: Sequence[Monomial], vector) -> dict[str, str]:
@@ -147,10 +155,7 @@ def graded_piece(
     ``deadline`` is checked per generator and per column."""
     if not all(g.is_homogeneous() for g in ideal.expanded):
         raise ValueError("graded piece requires homogeneous generators")
-    index = sorted(monomials_of_degree(ideal.nvars, degree), key=GREVLEX.key, reverse=True)
-    products, meta = _multiples(ideal, degree, exact=True, deadline=deadline)
-    matrix = _matrix(ideal.field, index, products, deadline)
-    return GradedPiece(degree, tuple(index), matrix, meta)
+    return GradedPiece(degree, *_product_matrix(ideal, degree, deadline=deadline))
 
 
 def graded_member(
@@ -185,11 +190,9 @@ def graded_member(
         index, matrix, meta = piece.monomial_index, piece.matrix, piece.column_meta
     else:
         # multipliers of degree at most deg(target) - mindeg(generator)
-        products, meta = _multiples(
-            ideal, target.total_degree(), exact=False, deadline=deadline
+        index, matrix, meta = _product_matrix(
+            ideal, target.total_degree(), target, deadline=deadline
         )
-        index = sorted(set(target.terms).union(*products), key=GREVLEX.key, reverse=True)
-        matrix = _matrix(ideal.field, index, products, deadline)
     vector = [target.terms.get(m, target.field.zero) for m in index]
 
     member, coeffs = _span(vector, matrix, deadline)
@@ -286,11 +289,11 @@ def rank_condition(
     polynomial is the monomial ideal generated by the orbit of its terms.
 
     Columns are the coefficient vectors of the distinct orbit images of f
-    (deduplicated as sparse polynomials) inside the space spanned by all
-    monomials of the shared type; the verdict is true iff their span is the
-    whole space.  The certificate holds the prime that settled the rank
-    (2^61 - 1, or a larger listed prime after a failed lift or check) and,
-    on a false verdict, a left-kernel vector over the monomials.  ``deadline`` is checked per
+    inside the space spanned by all monomials of the shared type; the
+    verdict is true iff their span is the whole space.  The certificate
+    holds the prime that settled the rank (2^61 - 1, or a larger listed
+    prime after a failed lift or check) and, on a false verdict, a
+    left-kernel vector over the monomials.  ``deadline`` is checked per
     column of the build and of the elimination.
     """
     if f.is_zero:
@@ -307,15 +310,24 @@ def rank_condition(
             f"group {group.descriptor} is not transitive on monomials of type {mono_type}"
         )
     row_index = sorted(monomials_of_type(mono_type, f.nvars), key=GREVLEX.key, reverse=True)
+    row_pos = {m: i for i, m in enumerate(row_index)}
+    values = list(f.terms.values())
+    classes: dict = {}
+    value_class = [classes.setdefault(c, len(classes)) for c in values]
 
     def distinct():
         seen = set()
         for g in images:
-            if g not in seen:
-                seen.add(g)
-                yield g.terms
+            # orbit_images and Permutation.act keep f's term order, so an image
+            # is its set of (row, class of f's coefficient there) pairs
+            rows = [row_pos[m] for m in g.terms]
+            key = frozenset(zip(rows, value_class))
+            if key not in seen:
+                check_deadline(deadline)
+                seen.add(key)
+                yield dict(zip(rows, values))
 
-    matrix = _matrix(f.field, row_index, distinct(), deadline)
+    matrix = ExactMatrix(f.field, len(row_index), distinct())
     got = rank(matrix, deadline=deadline)
     verdict = got.rank == len(row_index)
     certificate = {"full_rank": verdict, "prime": got.prime}

@@ -5,7 +5,8 @@ One kernel serves both questions.  It brings the columns, left to right, to
 reduced column echelon form modulo a prime: each basis vector is 1 at its
 lead, its smallest row, and 0 at every other lead, so the pivots are the
 greedy left-to-right independent columns mod p, and the elimination stops
-once every row leads a basis vector.
+once every row leads a basis vector or, for span membership, once the
+target lies in the span of the columns read.
 
 The prime is the field's own over GF(p), where the elimination is exact.
 Over the rationals it is first ``PRIME`` = 2^61 - 1, applied after scaling
@@ -57,13 +58,17 @@ class ExactMatrix:
     __slots__ = ("field", "nrows", "ncols", "columns")
 
     def __init__(self, field: Field, nrows: int, columns: Iterable[Mapping[int, object]]):
+        # a value already in raw form (a Fraction over QQ, an int in [0, p)
+        # over GF(p)) is kept as it is; anything else is coerced
+        raw, p = (Fraction, None) if field.is_rationals else (int, field.p)
         data = []
         for col in columns:
             entries = {}
             for i, x in col.items():
                 if not 0 <= i < nrows:
                     raise ValueError(f"row {i} outside a matrix with {nrows} rows")
-                x = field.coerce(x)
+                if type(x) is not raw or p and not 0 <= x < p:
+                    x = field.coerce(x)
                 if x:
                     entries[i] = x
             data.append(entries)
@@ -131,12 +136,12 @@ class _Echelon:
             _subtract(vec, m, self.basis[lead], self.p)
         return hits
 
-    def add(self, j: int, vec: dict[int, int]) -> None:
+    def add(self, j: int, vec: dict[int, int]) -> int | None:
         """Reduce column j and, if it is independent of the basis, make it
-        a basis vector led by its smallest row."""
+        a basis vector led by its smallest row; return that row."""
         hits = self.reduce(vec)
         if not vec:
-            return
+            return None
         p = self.p
         lead = min(vec)
         inv = pow(vec[lead], -1, p)
@@ -155,6 +160,7 @@ class _Echelon:
         self.pivots.append(j)
         if self.combos is not None:
             self.combos[lead] = combo
+        return lead
 
     def dual(self, row: int) -> dict[int, int]:
         """The left-kernel vector of the basis that is 1 on ``row``, which
@@ -176,11 +182,12 @@ def _subtract(vec: dict[int, int], m: int, other: Mapping[int, int], p: int) -> 
             vec.pop(i, None)
 
 
-def _integer(field: Field, col: Mapping[int, Raw]) -> tuple[int, dict[int, int]]:
+def _integer(field: Field, col: Mapping[int, Raw]) -> tuple[int, Mapping[int, int]]:
     """(s, s * col) with s * col integral: the lcm of the denominators over
-    the rationals, 1 over GF(p).  Scaling a column keeps its span."""
+    the rationals; 1 and col itself over GF(p).  Scaling a column keeps its
+    span."""
     if not field.is_rationals:
-        return 1, dict(col)
+        return 1, col
     scale = math.lcm(*(x.denominator for x in col.values()))
     return scale, {i: x.numerator * (scale // x.denominator) for i, x in col.items()}
 
@@ -189,18 +196,27 @@ def _mod(p: int, col: Mapping[int, int]) -> dict[int, int]:
     return {i: r for i, x in col.items() if (r := x % p)}
 
 
-def _echelon_columns(matrix: ExactMatrix, p: int, deadline: float | None, track: bool = False):
+def _echelon_columns(
+    matrix: ExactMatrix, p: int, deadline: float | None, target=None, combination=None
+):
     """The echelon of the columns mod p, stopping at full row rank, and the
-    integer columns it read; ``deadline`` is checked per column."""
-    field = matrix.field
-    echelon = _Echelon(p, track)
+    integer columns it read; ``deadline`` is checked per column.  Given the
+    residues of a target v, it reduces them, in place, by each new basis
+    vector and adds that vector's columns, times the same entry, to
+    ``combination``, so the target stays v - A.combination, 0 at every lead;
+    it stops once the target is empty."""
+    echelon = _Echelon(p, target is not None)
     read = []
     for j, col in enumerate(matrix.columns):
-        if len(echelon.basis) == matrix.nrows:
+        if len(echelon.basis) == matrix.nrows or target is not None and not target:
             break
         check_deadline(deadline)
-        read.append(_integer(field, col))
-        echelon.add(j, _mod(p, read[-1][1]))
+        read.append(_integer(matrix.field, col))
+        # GF(p) columns are residues already: one copy
+        lead = echelon.add(j, _mod(p, read[-1][1]) if matrix.field.is_rationals else dict(col))
+        if target and lead is not None and (m := target.get(lead)):
+            _subtract(target, m, echelon.basis[lead], p)
+            _subtract(combination, -m, echelon.combos[lead], p)
     return echelon, read
 
 
@@ -292,14 +308,17 @@ def rank(matrix: ExactMatrix, *, deadline: float | None = None) -> RankCertifica
     raise CertificateError("left-kernel vector failed exact re-verification")
 
 
-def in_span(vector: Sequence, matrix: ExactMatrix) -> tuple[bool, list[Scalar] | None]:
+def in_span(
+    vector: Sequence, matrix: ExactMatrix, *, deadline: float | None = None
+) -> tuple[bool, list[Scalar] | None]:
     """Decide whether the vector lies in the span of the matrix columns.
 
     Returns ``(True, certificate)`` with one coefficient per column (zeros
     off the greedy left-to-right independent columns), re-verified by
-    multiplication before returning, or ``(False, None)``.
+    multiplication before returning, or ``(False, None)``.  ``deadline`` is
+    checked per column of the elimination.
     """
-    member, certificate = _span(vector, matrix)
+    member, certificate = _span(vector, matrix, deadline)
     return member, certificate if member else None
 
 
@@ -307,25 +326,23 @@ def _span(
     vector: Sequence, matrix: ExactMatrix, deadline: float | None = None
 ) -> tuple[bool, list[Scalar]]:
     """``in_span`` with, on a false verdict, a dual vector y, one entry per
-    row, such that y.A = 0 and y.v != 0 hold exactly.  ``deadline`` is
-    checked per column of the elimination."""
+    row, such that y.A = 0 and y.v != 0 hold exactly.  The elimination stops
+    once v is in the span of the columns read; v has one expression on the
+    independent greedy pivots, so the certificate is that of a full
+    elimination.  ``deadline`` is checked per column of the elimination."""
     field = matrix.field
     v = [field.coerce(x) for x in vector]
     if len(v) != matrix.nrows:
         raise ValueError(f"vector length {len(v)} != row count {matrix.nrows}")
     v_scale, v_int = _integer(field, {i: x for i, x in enumerate(v) if x})
     for p in _moduli(matrix, v_int):
-        echelon, read = _echelon_columns(matrix, p, deadline, track=True)
-        rest = _mod(p, v_int)
-        hits = echelon.reduce(rest)
+        rest, combination = _mod(p, v_int), {}
+        echelon, read = _echelon_columns(matrix, p, deadline, rest, combination)
         if rest:
             y = _checked_dual(field, echelon.dual(min(rest)), read, p, v_int)
             if y is not None:
                 return False, _dense(field, matrix.nrows, y)
             continue
-        combination: dict[int, int] = {}
-        for lead, m in hits:
-            _subtract(combination, -m, echelon.combos[lead], p)
         lifted = _lift(field, combination, p)
         if lifted is not None:
             # a coefficient on a scaled column, for a scaled target

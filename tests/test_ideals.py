@@ -19,11 +19,13 @@ from symorbits import (
     ideal_equal,
     monomials_of_degree,
     monomials_of_type,
+    orbit,
     orbit_ideal,
     parse_polynomial,
     rank_condition,
     symmetrize,
 )
+from symorbits import ideals
 from symorbits.fields import binomial
 
 
@@ -402,3 +404,91 @@ class TestEquivariance:
             member = gb.contains(target)
             for sigma in ideal.group.elements:
                 assert gb.contains(sigma.act(target)) == member
+
+
+def reference_multiples(ideal, degree, *, exact):
+    """The products u * g as term dicts built from exponent tuples, with
+    (generator index, u) for each: the column builder as it was before
+    monomial codes."""
+    products, meta = [], []
+    for gi, g in enumerate(ideal.expanded):
+        top = degree - g.min_degree()
+        if top < 0:
+            continue
+        for mult_degree in range(top if exact else 0, top + 1):
+            for u in monomials_of_degree(ideal.nvars, mult_degree):
+                products.append(
+                    {tuple(a + b for a, b in zip(m, u)): c for m, c in g.terms.items()}
+                )
+                meta.append((gi, u))
+    return products, tuple(meta)
+
+
+def reference_columns(index, products):
+    pos = {m: i for i, m in enumerate(index)}
+    return tuple({pos[m]: c for m, c in terms.items()} for terms in products)
+
+
+DIHEDRAL4 = PermGroup.generated(4, ["(1 2 3 4)", "(1 4)(2 3)"])
+
+
+class TestProductMatrix:
+    """The monomial-code builder against exponent-tuple products."""
+
+    HOMOGENEOUS = [
+        (QQ, PermGroup.symmetric(3), ["x1^2*x2 - 2/3*x3^2*x1", "1/2*x1*x2 + x3^2"], 4),
+        (GF(7), PermGroup.symmetric(4), ["3*x1*x2 + 5*x3^2", "x1^3 - x2*x3*x4"], 4),
+        # the quartic seed is above the degree: no multiple of it
+        (QQ, PermGroup.cyclic(5), ["x1*x2 - 5/4*x3^2", "x1^2*x2*x3 + x4^4 - x5^3*x1"], 3),
+        (GF(32003), DIHEDRAL4, ["x1^2 + 2*x2*x4", "x1*x2*x3 - 7*x4^3"], 5),
+    ]
+    INHOMOGENEOUS = [
+        (QQ, PermGroup.symmetric(3), ["x1^2 + 2/3*x2", "x1*x2*x3 - x3"], "x1^3 + x2"),
+        (GF(5), PermGroup.cyclic(4), ["x1*x2 + 3", "x1^3 - x4"], "x1^2*x3 + x2"),
+        (QQ, DIHEDRAL4, ["x1^2*x2 - 1/5*x3", "x1 + x4^2"], "x2^3*x4"),
+        (GF(32003), PermGroup.symmetric(4), ["x1^2 - x2 + 1"], "x1*x2^2*x3"),
+    ]
+
+    @pytest.mark.parametrize("field, group, seeds, degree", HOMOGENEOUS)
+    def test_graded_piece(self, field, group, seeds, degree):
+        n = group.degree
+        ideal = orbit_ideal([parse_polynomial(s, n, field) for s in seeds], group)
+        piece = graded_piece(ideal, degree)
+        index = sorted(monomials_of_degree(n, degree), key=GREVLEX.key, reverse=True)
+        products, meta = reference_multiples(ideal, degree, exact=True)
+        assert piece.monomial_index == tuple(index)
+        assert piece.column_meta == meta
+        assert piece.matrix.columns == reference_columns(index, products)
+        assert all(isinstance(u, tuple) for _, u in piece.column_meta)
+
+    @pytest.mark.parametrize("field, group, seeds, target", INHOMOGENEOUS)
+    def test_bounded_multipliers(self, field, group, seeds, target):
+        n = group.degree
+        ideal = orbit_ideal([parse_polynomial(s, n, field) for s in seeds], group)
+        target = parse_polynomial(target, n, field)
+        degree = target.total_degree()
+        index, matrix, meta = ideals._product_matrix(ideal, degree, target, deadline=None)
+        products, expected_meta = reference_multiples(ideal, degree, exact=False)
+        expected_index = sorted(
+            set(target.terms).union(*products), key=GREVLEX.key, reverse=True
+        )
+        assert index == tuple(expected_index)
+        assert meta == expected_meta
+        assert matrix.columns == reference_columns(expected_index, products)
+        report = graded_member(target, ideal)
+        assert report.parameters["columns"] == len(products)
+
+    @pytest.mark.parametrize("field, text, group, n", [
+        (QQ, "x1^2*x2 + x1*x2^2", PermGroup.symmetric(3), 3),  # swaps equal terms
+        (GF(5), "x1^2*x2 + x1*x2^2", PermGroup.symmetric(3), 3),
+        (QQ, "1/2*x1^2*x2 + 3/4*x2^2*x3 + 1/2*x3^2*x1", PermGroup.symmetric(3), 3),
+        (QQ, "1/2*x1^2*x2 + 1/2*x2^2*x1 - 2/3*x3^2*x4", PermGroup.symmetric(4), 4),
+        (QQ, "x1*x2 + x3*x4", PermGroup.symmetric(4), 4),
+        (QQ, "2/3*x1^3 + 2/3*x3^3 - x2^3", PermGroup.cyclic(5), 5),
+        (GF(32003), "x1^2 + x3^2", DIHEDRAL4, 4),
+        (QQ, "x1^2 - x2^2 + x3^2 - x4^2", DIHEDRAL4, 4),
+    ])
+    def test_distinct_orbit_vectors(self, field, text, group, n):
+        f = parse_polynomial(text, n, field)
+        report = rank_condition(f, group)
+        assert report.parameters["distinct_orbit_vectors"] == len(orbit(f, group))

@@ -181,6 +181,35 @@ class TestInSpan:
         with pytest.raises(ValueError):
             ExactMatrix(QQ, 2, [{2: 1}])
 
+    def test_values_outside_raw_form_are_coerced(self):
+        # raw values (ints in [0, p), Fractions over QQ) pass as they are;
+        # everything else still goes through the field
+        m = ExactMatrix(GF(5), 4, [{0: 7, 1: -1, 2: 5, 3: Fraction(1, 2)}, {0: 4, 1: 0}])
+        assert m.columns == ({0: 2, 1: 4, 3: 3}, {0: 4})
+        assert all(type(x) is int for col in m.columns for x in col.values())
+        q = ExactMatrix(QQ, 2, [{0: 3, 1: Fraction(0)}, {1: Fraction(-1, 2)}])
+        assert q.columns == ({0: Fraction(3)}, {1: Fraction(-1, 2)})
+        assert type(q.columns[0][0]) is Fraction
+        for field in (QQ, GF(5)):
+            for bad in (True, 1.0):
+                with pytest.raises(TypeError):
+                    ExactMatrix(field, 1, [{0: bad}])
+            for row in (-1, 2):
+                with pytest.raises(ValueError):
+                    ExactMatrix(field, 2, [{0: 1}, {row: 1}])
+
+    def test_deadline(self):
+        m = from_rows(QQ, [[1, 2], [3, 4]])
+        for field in (QQ, GF(7)):
+            matrix = from_rows(field, m.rows)
+            with pytest.raises(BudgetExceededError):
+                in_span([1, 0], matrix, deadline=time.monotonic() - 1)
+            far = time.monotonic() + 60
+            assert in_span([1, 0], matrix, deadline=far) == in_span([1, 0], matrix)
+            assert in_span([1, 0], matrix, deadline=far)[0]
+            single = ExactMatrix.from_columns(field, 2, [[1, 2]])
+            assert in_span([1, 0], single, deadline=far) == (False, None)
+
     def test_certificate_on_greedy_pivot_columns(self):
         rng = random.Random(83)
         for field in (QQ, GF(2), GF(7)):
@@ -261,8 +290,54 @@ def retries(moduli):
     return [p for field, p in moduli if field.is_rationals and p != linalg.PRIME]
 
 
+@pytest.fixture
+def added(monkeypatch):
+    """The column indices passed to ``_Echelon.add``, in call order."""
+    calls = []
+    original = linalg._Echelon.add
+
+    def spy(self, j, vec):
+        calls.append(j)
+        return original(self, j, vec)
+
+    monkeypatch.setattr(linalg._Echelon, "add", spy)
+    return calls
+
+
 class TestModularKernel:
     """The elimination mod p against the exact greedy pivots of plain Gauss."""
+
+    @pytest.mark.parametrize("field", [QQ, GF(7), GF(32003)])
+    def test_span_stops_at_the_target(self, field, added):
+        rng = random.Random(101)
+        for _ in range(40):
+            nrows, ncols = rng.randint(3, 6), rng.randint(8, 12)
+            den = 3 if field is QQ else 1
+            cols = [[Fraction(rng.randint(-4, 4), rng.randint(1, den)) for _ in range(nrows)]
+                    for _ in range(ncols)]
+            k = rng.randint(1, 3)  # v is a combination of the first k columns
+            weights = [rng.randint(-2, 2) or 1 for _ in range(k)]
+            v = [sum(w * col[i] for w, col in zip(weights, cols)) for i in range(nrows)]
+            # the fewest leading columns whose span holds v
+            stop = next(j for j in range(ncols + 1)
+                        if naive_rank(field, cols[:j] + [v]) == naive_rank(field, cols[:j]))
+            added.clear()
+            ok, cert = in_span(v, ExactMatrix.from_columns(field, nrows, cols))
+            assert ok
+            assert stop <= k and added == list(range(stop))  # no later column read
+            pivots = set(greedy_pivots(field, cols))
+            assert all(c.is_zero for j, c in enumerate(cert) if j not in pivots)
+            for i in range(nrows):
+                total = field.zero
+                for col, c in zip(cols, cert):
+                    total = field.add(total, field.mul(field.coerce(col[i]), c.value))
+                assert total == field.coerce(v[i])
+
+    def test_false_span_reads_every_column(self, added):
+        cols = [[1, 0, 0], [2, 0, 0], [0, 1, 0], [1, 1, 0]]
+        ok, dual = linalg._span([0, 0, 1], ExactMatrix.from_columns(QQ, 3, cols))
+        assert not ok and is_dual(QQ, dual, cols, [0, 0, 1])
+        assert added == [0, 1, 2, 3]
 
     @pytest.mark.parametrize("field", [QQ, GF(2), GF(5), GF(32003)])
     def test_against_greedy_pivots_randomized(self, field, moduli):
