@@ -2,8 +2,8 @@
 
 Seeded ``rank_condition`` and ``graded_member`` instances over QQ and
 GF(32003), with true and false verdicts, under S4, S5, C5 and the dihedral
-group of the square, plus one rank question that the first prime cannot
-settle.  Each report's ``machine()`` text must equal the stored one in
+group of the square, plus S7 on type (3,2,1), the dihedral group of the
+hexagon, and one rank question that the first prime cannot settle.  Each report's ``machine()`` text must equal the stored one in
 ``data/linalg_machine.json``.  Rewrite that file (only when a change of
 output is intended) with ``PYTHONPATH=src python tests/test_linalg_machine.py``.
 """
@@ -25,6 +25,7 @@ from symorbits import (
     monomials_of_type,
     orbit,
     orbit_ideal,
+    parse_polynomial,
     rank_condition,
 )
 
@@ -106,6 +107,21 @@ def instances():
                     f"{prefix}-{kind}",
                     lambda t=target, s=seed, g=group: graded_member(t, orbit_ideal([s], g)),
                 ))
+    # 210 monomials of type (3,2,1) against 5,040 orbit vectors; the second
+    # and fourth have coefficients summing to zero
+    s7 = PermGroup.symmetric(7)
+    for name, field, text in [
+        ("S7-QQ-rank-full", QQ, "x1^3*x2^2*x3 + 2*x2^3*x1^2*x3 - x4^3*x5^2*x6"),
+        ("S7-QQ-rank-deficient", QQ, "x1^3*x2^2*x3 + 2*x2^3*x3^2*x4 - 3*x5^3*x6^2*x7"),
+        ("S7-GF32003-rank-full", GF(32003), "3*x1^3*x2^2*x3 - x2^3*x1^2*x3 + x4^3*x5^2*x7"),
+        ("S7-GF32003-rank-deficient", GF(32003), "x1^3*x2^2*x3 - x2^3*x1^2*x3"),
+    ]:
+        f = parse_polynomial(text, 7, field)
+        out.append((name, lambda f=f: rank_condition(f, s7)))
+    # 12 distinct images of a pure-square polynomial under the dihedral group
+    d6 = PermGroup.generated(6, ["(1 2 3 4 5 6)", "(1 6)(2 5)(3 4)"])
+    hexagon = parse_polynomial("x1^2 + 2*x2^2 - x4^2", 6, QQ)
+    out.append(("D6-QQ-rank-deficient", lambda: rank_condition(hexagon, d6)))
     # rank 1 mod 2^61 - 1 (2^61 is 1 there), rank 2 over QQ: settled at 2^521 - 1
     tall = Polynomial(QQ, 2, {(2, 1): 1, (1, 2): 2**61})
     out.append(("S2-QQ-rank-retry", lambda: rank_condition(tall, PermGroup.symmetric(2))))
