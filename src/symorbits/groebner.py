@@ -75,7 +75,7 @@ class _Overflow(Exception):
 class _Packing:
     """Packed ints for the monomials of one order in ``nvars`` variables."""
 
-    __slots__ = ("order", "lex", "nvars", "width", "top", "low", "guards", "limit", "shifts")
+    __slots__ = ("order", "lex", "nvars", "width", "top", "low", "guards", "limit", "mod", "shifts")
 
     def __init__(self, order: MonomialOrder, nvars: int, width: int):
         if order not in (LEX, GREVLEX):
@@ -88,6 +88,7 @@ class _Packing:
         self.low = (1 << self.top) - 1
         self.guards = sum(1 << (width * i + width - 1) for i in range(nvars))
         self.limit = (1 << (width - 1)) - 1  # largest exponent; also the value-bit mask
+        self.mod = (1 << width) - 1  # 2^width is 1 mod this, so a field's weight is 1
         fields = range(nvars - 1, -1, -1) if self.lex else range(nvars)
         self.shifts = tuple(width * i for i in fields)  # field of x1, ..., xN
 
@@ -115,13 +116,17 @@ class _Packing:
 
     def lcm(self, a: int, b: int) -> int:
         """Fieldwise maximum: a guard survives (a | guards) - b exactly in
-        the fields where a >= b, and no borrow crosses a field."""
+        the fields where a >= b, and no borrow crosses a field.  In grevlex
+        its degree, the sum of its fields, is its value mod ``mod`` while
+        deg a + deg b, which bounds it, is below ``mod``."""
+        small = (a >> self.top) + (b >> self.top) > -self.mod  # grevlex: -deg a - deg b
         a &= self.low
         b &= self.low
         ge = ((a | self.guards) - b) & self.guards
         take_a = ge - (ge >> (self.width - 1))  # value bits of those fields
         d = a & take_a | b & ~take_a
-        return d - ((d if self.lex else sum(self.unpack(d))) << self.top)
+        key = d if self.lex else d % self.mod if small else sum(self.unpack(d))
+        return d - (key << self.top)
 
     def integer_terms(self, f: Polynomial) -> tuple[dict[int, int], int]:
         """f's packed terms times the lcm of its denominators (1 over

@@ -15,8 +15,8 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .groebner import DEFAULT_MAX_PAIRS, GroebnerBasis, buchberger
-from .linalg import ExactMatrix, _span, rank
-from .permutations import PermGroup, orbit, orbit_images
+from .linalg import ExactMatrix, _span, spin_rank
+from .permutations import PermGroup, _closure, orbit, orbit_images
 from .polynomials import (
     GREVLEX,
     Monomial,
@@ -213,19 +213,24 @@ def graded_member(
             "checked exactly",
         )
 
+    field, gens, zero = target.field, ideal.expanded, target.field.zero
     combination = []
-    total = Polynomial.zero(target.field, target.nvars)
+    names: dict[int, str] = {}  # each generator formatted once
+    total: dict[Monomial, object] = {}  # the combination, summed term by term
     for (gi, u), c in zip(meta, coeffs):
         if c.is_zero:
             continue
-        term = Polynomial.from_monomial(target.field, u, c.value) * ideal.expanded[gi]
-        total = total + term
-        combination.append(
-            {"generator": str(ideal.expanded[gi]), "multiplier": str(
-                Polynomial.from_monomial(target.field, u)
-            ), "coefficient": str(c)}
-        )
-    if total != target:
+        for m, a in gens[gi].terms.items():
+            m = tuple(map(operator.add, u, m))
+            total[m] = field.add(total.get(m, zero), field.mul(c.value, a))
+        if gi not in names:
+            names[gi] = str(gens[gi])
+        combination.append({
+            "generator": names[gi],
+            "multiplier": str(Polynomial.from_monomial(field, u)),
+            "coefficient": str(c),
+        })
+    if {m: x for m, x in total.items() if x} != target.terms:
         raise CertificateError("membership certificate failed polynomial re-verification")
     return VerdictReport(
         "graded-membership",
@@ -290,11 +295,14 @@ def rank_condition(
 
     Columns are the coefficient vectors of the distinct orbit images of f
     inside the space spanned by all monomials of the shared type; the
-    verdict is true iff their span is the whole space.  The certificate
-    holds the prime that settled the rank (2^61 - 1, or a larger listed
-    prime after a failed lift or check) and, on a false verdict, a
-    left-kernel vector over the monomials.  ``deadline`` is checked per
-    column of the build and of the elimination.
+    verdict is true iff their span is the whole space.  That span is the
+    least G-stable one holding f, so it is spun from f under the generators
+    (``linalg.spin_rank``).  The certificate holds the prime that settled
+    the rank (2^61 - 1, or a larger listed prime after a failed lift or
+    check) and, on a false verdict, a left-kernel vector over the
+    monomials, checked exactly against every spun vector, which proves
+    their span G-stable.  ``deadline`` is checked per image counted and per
+    vector spun.
     """
     if f.is_zero:
         raise ValueError("zero polynomial has no type")
@@ -304,31 +312,30 @@ def rank_condition(
     if len(types) != 1:
         raise ValueError(f"support mixes types {sorted(types)}")
     mono_type = next(iter(types))
-    images = orbit_images(f, group)  # over the bound, refuse before any enumeration
+    orbit_images(f, group)  # over the bound, refuse before any enumeration
     if not group.transitive_on_type(mono_type):
         raise ValueError(
             f"group {group.descriptor} is not transitive on monomials of type {mono_type}"
         )
     row_index = sorted(monomials_of_type(mono_type, f.nvars), key=GREVLEX.key, reverse=True)
     row_pos = {m: i for i, m in enumerate(row_index)}
-    values = list(f.terms.values())
-    classes: dict = {}
-    value_class = [classes.setdefault(c, len(classes)) for c in values]
+    n = len(row_index)
+    perms = [[row_pos[g.act_monomial(m)] for m in row_index] for g in group.generators]
+    # an image keeps f's coefficients, so it is the set of codes k * n + row
+    # of its terms, k indexing f's distinct coefficients in term order: a
+    # sorted tuple, which the action keeps sorted when no coefficient repeats
+    values = list(dict.fromkeys(f.terms.values()))
+    start = tuple(sorted(values.index(c) * n + row_pos[m] for m, c in f.terms.items()))
+    steps = [[k * n + r for k in range(len(values)) for r in perm].__getitem__ for perm in perms]
+    canonical = tuple if len(values) == len(f.terms) else lambda codes: tuple(sorted(codes))
 
-    def distinct():
-        seen = set()
-        for g in images:
-            # orbit_images and Permutation.act keep f's term order, so an image
-            # is its set of (row, class of f's coefficient there) pairs
-            rows = [row_pos[m] for m in g.terms]
-            key = frozenset(zip(rows, value_class))
-            if key not in seen:
-                check_deadline(deadline)
-                seen.add(key)
-                yield dict(zip(rows, values))
+    def moved(key):
+        check_deadline(deadline)
+        return [canonical(map(step, key)) for step in steps]
 
-    matrix = ExactMatrix(f.field, len(row_index), distinct())
-    got = rank(matrix, deadline=deadline)
+    images = len(_closure([start], moved))
+    column = {code % n: values[code // n] for code in start}
+    got = spin_rank(f.field, n, column, perms, images, deadline=deadline)
     verdict = got.rank == len(row_index)
     certificate = {"full_rank": verdict, "prime": got.prime}
     if not verdict:
@@ -340,7 +347,7 @@ def rank_condition(
             "group": group.descriptor,
             "field": str(f.field),
             "monomials_of_type": len(row_index),
-            "distinct_orbit_vectors": matrix.ncols,
+            "distinct_orbit_vectors": images,
             "rank": got.rank,
         },
         verdict,

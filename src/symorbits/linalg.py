@@ -1,5 +1,6 @@
 """Exact linear algebra on sparse columns: rank and span membership, with
-certificates both ways.
+certificates both ways, and the rank of a column's orbit under row
+permutations.
 
 One kernel serves both questions.  It brings the columns, left to right, to
 reduced column echelon form modulo a prime: each basis vector is 1 at its
@@ -18,7 +19,8 @@ certified exactly:
 * rank <= r: each row that leads no basis vector gives a left-kernel vector
   mod p (1 on that row, 0 on the other such rows), lifted by rational
   reconstruction (Wang, Guy & Davenport, SIGSAM Bull. 1982) and checked
-  exactly against every column;
+  exactly against every column (for an orbit, every spun vector: see
+  ``spin_rank``);
 * v in the span: the solution on the pivot columns is lifted and re-verified
   by exact multiplication;
 * v not in the span: a dual vector y is lifted, and y.A = 0 and y.v != 0 are
@@ -220,19 +222,17 @@ def _echelon_columns(
     return echelon, read
 
 
-def _moduli(matrix: ExactMatrix, target: Mapping[int, int] | None = None):
+def _moduli(field: Field, nrows: int, columns: Iterable[Mapping[int, int]]):
     """The primes to eliminate at, in turn: the field's own over GF(p); over
-    the rationals ``PRIME``, then the least of ``PRIMES`` above 2 H^2 (see
-    the module docstring), unless that is ``PRIME`` again."""
-    field = matrix.field
+    the rationals ``PRIME``, then the least of ``PRIMES`` above 2 H^2 for
+    the integer ``columns``, read only then (see the module docstring),
+    unless that is ``PRIME`` again."""
     if not field.is_rationals:
         yield field.p
         return
     yield PRIME
-    norms = [sum(x * x for x in _integer(field, col)[1].values()) for col in matrix.columns]
-    if target:
-        norms.append(sum(x * x for x in target.values()))
-    bound = 2 * math.prod(heapq.nlargest(matrix.nrows, filter(None, norms)))
+    norms = (sum(x * x for x in col.values()) for col in columns)
+    bound = 2 * math.prod(heapq.nlargest(nrows, filter(None, norms)))
     p = next((q for q in PRIMES if q > bound), None)
     if p is None:
         raise BudgetExceededError(f"Hadamard bound 2^{bound.bit_length() - 1} past the last prime")
@@ -266,8 +266,8 @@ def _lift(field: Field, values: Mapping[int, int], p: int) -> dict[int, Raw] | N
 def _checked_dual(field: Field, residues, columns, p: int, v=None) -> dict[int, int] | None:
     """A dual vector mod p lifted and cleared of denominators (a dual
     vector's multiples are dual vectors), if the lift succeeds and the
-    integer vector is exactly orthogonal to every integer (scale, column)
-    pair, and not to v when v is given; else None."""
+    integer vector is exactly orthogonal to every integer column, and not
+    to v when v is given; else None."""
     y = _lift(field, residues, p)
     if y is None:
         return None
@@ -277,7 +277,21 @@ def _checked_dual(field: Field, residues, columns, p: int, v=None) -> dict[int, 
         total = sum(y[i] * x for i, x in col.items() if i in y)
         return total % field.p == 0 if field.p else total == 0
 
-    return y if all(zero(col) for _, col in columns) and (v is None or not zero(v)) else None
+    return y if all(zero(col) for col in columns) and (v is None or not zero(v)) else None
+
+
+def _certified(field: Field, nrows: int, echelon: _Echelon, columns, p: int, deadline):
+    """The echelon's RankCertificate if every row that leads no basis vector
+    gives a ``_checked_dual`` of the integer columns, else None."""
+    first = None
+    for row in range(nrows):
+        if row not in echelon.basis:
+            check_deadline(deadline)
+            y = _checked_dual(field, echelon.dual(row), columns, p)
+            if y is None:
+                return None
+            first = first or y
+    return RankCertificate(len(echelon.basis), p, first and _dense(field, nrows, first))
 
 
 def _dense(field: Field, n: int, entries: Mapping[int, Raw]) -> list[Scalar]:
@@ -291,20 +305,48 @@ def rank(matrix: ExactMatrix, *, deadline: float | None = None) -> RankCertifica
     """The exact rank, the prime whose pivots prove it and, below full row
     rank, one exactly checked left-kernel vector.  ``deadline`` is checked
     per column of the elimination and per left-kernel vector checked."""
-    field = matrix.field
-    for p in _moduli(matrix):
+    field, nrows = matrix.field, matrix.nrows
+    for p in _moduli(field, nrows, (_integer(field, col)[1] for col in matrix.columns)):
         echelon, read = _echelon_columns(matrix, p, deadline)
-        first = None
-        for row in range(matrix.nrows):
-            if row not in echelon.basis:
-                check_deadline(deadline)
-                y = _checked_dual(field, echelon.dual(row), read, p)
-                if y is None:
-                    break
-                first = first or y
-        else:
-            dual = first and _dense(field, matrix.nrows, first)
-            return RankCertificate(len(echelon.basis), p, dual)
+        got = _certified(field, nrows, echelon, [c for _, c in read], p, deadline)
+        if got:
+            return got
+    raise CertificateError("left-kernel vector failed exact re-verification")
+
+
+def spin_rank(
+    field: Field, nrows: int, column: Mapping[int, Raw], perms: Sequence[Sequence[int]],
+    images: int, *, deadline: float | None = None,
+) -> RankCertificate:
+    """``rank`` of the matrix of the ``images`` distinct images of a column
+    under the group that the row permutations ``perms`` generate, by
+    spinning (Parker's Meat-Axe): each new basis vector queues its distinct
+    images under the perms.  The echelon depends only on the span mod p,
+    and all images share one norm, so the result is that of the full
+    matrix.  Below full rank every left-kernel vector is checked exactly
+    against every spun vector; their common kernel, of the rank's dimension,
+    then is the span of the basis vectors and holds every perm image of
+    them, so it is G-stable: the whole span.  ``deadline`` is checked per
+    spun vector and per left-kernel vector."""
+    col = _integer(field, column)[1]
+    for p in _moduli(field, nrows, [col] * min(nrows, images)):
+        echelon = _Echelon(p, False)
+        spun, seen = [col], {frozenset(col.items())}
+        for j, vec in enumerate(spun):  # spun grows as it is read
+            if len(echelon.basis) == nrows:
+                break
+            check_deadline(deadline)
+            if echelon.add(j, _mod(p, vec)) is None:
+                continue
+            for perm in perms:
+                image = {perm[i]: x for i, x in vec.items()}
+                key = frozenset(image.items())
+                if key not in seen:
+                    seen.add(key)
+                    spun.append(image)
+        got = _certified(field, nrows, echelon, spun, p, deadline)
+        if got:
+            return got
     raise CertificateError("left-kernel vector failed exact re-verification")
 
 
@@ -334,12 +376,14 @@ def _span(
     v = [field.coerce(x) for x in vector]
     if len(v) != matrix.nrows:
         raise ValueError(f"vector length {len(v)} != row count {matrix.nrows}")
-    v_scale, v_int = _integer(field, {i: x for i, x in enumerate(v) if x})
-    for p in _moduli(matrix, v_int):
+    raw = {i: x for i, x in enumerate(v) if x}
+    v_scale, v_int = _integer(field, raw)
+    columns = (_integer(field, col)[1] for col in (*matrix.columns, raw))
+    for p in _moduli(field, matrix.nrows, columns):
         rest, combination = _mod(p, v_int), {}
         echelon, read = _echelon_columns(matrix, p, deadline, rest, combination)
         if rest:
-            y = _checked_dual(field, echelon.dual(min(rest)), read, p, v_int)
+            y = _checked_dual(field, echelon.dual(min(rest)), [c for _, c in read], p, v_int)
             if y is not None:
                 return False, _dense(field, matrix.nrows, y)
             continue

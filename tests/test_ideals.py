@@ -10,6 +10,8 @@ from symorbits import (
     GREVLEX,
     QQ,
     BudgetExceededError,
+    CertificateError,
+    ExactMatrix,
     PermGroup,
     Polynomial,
     buchberger,
@@ -17,11 +19,13 @@ from symorbits import (
     graded_member,
     graded_piece,
     ideal_equal,
+    monomial_type,
     monomials_of_degree,
     monomials_of_type,
     orbit,
     orbit_ideal,
     parse_polynomial,
+    rank,
     rank_condition,
     symmetrize,
 )
@@ -128,6 +132,21 @@ class TestGradedMember:
             [parse_polynomial("x1 + x2 + x1^2 - x2^2", 3, field)], PermGroup.symmetric(3)
         )
         assert not graded_member(parse_polynomial("x1", 3, field), ideal).verdict
+
+    @pytest.mark.parametrize("field", [QQ, GF(32003)], ids=str)
+    def test_true_certificate_is_reverified(self, field, monkeypatch):
+        # x1*x2 + x2*x3 is a member of two generators; a doubled combination
+        # sums to twice it, and one cut to its first column to a single term
+        ideal = orbit_ideal([parse_polynomial("x1*x2", 3, field)], PermGroup.symmetric(3))
+        target = parse_polynomial("x1*x2 + x2*x3", 3, field)
+        assert graded_member(target, ideal).verdict
+        span = ideals._span
+        for forge in (lambda cs: [c + c for c in cs], lambda cs: cs[:1]):
+            monkeypatch.setattr(
+                ideals, "_span", lambda v, m, d=None, forge=forge: (True, forge(span(v, m, d)[1]))
+            )
+            with pytest.raises(CertificateError, match="polynomial re-verification"):
+                graded_member(target, ideal)
 
     def test_rejects_inhomogeneous_target_for_homogeneous_seeds(self, P):
         ideal = orbit_ideal([P("x1*x2", 3)], PermGroup.symmetric(3))
@@ -324,10 +343,97 @@ class TestRankCondition:
         with pytest.raises(ValueError):
             rank_condition(P("x1^2*x2", 3), PermGroup.cyclic(3))
 
+    def test_deadline(self, P):
+        # 20,160 images under S8; the count checks the deadline per image
+        f = P("x1^3*x2^2*x3 + 2*x2^3*x1^2*x3 - x4^3*x5^2*x6", 8)
+        with pytest.raises(BudgetExceededError):
+            rank_condition(f, PermGroup.symmetric(8), deadline=time.monotonic() - 1)
+        far = time.monotonic() + 60
+        assert rank_condition(f, PermGroup.symmetric(8), deadline=far).verdict
+
     def test_image_bound_refused_before_enumeration(self, P):
         # 12!/6! images (and as many monomials of the type) exceed the bound
         with pytest.raises(ValueError, match="enumeration bound"):
             rank_condition(P("x1^6*x2^5*x3^4*x4^3*x5^2*x6", 12), PermGroup.symmetric(12))
+
+
+def full_elimination(f, group):
+    """The rank condition without the spin: the row index, ``rank`` of the
+    matrix of every distinct orbit image, and their count."""
+    (mono_type,) = {monomial_type(m) for m in f.terms}
+    index = sorted(monomials_of_type(mono_type, f.nvars), key=GREVLEX.key, reverse=True)
+    pos = {m: i for i, m in enumerate(index)}
+    images = orbit(f, group)
+    columns = [{pos[m]: c for m, c in g.terms.items()} for g in images]
+    return index, rank(ExactMatrix(f.field, len(index), columns)), len(images)
+
+
+SPIN_GROUPS = [
+    *(PermGroup.symmetric(n) for n in (3, 4, 5, 6)),
+    *(PermGroup.cyclic(n) for n in (5, 6, 7, 8)),
+    PermGroup.generated(5, ["(1 2 3 4 5)", "(2 5)(3 4)"]),
+    PermGroup.generated(6, ["(1 2 3 4 5 6)", "(1 6)(2 5)(3 4)"]),
+    # redundant generators: S4 from four transpositions and cycles, C6 from two
+    PermGroup.generated(4, ["(1 2)", "(1 2 3 4)", "(1 3)", "(2 4)"]),
+    PermGroup.generated(6, ["(1 2 3 4 5 6)", "(1 3 5)(2 4 6)"]),
+]
+
+
+def spin_instances():
+    """(group, f) for every group of SPIN_GROUPS over QQ and GF(32003):
+    random coefficients, coefficients summing to zero (rank-deficient) and
+    coefficients +-1 (repeated), on a type the group is transitive on; then
+    two rank questions that 2^61 - 1 gets wrong (2^61 is 1 there)."""
+    rng = random.Random(1515)
+    out = []
+    for group in SPIN_GROUPS:
+        n = group.degree
+        types = [(2, 1), (1, 1, 1), (2, 1, 1), (3, 2, 1)] if group.is_full_symmetric else [(2,), (3,)]
+        for field in (QQ, GF(32003)):
+            for kind in ("random", "sum-zero", "repeated"):
+                pool = monomials_of_type(rng.choice([t for t in types if len(t) <= n]), n)
+                monos = rng.sample(pool, min(len(pool), rng.randint(2, 4)))
+                if kind == "repeated":
+                    coeffs = [rng.choice((-1, 1)) for _ in monos]
+                else:
+                    coeffs = [Fraction(rng.choice((-3, -2, -1, 1, 2, 3)),
+                                       rng.randint(1, 3) if field is QQ else 1) for _ in monos]
+                if kind == "sum-zero":
+                    coeffs[-1] = -sum(coeffs[:-1])
+                out.append((group, Polynomial(field, n, dict(zip(monos, coeffs)))))
+    out.append((PermGroup.symmetric(2), Polynomial(QQ, 2, {(2, 1): 1, (1, 2): 2**61})))
+    out.append((PermGroup.symmetric(3), Polynomial(QQ, 3, {(2, 1, 0): 1, (1, 2, 0): 2**61})))
+    return out
+
+
+SPIN_INSTANCES = spin_instances()
+
+
+class TestSpinAgainstFullElimination:
+    @pytest.mark.parametrize(
+        "group, f", SPIN_INSTANCES,
+        ids=[f"{i}-{g.descriptor}-{f.field}" for i, (g, f) in enumerate(SPIN_INSTANCES)],
+    )
+    def test_same_rank_prime_dual_and_count(self, group, f):
+        index, full, count = full_elimination(f, group)
+        report = rank_condition(f, group)
+        assert report.parameters["rank"] == full.rank
+        assert report.parameters["distinct_orbit_vectors"] == count
+        assert report.certificate["prime"] == full.prime
+        assert report.verdict == (full.rank == len(index))
+        if full.dual is not None:
+            assert report.certificate["dual_vector"] == ideals._by_monomial(index, full.dual)
+        else:
+            assert "dual_vector" not in report.certificate
+
+    def test_instances_cover_both_verdicts_and_the_retry(self):
+        verdicts, primes = set(), set()
+        for group, f in SPIN_INSTANCES:
+            report = rank_condition(f, group)
+            verdicts.add(report.verdict)
+            primes.add(report.certificate["prime"])
+        assert verdicts == {True, False}
+        assert {2**61 - 1, 2**521 - 1, 32003} <= primes
 
 
 class TestSymmetrize:

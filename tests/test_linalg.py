@@ -71,6 +71,10 @@ class TestRank:
                 rank(from_rows(field, m.rows), deadline=time.monotonic() - 1)
             with pytest.raises(BudgetExceededError):
                 linalg._span([1, 0], from_rows(field, m.rows), time.monotonic() - 1)
+            # the orbit of (1, 2) under the swap of its rows
+            with pytest.raises(BudgetExceededError):
+                linalg.spin_rank(field, 2, {0: 1, 1: 2}, [[1, 0]], 2, deadline=time.monotonic() - 1)
+            assert linalg.spin_rank(field, 2, {0: 1, 1: 2}, [[1, 0]], 2).rank == 2
 
     def test_against_naive_gauss_randomized(self):
         rng = random.Random(61)

@@ -3,7 +3,8 @@
 For lex and grevlex in 1-7 variables, at widths from the smallest up: the
 pack/unpack round trip, agreement of one int comparison with
 ``MonomialOrder.key``, of the guard-bit test with ``mono_divides`` and of
-the fieldwise lcm with ``mono_lcm``, and additivity, with every overflowing
+the fieldwise lcm with ``mono_lcm`` (also where the grevlex degree of the
+lcm is too large to read off the packed int mod 2^width - 1), and additivity, with every overflowing
 sum caught by a guard bit.  hypothesis is a test-only dependency; without
 it the module is skipped.
 """
@@ -70,6 +71,20 @@ def test_guard_test_is_divisibility(case):
 def test_lcm_is_fieldwise_maximum(case):
     _, packing, a, b = case
     assert packing.lcm(packing.pack(a), packing.pack(b)) == packing.pack(mono_lcm(a, b))
+
+
+def test_grevlex_lcm_degree_past_the_modulus():
+    # width 8: the degree is read mod 255 only while deg a + deg b < 255
+    packing = _Packing.for_degree(GREVLEX, 3, 4)
+    a, b = (packing.limit, 100, 0), (0, packing.limit, 60)
+    assert packing.mod == 255 and sum(a) + sum(b) >= packing.mod
+    lcm = packing.lcm(packing.pack(a), packing.pack(b))
+    assert lcm == packing.pack(mono_lcm(a, b))
+    assert packing.degree(lcm) == sum(mono_lcm(a, b)) == 314
+    # one below the modulus: read mod 255
+    a, b = (packing.limit, 0, 0), (0, 0, packing.limit)
+    assert sum(a) + sum(b) == packing.mod - 1
+    assert packing.lcm(packing.pack(a), packing.pack(b)) == packing.pack((packing.limit, 0, packing.limit))
 
 
 @PROPERTY
