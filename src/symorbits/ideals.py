@@ -336,7 +336,7 @@ def rank_condition(
     images = len(_closure([start], moved))
     column = {code % n: values[code // n] for code in start}
     got = spin_rank(f.field, n, column, perms, images, deadline=deadline)
-    verdict = got.rank == len(row_index)
+    verdict = got.rank == n
     certificate = {"full_rank": verdict, "prime": got.prime}
     if not verdict:
         certificate["dual_vector"] = _by_monomial(row_index, got.dual)
@@ -346,7 +346,7 @@ def rank_condition(
             "type": mono_type,
             "group": group.descriptor,
             "field": str(f.field),
-            "monomials_of_type": len(row_index),
+            "monomials_of_type": n,
             "distinct_orbit_vectors": images,
             "rank": got.rank,
         },

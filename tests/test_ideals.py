@@ -388,7 +388,9 @@ def spin_instances():
     out = []
     for group in SPIN_GROUPS:
         n = group.degree
-        types = [(2, 1), (1, 1, 1), (2, 1, 1), (3, 2, 1)] if group.is_full_symmetric else [(2,), (3,)]
+        types = [(2,), (3,)]
+        if group.is_full_symmetric:
+            types = [(2, 1), (1, 1, 1), (2, 1, 1), (3, 2, 1)]
         for field in (QQ, GF(32003)):
             for kind in ("random", "sum-zero", "repeated"):
                 pool = monomials_of_type(rng.choice([t for t in types if len(t) <= n]), n)

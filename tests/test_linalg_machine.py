@@ -3,7 +3,8 @@
 Seeded ``rank_condition`` and ``graded_member`` instances over QQ and
 GF(32003), with true and false verdicts, under S4, S5, C5 and the dihedral
 group of the square, plus S7 on type (3,2,1), the dihedral group of the
-hexagon, and one rank question that the first prime cannot settle.  Each report's ``machine()`` text must equal the stored one in
+hexagon, and one rank question that the first prime cannot settle.  Each
+report's ``machine()`` text must equal the stored one in
 ``data/linalg_machine.json``.  Rewrite that file (only when a change of
 output is intended) with ``PYTHONPATH=src python tests/test_linalg_machine.py``.
 """

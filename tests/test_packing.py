@@ -84,7 +84,8 @@ def test_grevlex_lcm_degree_past_the_modulus():
     # one below the modulus: read mod 255
     a, b = (packing.limit, 0, 0), (0, 0, packing.limit)
     assert sum(a) + sum(b) == packing.mod - 1
-    assert packing.lcm(packing.pack(a), packing.pack(b)) == packing.pack((packing.limit, 0, packing.limit))
+    lcm = packing.lcm(packing.pack(a), packing.pack(b))
+    assert lcm == packing.pack((packing.limit, 0, packing.limit))
 
 
 @PROPERTY
