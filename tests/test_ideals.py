@@ -383,7 +383,8 @@ def spin_instances():
     """(group, f) for every group of SPIN_GROUPS over QQ and GF(32003):
     random coefficients, coefficients summing to zero (rank-deficient) and
     coefficients +-1 (repeated), on a type the group is transitive on; then
-    two rank questions that 2^61 - 1 gets wrong (2^61 is 1 there)."""
+    rank questions that 2^61 - 1 gets wrong: 2^61 is 1 there, and f is 0
+    there when each coefficient is a multiple of it."""
     rng = random.Random(1515)
     out = []
     for group in SPIN_GROUPS:
@@ -405,6 +406,9 @@ def spin_instances():
                 out.append((group, Polynomial(field, n, dict(zip(monos, coeffs)))))
     out.append((PermGroup.symmetric(2), Polynomial(QQ, 2, {(2, 1): 1, (1, 2): 2**61})))
     out.append((PermGroup.symmetric(3), Polynomial(QQ, 3, {(2, 1, 0): 1, (1, 2, 0): 2**61})))
+    p = 2**61 - 1
+    out.append((PermGroup.symmetric(3), Polynomial(QQ, 3, {(2, 1, 0): p, (0, 1, 2): 2 * p})))
+    out.append((PermGroup.cyclic(4), Polynomial(QQ, 4, {(2, 0, 0, 0): p, (0, 2, 0, 0): -p})))
     return out
 
 
