@@ -41,6 +41,7 @@ No floating point.
 from __future__ import annotations
 
 import heapq
+import itertools
 import math
 from fractions import Fraction
 from typing import Iterable, Mapping, NamedTuple, Sequence
@@ -376,10 +377,9 @@ def _span(
     v = [field.coerce(x) for x in vector]
     if len(v) != matrix.nrows:
         raise ValueError(f"vector length {len(v)} != row count {matrix.nrows}")
-    raw = {i: x for i, x in enumerate(v) if x}
-    v_scale, v_int = _integer(field, raw)
-    columns = (_integer(field, col)[1] for col in (*matrix.columns, raw))
-    for p in _moduli(field, matrix.nrows, columns):
+    v_scale, v_int = _integer(field, {i: x for i, x in enumerate(v) if x})
+    columns = (_integer(field, col)[1] for col in matrix.columns)
+    for p in _moduli(field, matrix.nrows, itertools.chain(columns, [v_int])):
         rest, combination = _mod(p, v_int), {}
         echelon, read = _echelon_columns(matrix, p, deadline, rest, combination)
         if rest:
