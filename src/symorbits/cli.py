@@ -285,7 +285,7 @@ ARGUMENTS = dict([
     _argument("--order", choices=("lex", "grevlex"), default="grevlex"),
     _argument("--format", choices=("human", "machine"), default="human"),
     _argument("--budget", type=_pairs, default=DEFAULT_MAX_PAIRS,
-              help="maximum number of S-pairs reduced per basis computation"),
+              help="maximum number of S-pair signatures reduced per basis computation"),
     _argument("--timeout", type=_seconds, help="wall-clock budget in seconds"),
     _argument("--group"),
     _argument("--poly"),

@@ -1,15 +1,51 @@
-"""Buchberger's algorithm with reduced bases, normal forms, radical
-membership via one adjoined variable, and the irrelevant-radical test.
+"""Groebner bases by a signature-based loop, with reduced bases, normal
+forms, radical membership via one adjoined variable, and the
+irrelevant-radical test.
 
-The pair loop uses the normal selection strategy (smallest lcm first)
-together with the product and chain criteria.  Every run is bounded by a
-configurable budget of S-polynomial reductions (pairs the criteria skip do
-not count; each reduction adds at most one element, so the pairs popped
-stay bounded too) and an optional wall-clock deadline, checked at every
-popped pair, between the element reductions of interreduction and at
-every heap pop inside one reduction (over QQ one pop can take a tenth of a
-second once coefficients run to thousands of bits); exceeding either raises
-:class:`BudgetExceededError`, which is distinct from any membership verdict.
+The loop follows Faugère's F5 (*ISSAC* 2002) in the rewrite form surveyed
+by Eder and Faugère (*J. Symb. Comp.* 2017).  The interreduced input f_i
+gets the signature e_i, and signatures are compared in the Schreyer order:
+t*e_i by t*lm(f_i) in the basis's monomial order, ties broken by i (the
+larger i is the larger signature).  The signatures of S-pairs are processed
+in increasing order:
+
+- syzygy criterion: a signature is skipped when a known syzygy signature
+  divides it.  The known ones are the Koszul signature
+  max(lm(b)*sig(a), lm(a)*sig(b)) of every two elements (a pair with
+  coprime leading monomials has exactly that signature, so this subsumes
+  the product criterion) and every signature whose reduction gave 0;
+- for a signature T the polynomial reduced is w*b, where b is the element
+  with sig(b) | T that minimises lm(w*b) (the latest one on a tie);
+- only divisors of smaller signature may reduce it, so the remainder has
+  signature T.  Its first step is the S-polynomial of b and the first such
+  divisor of lm(w*b);
+- singular criterion: when no divisor of smaller signature divides
+  lm(w*b), every reduction of w*b is a multiple of b of the same
+  signature, and T is skipped.
+
+Every nonzero remainder joins the basis.  For a regular sequence the Koszul
+syzygies generate all syzygies; under a position-over-term order that
+makes every zero reduction visible in advance, but under the Schreyer order
+some leading terms of the syzygy module are not multiples of Koszul ones,
+so a few signatures still reduce to zero there.  The Schreyer order is
+used all the same: on orbit ideals with more generators than variables a
+degree-then-position order reduced more signatures and kept more elements.
+
+A signature t*e_i is one int, ``(t*lm(f_i) << shift) - i`` with 2^shift
+above the number of inputs: a smaller int is a larger signature,
+multiplying by a monomial u adds ``u << shift``, and sig(a) | sig(b)
+exactly when the indices agree and the images t*lm(f_i) divide.  Known
+syzygy signatures and the elements usable as rewriters are kept in one list
+per index.
+
+Every run is bounded by a configurable budget of signatures reduced (the
+inputs, and signatures that a criterion skips, do not count; each
+reduction adds at most one element) and an optional wall-clock deadline,
+checked at every popped signature, between the element reductions of
+interreduction and at every heap pop inside one reduction (over QQ one pop
+can take a tenth of a second once coefficients run to thousands of bits);
+exceeding either raises :class:`BudgetExceededError`, which is distinct
+from any membership verdict.
 
 Inside the kernel a monomial is one int (Monagan and Pearce, *Polynomial
 division using dynamic arrays, heaps, and packed exponent vectors*, CASC
@@ -24,9 +60,9 @@ larger monomial in both orders; the constant monomial is 0, the largest
 int.  The width comes from the input: the largest total degree of the
 generators (or of the polynomial being reduced) fits twice over, in at
 least 7 value bits.  A product whose exponent outgrows its field sets a
-guard bit, and every new term is checked; the computation then restarts
-from its input at double the width, so no overflow passes silently and the
-result never depends on the width.  Tuples appear only at the boundary:
+guard bit, and every new term and signature image is checked; the
+computation then restarts from its input at double the width, so no
+overflow passes silently and the result never depends on the width.  Tuples appear only at the boundary:
 packing the generators and the polynomial to reduce, and unpacking
 the basis and the remainder.
 
@@ -175,13 +211,21 @@ def _reduce_terms(
     field: Field,
     deadline: float | None = None,
     scale: list[int] | None = None,
+    below: tuple[int, int, dict[int, int]] | None = None,
 ) -> dict[int, int]:
     """Remainder of the packed term dict (integers over QQ, residues over
     GF(p)) modulo the (lm, D, tail) divisors, each term divided by the
     first divisor in list order.  Over QQ a term c*m whose divisor's D does
     not divide c first multiplies everything by D / gcd(c, D); the product
-    of these factors goes to ``scale[0]`` when ``scale`` is given."""
+    of these factors goes to ``scale[0]`` when ``scale`` is given.
+
+    With ``below = (sig, shift, sig_of)`` a divisor with leading monomial
+    lm may divide m only when the signature of (m/lm) times it, the int
+    ``(m << shift) + sig_of[lm]``, is smaller than ``sig`` (a larger int):
+    the signature-safe reduction of the signature loop."""
     p = field.p
+    if below is not None:
+        bound, shift, sig_of = below
     work = dict(terms)
     remainder: dict[int, int] = {}
     total = 1
@@ -199,6 +243,8 @@ def _reduce_terms(
         for lm, d, tail in basis:
             q = m - lm
             if not q & guards:
+                if below is not None and (m << shift) + sig_of[lm] <= bound:
+                    continue
                 if d != 1:
                     g = math.gcd(c, d)
                     if g != d:
@@ -332,10 +378,10 @@ def buchberger(
 ) -> GroebnerBasis:
     """Reduced Groebner basis of the ideal generated by ``generators``.
 
-    ``max_pairs`` bounds the S-polynomials reduced; ``deadline`` is an
-    absolute ``time.monotonic()`` instant, checked at every popped pair,
-    between the element reductions of interreduction and at every heap pop
-    inside one reduction.
+    ``max_pairs`` bounds the signatures reduced; ``deadline`` is an
+    absolute ``time.monotonic()`` instant, checked at every popped
+    signature, between the element reductions of interreduction and at
+    every heap pop inside one reduction.
     """
     gens = [g for g in generators if not g.is_zero]
     if not generators:
@@ -367,66 +413,107 @@ def _groebner(
     constant entry alone for the unit ideal."""
     guards = packing.guards
     _interreduce(data, guards, field, deadline)
-    elems = list(data)  # by index, in the order the pairs name them
-    lms = [e[0] for e in elems]
-    lcm_of, degree = packing.lcm, packing.degree
+    # signature t*e_i is the int (t*lm(f_i) << shift) - i: a smaller int is a
+    # larger signature, and multiplying by a monomial u adds u << shift
+    shift = len(data).bit_length()
+    mask = (1 << shift) - 1
+    lcm_of = packing.lcm
+    elems: list = []  # (signature, lm), in the order added
+    sig_of: dict[int, int] = {}  # lm -> signature of the element minus lm << shift
+    by_index: list[list] = [[] for _ in data]  # per index: (image, lm, entry)
+    syzygies: list[list] = [[] for _ in data]  # per index: images of syzygy signatures
+    queue: list[int] = []  # negated signatures, so the smallest pops first
+    push, pop = heapq.heappush, heapq.heappop
 
-    def pair_entry(i: int, j: int):
-        lcm = lcm_of(lms[i], lms[j])
-        return (degree(lcm), -lcm, i, j)
+    def syzygy_divides(image: int, index: int) -> bool:
+        for s in syzygies[index]:
+            if not (image - s) & guards:
+                return True
+        return False
 
-    pairs = [pair_entry(i, j) for j in range(len(elems)) for i in range(j)]
-    heapq.heapify(pairs)
-    done: set[tuple[int, int]] = set()
-    reductions = 0
-
-    while pairs:
-        _, neg_lcm, i, j = heapq.heappop(pairs)
-        check_deadline(deadline, reductions)
-        done.add((i, j))
-        lcm = -neg_lcm
-        # product criterion: coprime leading monomials (their lcm is their
-        # product) reduce to zero
-        if lcm == lms[i] + lms[j]:
-            continue
-        # chain criterion: a third element dividing the lcm whose pairs with
-        # both i and j were already treated makes this pair redundant
-        for k, lm in enumerate(lms):
-            if (
-                not (lcm - lm) & guards
-                and k != i
-                and k != j
-                and ((i, k) if i < k else (k, i)) in done
-                and ((j, k) if j < k else (k, j)) in done
-            ):
-                break
-        else:  # no element chains the pair: reduce it
-            reductions += 1
-            if reductions > max_pairs:
-                raise BudgetExceededError(
-                    f"S-pair budget of {max_pairs} exceeded", reductions
-                )
-            s_terms = _spoly_terms(elems[i], elems[j], lcm, guards, field)
-            remainder = _reduce_terms(s_terms, data, guards, field, deadline)
-            if not remainder:
+    def add(sig: int, entry) -> None:
+        """Record an element; queue its S-pairs and note its Koszul syzygies."""
+        lm = entry[0]
+        index = -sig & mask
+        by_index[index].append(((sig + index) >> shift, lm, entry))
+        lm_sig = lm << shift
+        sig_of[lm] = sig - lm_sig
+        for other_sig, olm in elems:
+            # Koszul: max(lm(b) sig(a), lm(a) sig(b)) unless the two coincide
+            a, b = sig + (olm << shift), other_sig + lm_sig
+            if a != b:
+                s = a if a < b else b
+                k = -s & mask
+                s = (s + k) >> shift
+                if s & guards:
+                    raise _Overflow
+                syzygies[k].append(s)
+            lcm = lcm_of(lm, olm)
+            if lcm == lm + olm:  # coprime: the pair's signature is the Koszul one
                 continue
-            if min(remainder) == 0:  # a constant: the unit ideal
-                return [(0, 1, [])]
-            entry = _entry(remainder, field.p)
-            t = len(elems)
-            elems.append(entry)
-            lms.append(entry[0])
-            bisect.insort(data, entry, key=_rank)
-            for k in range(t):
-                heapq.heappush(pairs, pair_entry(k, t))
+            # the larger of the two signatures; equal ones make a singular
+            # pair, never reduced.  Its image is checked when it is popped
+            a, b = sig + ((lcm - lm) << shift), other_sig + ((lcm - olm) << shift)
+            if a != b:
+                push(queue, -(a if a < b else b))
+        elems.append((sig, lm))
+
+    for i, entry in enumerate(data):
+        add((entry[0] << shift) - i, entry)
+    reductions = 0
+    last = None
+    while queue:
+        sig = -pop(queue)
+        if sig == last:
+            continue
+        last = sig
+        check_deadline(deadline, reductions)
+        index = -sig & mask
+        image = (sig + index) >> shift
+        if image & guards:
+            raise _Overflow
+        if syzygy_divides(image, index):
+            continue
+        # the rewriter: the element b with sig(b) | sig minimising lm(w*b),
+        # the latest on a tie
+        best = None
+        for b_image, b_lm, b in by_index[index]:
+            if not (image - b_image) & guards and (best is None or b_lm - b_image >= best):
+                best, w, rewriter = b_lm - b_image, image - b_image, b
+        top = rewriter[0] + w
+        if top & guards:
+            raise _Overflow
+        # singular criterion: unless an element of smaller signature divides
+        # lm(w*b), w*b reduces to a multiple of b of this very signature
+        top_sig = top << shift
+        for reducer in data:
+            lm = reducer[0]
+            if not (top - lm) & guards and top_sig + sig_of[lm] > sig:
+                break
+        else:
+            continue
+        reductions += 1
+        if reductions > max_pairs:
+            raise BudgetExceededError(f"S-pair budget of {max_pairs} exceeded", reductions)
+        terms = _spoly_terms(rewriter, reducer, top, guards, field)
+        remainder = _reduce_terms(terms, data, guards, field, deadline, below=(sig, shift, sig_of))
+        if not remainder:
+            syzygies[index].append(image)
+            continue
+        if min(remainder) == 0:  # a constant: the unit ideal
+            return [(0, 1, [])]
+        entry = _entry(remainder, field.p)
+        bisect.insort(data, entry, key=_rank)
+        add(sig, entry)
 
     return _reduce_basis(data, guards, field, deadline)
 
 
 def _spoly_terms(gi, gj, lcm: int, guards: int, field: Field) -> dict[int, int]:
     """S-polynomial (D_j/g)(lcm/lm_i) g_i - (D_i/g)(lcm/lm_j) g_j of two
-    entries, g = gcd(D_i, D_j), as a packed term dict; the leading terms
-    cancel, so only the tails are multiplied out."""
+    entries, g = gcd(D_i, D_j), for any common multiple ``lcm`` of their
+    leading monomials, as a packed term dict; the leading terms cancel, so
+    only the tails are multiplied out."""
     p = field.p
     g = math.gcd(gi[1], gj[1])
     out: dict[int, int] = {}

@@ -130,6 +130,13 @@ class TestCommands:
         assert code == 0
         assert "x1*x2 - x3*x4" in out
 
+    def test_gb_lex_of_an_inhomogeneous_c4_orbit_within_a_second(self, capsys):
+        start = time.monotonic()
+        code, out, _ = invoke(capsys, "gb", "--order", "lex", "orbit:C4:-x1^2 - 2*x1*x4 + x4")
+        assert code == 0 and time.monotonic() - start < 1
+        lines = out.strip().splitlines()
+        assert len(lines) == 4 and "x4^16" in out
+
     def test_orbit_listing(self, capsys):
         code, out, _ = invoke(capsys, "orbit", "--group", "S3", "x1*x2")
         assert code == 0

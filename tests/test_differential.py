@@ -23,6 +23,7 @@ from symorbits import (
     buchberger,
     monomials_of_degree,
     orbit,
+    parse_polynomial,
 )
 
 sympy = pytest.importorskip("sympy")
@@ -52,7 +53,12 @@ def _instances(count=20, seed=5):
     return out
 
 
-INSTANCES = _instances()
+# plus the C4 orbit of an inhomogeneous quadric over QQ: zero-dimensional
+# with 16 standard monomials, its lex basis in shape position ends in a
+# univariate polynomial of degree 16
+INSTANCES = _instances() + [
+    list(orbit(parse_polynomial("-x1^2 - 2*x1*x4 + x4", 4, QQ), PermGroup.cyclic(4)))
+]
 
 
 def _monic(terms, order, field):

@@ -1,7 +1,9 @@
+import json
 import math
 import random
 import time
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -34,6 +36,9 @@ from symorbits import (
 from symorbits import groebner
 from symorbits.polynomials import mono_divides
 
+GENERICITY_VERDICTS = (
+    Path(__file__).resolve().parents[1] / "bench" / "data" / "genericity_verdicts.json"
+)
 PAPER_LEX_BASIS = [
     "x1*x2 - x3*x4",
     "x1*x3 - x2*x4",
@@ -168,9 +173,9 @@ class TestBuchberger:
 
     def test_deadline_bounds_one_reduction(self):
         # over QQ the lex basis of this C4 orbit grows coefficients of
-        # thousands of bits, and a single reduction used to run some 20 s
-        # past a 2 s deadline
-        f = parse_polynomial("-x1^2 - 2*x1*x4 + x4", 4, QQ)
+        # thousands of bits, so one reduction can run long past a 2 s
+        # deadline unless its heap pops check it
+        f = parse_polynomial("x1^3 - 2*x1*x4 + x4 + x2^2", 4, QQ)
         gens = list(orbit(f, PermGroup.cyclic(4)))
         start = time.monotonic()
         with pytest.raises(BudgetExceededError):
@@ -189,6 +194,23 @@ class TestBuchberger:
         # a polynomial to reduce may outgrow the basis's fields too
         gb = buchberger([P("x1 - x2", 2)], GREVLEX)
         assert gb.normal_form(P("x1^300 + x1*x2^299", 2)) == P("2*x2^300", 2)
+
+    def test_signature_exponents_beyond_the_starting_width(self, P):
+        # every polynomial of this computation fits the 8-bit fields chosen
+        # for degree 63 (largest exponent 127), but its signatures do not:
+        # S(x1^23 - x2*x3, x1^40*x3 - 1) has a signature of image x1^80*x3^2,
+        # and the Koszul signature of that element with x1^63 - x2 has image
+        # x1^143*x3^2
+        gens = [P("x1^63 - x2", 3), P("x1^40*x3 - 1", 3)]
+        packing = groebner._Packing.for_degree(LEX, 3, 63)
+        assert packing.limit == 127
+        with pytest.raises(groebner._Overflow):
+            groebner._groebner(packing.entries(gens), packing, QQ, 1000, None)
+        gb = buchberger(gens, LEX)
+        assert gb._packed[0].width == 2 * packing.width
+        assert set(gb.basis) == {P("x2^40*x3^63 - 1", 3), P("x1 - x2^7*x3^11", 3)}
+        assert max(max(m) for g in gb for m in g.terms) <= packing.limit
+        gb.verify()
 
     def test_spolynomial_terms_check_their_guard_bits(self, P):
         # S(x1^100 + x2^100, x1*x2^50) multiplies x2^100 by x2^50, past
@@ -227,6 +249,63 @@ class TestBuchberger:
             # the entries generate the same ideal as the input
             polys = [packing.polynomial(QQ, e) for e in out]
             assert buchberger(polys, GREVLEX).basis == buchberger(gens, GREVLEX).basis
+
+
+class TestSignatureCriteria:
+    """What the signature loop reduces, seen at ``groebner._reduce_terms``:
+    a call with ``below`` is one signature reduced, an empty remainder a
+    reduction to zero."""
+
+    @staticmethod
+    def _reductions(monkeypatch, run):
+        sizes = []  # remainder sizes, read before the loop pops their leading terms
+        reduce = groebner._reduce_terms
+
+        def record(*args, **kwargs):
+            out = reduce(*args, **kwargs)
+            if kwargs.get("below") is not None:
+                sizes.append(len(out))
+            return out
+
+        monkeypatch.setattr(groebner, "_reduce_terms", record)
+        result = run()
+        return result, len(sizes), sizes.count(0)
+
+    def test_coprime_leading_monomials_reduce_nothing(self, monkeypatch, P):
+        # every pair's signature is its Koszul syzygy's
+        gens = [P("x1^2 + x2*x3", 3), P("x2^3 - x1*x3", 3), P("x3^2", 3)]
+        gb, reduced, _ = self._reductions(monkeypatch, lambda: buchberger(gens, GREVLEX))
+        assert reduced == 0 and len(gb) == 3
+
+    @pytest.mark.parametrize("degree", [2, 3])
+    def test_no_zero_reduction_on_regular_c3_orbits(self, monkeypatch, degree):
+        # three forms in three variables with a finite quotient: a regular
+        # sequence, whose syzygies are all generated by the Koszul ones
+        rng = random.Random(degree)
+        monos = monomials_of_degree(3, degree)
+        f = Polynomial(QQ, 3, {m: rng.choice([-3, -2, -1, 1, 2, 3]) for m in monos})
+        gens = list(orbit(f, PermGroup.cyclic(3)))
+        verdict, reduced, zero = self._reductions(
+            monkeypatch, lambda: radical_equals_irrelevant(gens)
+        )
+        assert verdict and reduced > 0 and zero == 0
+
+    def test_c5_quadric_trial_with_a_true_verdict(self, monkeypatch):
+        # trial seed 0 of the benchmark's C5 quadric class, stored true (a
+        # pair loop with the product and chain criteria reduces 63 S-pairs
+        # there, 47 of them to zero).  The Schreyer order does not see every
+        # syzygy of a regular sequence through the Koszul ones (position over
+        # term would), so some signatures still reduce to zero
+        stored = json.loads(GENERICITY_VERDICTS.read_text())["c5-quadric"]["0"]
+        support = SupportSet.of(5, monomials_of_degree(5, 2))
+        report, reduced, zero = self._reductions(
+            monkeypatch,
+            lambda: sample_genericity(
+                support, PermGroup.cyclic(5), "irrelevant_radical", 1, seed=0
+            ),
+        )
+        assert stored and report.successes == 1
+        assert reduced <= 22 and zero <= 6
 
 
 class TestVerify:
