@@ -228,7 +228,7 @@ def _group_and_poly(args) -> tuple[PermGroup, Polynomial]:
 
 def _verify_squarefree(args) -> int:
     deadline = _deadline(args)
-    f = parse_polynomial(args.poly, args.nvars, args.field)
+    f = parse_poly_spec(args.poly, args.nvars, args.field)
     report = verify_squarefree_orbit(f, args.target_nvars, deadline=deadline)
     return _verdict(report, args.format)
 

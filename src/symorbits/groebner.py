@@ -147,9 +147,6 @@ class _Packing:
         d, limit = p & self.low, self.limit
         return tuple(d >> s & limit for s in self.shifts)
 
-    def degree(self, p: int) -> int:
-        return sum(self.unpack(p)) if self.lex else -(p >> self.top)
-
     def lcm(self, a: int, b: int) -> int:
         """Fieldwise maximum: a guard survives (a | guards) - b exactly in
         the fields where a >= b, and no borrow crosses a field.  In grevlex

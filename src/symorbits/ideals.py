@@ -10,13 +10,14 @@ expanded generators.  This route is independent of the Groebner route in
 
 from __future__ import annotations
 
+import math
 import operator
 from dataclasses import dataclass
 from typing import Sequence
 
 from .groebner import DEFAULT_MAX_PAIRS, GroebnerBasis, buchberger
 from .linalg import ExactMatrix, _span, spin_rank
-from .permutations import PermGroup, _closure, orbit, orbit_images
+from .permutations import DEFAULT_GROUP_BOUND, PermGroup, _closure, orbit
 from .polynomials import (
     GREVLEX,
     Monomial,
@@ -303,6 +304,11 @@ def rank_condition(
     monomials, checked exactly against every spun vector, which proves
     their span G-stable.  ``deadline`` is checked per image counted and per
     vector spun.
+
+    Past ``DEFAULT_GROUP_BOUND`` monomials of the type, counted in closed
+    form as N! / prod(multiplicity!) over a term's exponents (zeros
+    included) before any is listed, or past as many distinct images, it
+    raises ValueError.
     """
     if f.is_zero:
         raise ValueError("zero polynomial has no type")
@@ -312,7 +318,12 @@ def rank_condition(
     if len(types) != 1:
         raise ValueError(f"support mixes types {sorted(types)}")
     mono_type = next(iter(types))
-    orbit_images(f, group)  # over the bound, refuse before any enumeration
+    term = next(iter(f.terms))
+    rows = math.factorial(f.nvars) // math.prod(math.factorial(term.count(e)) for e in set(term))
+    if rows > DEFAULT_GROUP_BOUND:
+        raise ValueError(
+            f"{rows} monomials of type {mono_type} exceed enumeration bound {DEFAULT_GROUP_BOUND}"
+        )
     if not group.transitive_on_type(mono_type):
         raise ValueError(
             f"group {group.descriptor} is not transitive on monomials of type {mono_type}"
@@ -333,7 +344,7 @@ def rank_condition(
         check_deadline(deadline)
         return [canonical(map(step, key)) for step in steps]
 
-    images = len(_closure([start], moved))
+    images = len(_closure([start], moved, DEFAULT_GROUP_BOUND))
     column = {code % n: values[code // n] for code in start}
     got = spin_rank(f.field, n, column, perms, images, deadline=deadline)
     verdict = got.rank == n

@@ -4,18 +4,18 @@ action on monomials and polynomials.
 The action follows the convention that a permutation sends the variable
 x_i to x_{sigma(i)}.  A group is its generators plus its order, known in
 closed form for S_n and C_n.  Every orbit (of indices, index sets, monomials,
-group elements) is the closure of a start set under the generators; elements
-and the images of a polynomial under S_n are enumerated on demand, up to
-``DEFAULT_GROUP_BOUND``.
+polynomials, group elements) is the closure of a start set under the
+generators, so no orbit walks the group's elements.  The orbit of a
+polynomial is bounded by ``DEFAULT_GROUP_BOUND`` distinct images, and
+elements are enumerated only on demand, up to the same bound on the order.
 """
 
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 import re
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Sequence
 
 from .polynomials import Monomial, Polynomial, monomials_of_type
 
@@ -230,43 +230,12 @@ def _element_images(degree: int, generators: Sequence[Permutation]) -> set[tuple
     )
 
 
-def orbit_images(f: Polynomial, group: PermGroup) -> Iterator[Polynomial]:
-    """Iterate over sigma.f for sigma in the group, with repeats.
-
-    For the full symmetric group only the injective maps of f's active
-    variables are walked, which avoids all N! elements; more than
-    ``DEFAULT_GROUP_BOUND`` such maps raise ValueError, before any is made.
-    """
-    if f.nvars != group.degree:
-        raise ValueError(f"polynomial nvars {f.nvars} != group degree {group.degree}")
-    if not group.is_full_symmetric:
-        return (g.act(f) for g in group.elements)
-    active = sorted({i for m in f.terms for i, e in enumerate(m) if e > 0})
-    count = math.perm(group.degree, len(active))
-    if count > DEFAULT_GROUP_BOUND:
-        raise ValueError(
-            f"{count} images of {len(active)} active variables under {group.descriptor} "
-            f"exceed enumeration bound {DEFAULT_GROUP_BOUND}"
-        )
-    # each term as (position in ``active``, exponent) pairs
-    sparse = [([(k, m[i]) for k, i in enumerate(active) if m[i]], c) for m, c in f.terms.items()]
-
-    def walk():
-        for targets in itertools.permutations(range(group.degree), len(active)):
-            terms = {}
-            for pairs, c in sparse:
-                out = [0] * group.degree
-                for k, e in pairs:
-                    out[targets[k]] = e
-                terms[tuple(out)] = c
-            yield f._make(terms)
-
-    return walk()
-
-
 def orbit(f: Polynomial, group: PermGroup) -> tuple[Polynomial, ...]:
-    """The deduplicated orbit {sigma.f}, canonically ordered."""
-    return tuple(sorted(set(orbit_images(f, group)), key=Polynomial.sort_key))
+    """The distinct images sigma.f, canonically ordered: the closure of f
+    under the generators, refused with ValueError past
+    ``DEFAULT_GROUP_BOUND`` distinct images."""
+    images = _closure([f], lambda h: (g.act(h) for g in group.generators), DEFAULT_GROUP_BOUND)
+    return tuple(sorted(images, key=Polynomial.sort_key))
 
 
 def stabilizer(f: Polynomial, group: PermGroup) -> list[Permutation]:

@@ -186,6 +186,14 @@ class TestCommands:
             )
             assert code == 0 and "all-ones-witness" in out
 
+    def test_verify_squarefree_at_n_plus_d(self, capsys):
+        # e(6,3) has C(9,6) = 84 images in 9 variables, one per monomial
+        code, out, _ = invoke(
+            capsys, "verify", "squarefree", "--nvars", "6", "--poly", "e(6,3)",
+            "--target-nvars", "9", "--format", "machine",
+        )
+        assert code == 0 and "certificate.rank=84" in out.splitlines()
+
     def test_verify_radical_orbit(self, capsys):
         code, out, _ = invoke(
             capsys, "verify", "radical-orbit", "--group", "S5",

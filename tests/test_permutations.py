@@ -4,6 +4,12 @@ import time
 
 import pytest
 
+try:  # hypothesis is a test-only dependency; without it its tests are left out
+    from hypothesis import given, settings
+    from hypothesis import strategies as st
+except ImportError:
+    st = None
+
 from symorbits import (
     QQ,
     PermGroup,
@@ -123,9 +129,11 @@ class TestGroups:
         assert s9.order == 362880 and s9.is_full_symmetric
         with pytest.raises(ValueError):
             s9.elements
-        # 12*11*...*6 injective images of 7 active variables
+        # the bound counts distinct images: C(12, 7) of x1...x7 under S12,
+        # but all 12!/6! placements of six distinct exponents
+        assert len(orbit(P("x1*x2*x3*x4*x5*x6*x7", 12), PermGroup.symmetric(12))) == 792
         with pytest.raises(ValueError):
-            orbit(P("x1*x2*x3*x4*x5*x6*x7", 12), PermGroup.symmetric(12))
+            orbit(P("x1^6*x2^5*x3^4*x4^3*x5^2*x6", 12), PermGroup.symmetric(12))
 
     def test_element_order(self):
         # sorted by image tuple: lexicographic for S4, powers of the cycle for C5
@@ -169,18 +177,23 @@ class TestOrbits:
 
     def test_shortcut_agrees_with_full_enumeration(self):
         rng = random.Random(47)
-        group = PermGroup.symmetric(5)
-        for _ in range(10):
-            f = Polynomial(
-                QQ, 5,
-                {tuple(rng.randint(0, 2) if i < 3 else 0 for i in range(5)):
-                 rng.randint(-5, 5) for _ in range(3)},
-            )
-            if f.is_zero:
-                continue
-            fast = set(orbit(f, group))
-            slow = {g.act(f) for g in group.elements}
-            assert fast == slow
+        for group in (
+            PermGroup.symmetric(5),
+            PermGroup.cyclic(5),
+            PermGroup.generated(5, ["(1 2 3 4 5)", "(2 5)(3 4)"]),  # dihedral
+            PermGroup.generated(5, ["(1 2 3)", "(3 4 5)"]),  # A5
+        ):
+            for _ in range(10):
+                f = Polynomial(
+                    QQ, 5,
+                    {tuple(rng.randint(0, 2) if i < 3 else 0 for i in range(5)):
+                     rng.randint(-5, 5) for _ in range(3)},
+                )
+                if f.is_zero:
+                    continue
+                fast = set(orbit(f, group))
+                slow = {g.act(f) for g in group.elements}
+                assert fast == slow, (group, f)
 
     def test_symmetric_orbit_beyond_element_bound(self, P):
         # C(12, 2) choices of the product times 10 of the subtracted variable
@@ -211,6 +224,31 @@ class TestOrbits:
             f = Polynomial.from_monomial(QQ, mono)
             got = {next(iter(g.terms)) for g in orbit(f, group)}
             assert got == set(monomials_of_type(monomial_type(mono), 4))
+
+
+if st is not None:
+    STABLE_GROUPS = [
+        PermGroup.symmetric(4),
+        PermGroup.cyclic(5),
+        PermGroup.generated(4, ["(1 2 3 4)", "(1 4)(2 3)"]),
+        PermGroup.generated(5, ["(1 2 3)", "(3 4 5)"]),
+    ]
+
+    @st.composite
+    def group_polys(draw):
+        group = draw(st.sampled_from(STABLE_GROUPS))
+        monos = st.tuples(*[st.integers(0, 2)] * group.degree)
+        terms = draw(st.dictionaries(monos, st.integers(-3, 3), min_size=1, max_size=3))
+        return group, Polynomial(QQ, group.degree, terms)
+
+    @settings(max_examples=100, deadline=None)
+    @given(group_polys())
+    def test_orbit_ideals_are_g_stable(case):
+        # every generator maps the orbit, and so the ideal it spans, onto itself
+        group, f = case
+        images = set(orbit(f, group))
+        for g in group.generators:
+            assert {g.act(h) for h in images} == images
 
 
 class TestTransitivity:

@@ -208,6 +208,18 @@ class TestSquarefreeOrbit:
             "rank": 4, "monomials_of_type": 6, "distinct_orbit_vectors": 4
         }
 
+    def test_paper_threshold_n_plus_d(self):
+        # the images of e(n,d) are the columns of the inclusion matrix of the
+        # d-sets in the n-sets of {1..N}; for d < n it has full rank C(N,d)
+        # exactly when N >= n + d (Gottlieb 1966, Kantor 1972), and at
+        # N = n + d - 1 only C(N,n) = C(N,d-1) < C(N,d) columns
+        for n in range(1, 10):
+            for d in range(1, min(n, 10 - n) + 1):
+                f = elementary_symmetric(n, range(1, n + 1), d, QQ)
+                assert verify_squarefree_orbit(f, n + d).verdict, (n, d)
+                if d < n:
+                    assert not verify_squarefree_orbit(f, n + d - 1).verdict, (n, d)
+
     def test_validation(self, P):
         with pytest.raises(ValueError):
             verify_squarefree_orbit(P("x1^2", 2), 4)  # not square-free
