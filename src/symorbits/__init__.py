@@ -31,7 +31,7 @@ from .ideals import (
     symmetrize,
 )
 from .linalg import ExactMatrix, in_span, rank
-from .permutations import PermGroup, Permutation, orbit, stabilizer
+from .permutations import PermGroup, Permutation, orbit
 from .polynomials import (
     GREVLEX,
     LEX,

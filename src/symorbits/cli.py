@@ -87,7 +87,8 @@ def parse_poly_spec(token: str, nvars: int, field: Field) -> Polynomial:
     return parse_polynomial(token, nvars, field)
 
 
-def parse_ideal_spec(token: str, nvars: int | None, field: Field) -> OrbitIdeal:
+def parse_ideal_spec(token: str, nvars: int | None, field: Field,
+                     deadline: float | None) -> OrbitIdeal:
     if not token.startswith("orbit:"):
         raise UsageError(f"ideal spec must start with 'orbit:', got {token!r}")
     rest = token[len("orbit:") :]
@@ -101,7 +102,7 @@ def parse_ideal_spec(token: str, nvars: int | None, field: Field) -> OrbitIdeal:
     if group.degree != nvars:
         raise UsageError(f"group degree {group.degree} != nvars {nvars}")
     seed_poly = parse_poly_spec(poly_text, nvars, field)
-    return orbit_ideal([seed_poly], group)
+    return orbit_ideal([seed_poly], group, deadline=deadline)
 
 
 # -- argument types -------------------------------------------------------------
@@ -150,7 +151,7 @@ def _orbit(args) -> int:
 def _gb(args) -> int:
     deadline = _deadline(args)
     order = order_by_name(args.order)
-    ideal = parse_ideal_spec(args.ideal, args.nvars, args.field)
+    ideal = parse_ideal_spec(args.ideal, args.nvars, args.field, deadline)
     gb = ideal.groebner_basis(order, max_pairs=args.budget, deadline=deadline)
     for i, g in enumerate(gb.basis):
         text = format_polynomial(g, order)
@@ -164,22 +165,22 @@ def _membership(args, claim: str, ideal: OrbitIdeal, f: Polynomial, verdict: boo
     return _verdict(VerdictReport(claim, parameters, verdict), args.format)
 
 
-def _ideal_and_poly(args) -> tuple[OrbitIdeal, Polynomial]:
-    ideal = parse_ideal_spec(args.ideal, args.nvars, args.field)
+def _ideal_and_poly(args, deadline: float | None) -> tuple[OrbitIdeal, Polynomial]:
+    ideal = parse_ideal_spec(args.ideal, args.nvars, args.field, deadline)
     return ideal, parse_poly_spec(args.poly, ideal.nvars, args.field)
 
 
 def _member(args) -> int:
     deadline = _deadline(args)
     order = order_by_name(args.order)
-    ideal, f = _ideal_and_poly(args)
+    ideal, f = _ideal_and_poly(args, deadline)
     gb = ideal.groebner_basis(order, max_pairs=args.budget, deadline=deadline)
     return _membership(args, "ideal-membership", ideal, f, gb.contains(f))
 
 
 def _radical_member(args) -> int:
     deadline = _deadline(args)
-    ideal, f = _ideal_and_poly(args)
+    ideal, f = _ideal_and_poly(args, deadline)
     verdict = radical_member(f, list(ideal.expanded), max_pairs=args.budget, deadline=deadline)
     return _membership(args, "radical-membership", ideal, f, verdict)
 
@@ -248,7 +249,7 @@ def _verify_rank_condition(args) -> int:
 
 def _verify_irrelevant_radical(args) -> int:
     deadline = _deadline(args)
-    ideal = parse_ideal_spec(args.ideal, args.nvars, args.field)
+    ideal = parse_ideal_spec(args.ideal, args.nvars, args.field, deadline)
     verdict = radical_equals_irrelevant(list(ideal.expanded), max_pairs=args.budget,
                                         deadline=deadline)
     parameters = {"group": ideal.group.descriptor, "field": str(args.field), "nvars": ideal.nvars}

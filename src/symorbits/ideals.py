@@ -17,7 +17,7 @@ from typing import Sequence
 
 from .groebner import DEFAULT_MAX_PAIRS, GroebnerBasis, buchberger
 from .linalg import ExactMatrix, _span, spin_rank
-from .permutations import DEFAULT_GROUP_BOUND, PermGroup, _closure, orbit
+from .permutations import DEFAULT_GROUP_BOUND, PermGroup, _image_codes, orbit
 from .polynomials import (
     GREVLEX,
     Monomial,
@@ -56,7 +56,10 @@ class OrbitIdeal:
         return buchberger(list(self.expanded), order, max_pairs=max_pairs, deadline=deadline)
 
 
-def orbit_ideal(seeds: Sequence[Polynomial], group: PermGroup) -> OrbitIdeal:
+def orbit_ideal(seeds: Sequence[Polynomial], group: PermGroup, *,
+                deadline: float | None = None) -> OrbitIdeal:
+    """The orbit ideal of the seeds: its generators are the union of their
+    orbits, canonically ordered; ``deadline`` is checked as in ``orbit``."""
     if not seeds:
         raise ValueError("need at least one seed polynomial")
     field = seeds[0].field
@@ -67,15 +70,8 @@ def orbit_ideal(seeds: Sequence[Polynomial], group: PermGroup) -> OrbitIdeal:
             raise ValueError(f"seed nvars {f.nvars} != group degree {group.degree}")
         if f.is_zero:
             raise ValueError("zero polynomial cannot seed an orbit ideal")
-    expanded: list[Polynomial] = []
-    seen = set()
-    for f in seeds:
-        for g in orbit(f, group):
-            if g not in seen:
-                seen.add(g)
-                expanded.append(g)
-    expanded.sort(key=Polynomial.sort_key)
-    return OrbitIdeal(group, tuple(seeds), tuple(expanded))
+    expanded = set().union(*(orbit(f, group, deadline=deadline) for f in seeds))
+    return OrbitIdeal(group, tuple(seeds), tuple(sorted(expanded, key=Polynomial.sort_key)))
 
 
 @dataclass
@@ -302,8 +298,10 @@ def rank_condition(
     the rank (2^61 - 1, or a larger listed prime after a failed lift or
     check) and, on a false verdict, a left-kernel vector over the
     monomials, checked exactly against every spun vector, which proves
-    their span G-stable.  ``deadline`` is checked per image counted and per
-    vector spun.
+    their span G-stable.  The distinct images are counted by the closure
+    that ``orbit`` walks (``permutations._image_codes``), over the rows of
+    the type, which also gives the generators as row permutations.
+    ``deadline`` is checked per image counted and per vector spun.
 
     Past ``DEFAULT_GROUP_BOUND`` monomials of the type, counted in closed
     form as N! / prod(multiplicity!) over a term's exponents (zeros
@@ -329,24 +327,10 @@ def rank_condition(
             f"group {group.descriptor} is not transitive on monomials of type {mono_type}"
         )
     row_index = sorted(monomials_of_type(mono_type, f.nvars), key=GREVLEX.key, reverse=True)
-    row_pos = {m: i for i, m in enumerate(row_index)}
     n = len(row_index)
-    perms = [[row_pos[g.act_monomial(m)] for m in row_index] for g in group.generators]
-    # an image keeps f's coefficients, so it is the set of codes k * n + row
-    # of its terms, k indexing f's distinct coefficients in term order: a
-    # sorted tuple, which the action keeps sorted when no coefficient repeats
-    values = list(dict.fromkeys(f.terms.values()))
-    start = tuple(sorted(values.index(c) * n + row_pos[m] for m, c in f.terms.items()))
-    steps = [[k * n + r for k in range(len(values)) for r in perm].__getitem__ for perm in perms]
-    canonical = tuple if len(values) == len(f.terms) else lambda codes: tuple(sorted(codes))
-
-    def moved(key):
-        check_deadline(deadline)
-        return [canonical(map(step, key)) for step in steps]
-
-    images = len(_closure([start], moved, DEFAULT_GROUP_BOUND))
-    column = {code % n: values[code // n] for code in start}
-    got = spin_rank(f.field, n, column, perms, images, deadline=deadline)
+    perms, _, images = _image_codes(f, group.generators, row_index, deadline)
+    column = {i: f.terms[m] for i, m in enumerate(row_index) if m in f.terms}
+    got = spin_rank(f.field, n, column, perms, len(images), deadline=deadline)
     verdict = got.rank == n
     certificate = {"full_rank": verdict, "prime": got.prime}
     if not verdict:
@@ -358,7 +342,7 @@ def rank_condition(
             "group": group.descriptor,
             "field": str(f.field),
             "monomials_of_type": n,
-            "distinct_orbit_vectors": images,
+            "distinct_orbit_vectors": len(images),
             "rank": got.rank,
         },
         verdict,

@@ -5,9 +5,12 @@ The action follows the convention that a permutation sends the variable
 x_i to x_{sigma(i)}.  A group is its generators plus its order, known in
 closed form for S_n and C_n.  Every orbit (of indices, index sets, monomials,
 polynomials, group elements) is the closure of a start set under the
-generators, so no orbit walks the group's elements.  The orbit of a
-polynomial is bounded by ``DEFAULT_GROUP_BOUND`` distinct images, and
-elements are enumerated only on demand, up to the same bound on the order.
+generators, so no orbit walks the group's elements.  The images of a
+polynomial are walked in one place, ``_image_codes``, as sorted int tuples
+over a list of rows (monomials); ``orbit`` and ``ideals.rank_condition``
+both call it.  The orbit of a polynomial is bounded by
+``DEFAULT_GROUP_BOUND`` distinct images, and elements are enumerated only
+on demand, up to the same bound on the order.
 """
 
 from __future__ import annotations
@@ -18,19 +21,24 @@ import re
 from typing import Callable, Iterable, Sequence
 
 from .polynomials import Monomial, Polynomial, monomials_of_type
+from .reports import check_deadline
 
 DEFAULT_GROUP_BOUND = 50_000
 
 
-def _closure(starts: Iterable, step: Callable[..., Iterable], bound: int | None = None) -> set:
+def _closure(starts: Iterable, step: Callable[..., Iterable], bound: int | None = None,
+             deadline: float | None = None) -> set:
     """Everything reachable from ``starts`` by repeated ``step``; raises
-    ValueError once more than ``bound`` items are reached."""
+    ValueError once more than ``bound`` items per start are reached.
+    ``deadline`` is checked once per item stepped."""
     reach = set(starts)
     todo = list(reach)
+    limit = None if bound is None else bound * len(reach)
     while todo:
+        check_deadline(deadline)
         for y in step(todo.pop()):
             if y not in reach:
-                if bound is not None and len(reach) >= bound:
+                if limit is not None and len(reach) >= limit:
                     raise ValueError(f"enumeration exceeds bound {bound}")
                 reach.add(y)
                 todo.append(y)
@@ -230,14 +238,43 @@ def _element_images(degree: int, generators: Sequence[Permutation]) -> set[tuple
     )
 
 
-def orbit(f: Polynomial, group: PermGroup) -> tuple[Polynomial, ...]:
+def _image_codes(f: Polynomial, generators: Sequence[Permutation], rows: Sequence[Monomial],
+                 deadline: float | None) -> tuple[list[list[int]], list, set]:
+    """The orbit of f, coded over ``rows``, which must hold every monomial
+    of every image: the generators as permutations of the row positions,
+    f's distinct coefficients in term order, and the set of distinct
+    images, each the sorted tuple of codes k * len(rows) + i of its terms,
+    i the term's row and k its coefficient's index.  Refused with
+    ValueError past ``DEFAULT_GROUP_BOUND`` images; ``deadline`` is checked
+    once per image."""
+    pos = {m: i for i, m in enumerate(rows)}
+    n = len(rows)
+    perms = [[pos[g.act_monomial(m)] for m in rows] for g in generators]
+    values = list(dict.fromkeys(f.terms.values()))
+    start = tuple(sorted(values.index(c) * n + pos[m] for m, c in f.terms.items()))
+    steps = [[k * n + r for k in range(len(values)) for r in perm].__getitem__ for perm in perms]
+    # an image keeps f's coefficients, so the action keeps its codes sorted
+    # when no coefficient repeats
+    canonical = tuple if len(values) == len(f.terms) else lambda codes: tuple(sorted(codes))
+    images = _closure([start], lambda key: [canonical(map(step, key)) for step in steps],
+                      DEFAULT_GROUP_BOUND, deadline)
+    return perms, values, images
+
+
+def orbit(f: Polynomial, group: PermGroup, *,
+          deadline: float | None = None) -> tuple[Polynomial, ...]:
     """The distinct images sigma.f, canonically ordered: the closure of f
-    under the generators, refused with ValueError past
-    ``DEFAULT_GROUP_BOUND`` distinct images."""
-    images = _closure([f], lambda h: (g.act(h) for g in group.generators), DEFAULT_GROUP_BOUND)
-    return tuple(sorted(images, key=Polynomial.sort_key))
-
-
-def stabilizer(f: Polynomial, group: PermGroup) -> list[Permutation]:
-    """All group elements fixing f; computed by full enumeration."""
-    return [g for g in group.elements if g.act(f) == f]
+    under the generators, walked on integer codes (``_image_codes``) over
+    the closure of f's monomials, each image built as a ``Polynomial`` once
+    at the end.  Refused with ValueError past ``DEFAULT_GROUP_BOUND``
+    distinct images, or past as many monomials per term of f, since each
+    monomial reached is a term of some image; ``deadline`` is checked once
+    per monomial and once per image."""
+    if f.nvars != group.degree:
+        raise ValueError(f"permutation degree {group.degree} != nvars {f.nvars}")
+    rows = list(_closure(f.terms, lambda m: (g.act_monomial(m) for g in group.generators),
+                         DEFAULT_GROUP_BOUND, deadline))
+    _, values, images = _image_codes(f, group.generators, rows, deadline)
+    terms = [(m, c) for c in values for m in rows]  # the term each code stands for
+    polys = (f._make(dict(map(terms.__getitem__, codes))) for codes in images)
+    return tuple(sorted(polys, key=Polynomial.sort_key))

@@ -232,7 +232,7 @@ def verify_squarefree_orbit(
             },
             notes=notes,
         )
-    generators = orbit(extended, group)
+    generators = orbit(extended, group, deadline=deadline)
     for g in generators:
         if not g.evaluate(ones).is_zero:
             raise CertificateError("all-ones witness failed on a generator")
@@ -273,7 +273,7 @@ def radical_orbit_equality(
         raise ValueError("polynomial must be homogeneous and nonzero")
     if f.nvars != group.degree:
         raise ValueError("variable count mismatch")
-    generators = list(orbit_ideal([f], group).expanded)
+    generators = list(orbit_ideal([f], group, deadline=deadline).expanded)
     minimal = _minimal_supports(generators)
     # the minimal supports of an orbit form a G-stable set
     representatives = []
@@ -330,9 +330,10 @@ def _minimal_supports(generators) -> set[frozenset[int]]:
     return {s for s in supports if not any(t < s for t in supports)}
 
 
-def _constant_point_roots(f: Polynomial) -> list:
+def _constant_point_roots(f: Polynomial, deadline: float | None) -> list:
     """Nonzero constants t with f(t, ..., t) = 0: rational-root search over
-    the rationals, exhaustive search over a prime field."""
+    the rationals, exhaustive search over a prime field; ``deadline`` is
+    checked once per candidate t."""
     field = f.field
     by_degree: dict[int, object] = {}
     for m, c in f.terms.items():
@@ -343,6 +344,7 @@ def _constant_point_roots(f: Polynomial) -> list:
         return []
     if field.characteristic:
         def value(t):
+            check_deadline(deadline)
             acc = field.zero
             for e, c in by_degree.items():
                 acc = field.add(acc, field.mul(c, field.pow(t, e)))
@@ -364,6 +366,7 @@ def _constant_point_roots(f: Polynomial) -> list:
             candidates.add(Fraction(-p, q))
     roots = []
     for t in sorted(candidates):
+        check_deadline(deadline)
         if t == 0:
             continue
         if sum(c * t**e for e, c in int_coeffs.items()) == 0:
@@ -411,7 +414,7 @@ def monomial_free_witness(
     """
     if f.is_zero:
         raise ValueError("zero polynomial")
-    generators = orbit(f, group)
+    generators = orbit(f, group, deadline=deadline)
     minimal = _minimal_supports(generators)
     field = f.field
     nvars = f.nvars
@@ -427,7 +430,7 @@ def monomial_free_witness(
     found = verify([1] * nvars)
     if found:
         return found
-    for t in _constant_point_roots(f):
+    for t in _constant_point_roots(f, deadline):
         found = verify([t] * nvars)
         if found:
             return found

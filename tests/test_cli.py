@@ -89,6 +89,28 @@ class TestExitCodes:
         )
         assert code == 3 and out == "" and "budget" in err
 
+    def test_orbit_expansion_timeout_exits_three(self, capsys):
+        # 665,280 images: the ideal is parsed under the handler's deadline,
+        # which the expansion checks once per monomial and per image
+        start = time.monotonic()
+        code, out, err = invoke(
+            capsys, "member", "--n", "12", "x1",
+            "--ideal", "orbit:S12:x1^6*x2^5*x3^4*x4^3*x5^2*x6", "--timeout", "0.05",
+        )
+        assert code == 3 and out == "" and "budget" in err
+        assert time.monotonic() - start < 0.5
+
+    def test_witness_root_search_timeout_exits_three(self, capsys):
+        # over a 61-bit prime field the constant-point root search is
+        # exhaustive; it checks the deadline once per candidate t
+        start = time.monotonic()
+        code, out, err = invoke(
+            capsys, "verify", "witness", "--group", "S3", "--poly", "x1^2 + x2^2 - 3*x1*x2",
+            "--field", "F2305843009213693951", "--timeout", "0.1",
+        )
+        assert code == 3 and out == "" and "budget" in err
+        assert time.monotonic() - start < 0.5
+
     def test_eliminate_timeout_exits_three(self, capsys):
         # the identity check expands C(18, 12) = 18,564 subsets, some 4 s of
         # work, and checks the deadline once per subset

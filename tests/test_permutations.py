@@ -11,14 +11,16 @@ except ImportError:
     st = None
 
 from symorbits import (
+    GF,
     QQ,
+    BudgetExceededError,
     PermGroup,
     Permutation,
     Polynomial,
     elementary_symmetric,
     monomial_type,
     orbit,
-    stabilizer,
+    parse_polynomial,
 )
 
 
@@ -177,27 +179,46 @@ class TestOrbits:
 
     def test_shortcut_agrees_with_full_enumeration(self):
         rng = random.Random(47)
-        for group in (
+        fixed = [  # repeated coefficients, which the coded images re-sort; mixed types
+            "x1^2*x2 + x2^2*x3 + x3^2*x1 + 2*x4*x5",
+            "x1*x2 - x3 + 2*x1^2",
+            "3*x1^2 + 3*x2*x3 - x4 - x5",
+        ]
+        for field, group in itertools.product((QQ, GF(32003)), (
             PermGroup.symmetric(5),
             PermGroup.cyclic(5),
             PermGroup.generated(5, ["(1 2 3 4 5)", "(2 5)(3 4)"]),  # dihedral
             PermGroup.generated(5, ["(1 2 3)", "(3 4 5)"]),  # A5
-        ):
+        )):
+            polys = [parse_polynomial(text, 5, field) for text in fixed]
             for _ in range(10):
-                f = Polynomial(
-                    QQ, 5,
+                polys.append(Polynomial(
+                    field, 5,
                     {tuple(rng.randint(0, 2) if i < 3 else 0 for i in range(5)):
                      rng.randint(-5, 5) for _ in range(3)},
-                )
+                ))
+            for f in polys:
                 if f.is_zero:
                     continue
-                fast = set(orbit(f, group))
+                fast = orbit(f, group)
                 slow = {g.act(f) for g in group.elements}
-                assert fast == slow, (group, f)
+                assert set(fast) == slow and len(fast) == len(slow), (group, f)
 
     def test_symmetric_orbit_beyond_element_bound(self, P):
         # C(12, 2) choices of the product times 10 of the subtracted variable
         assert len(orbit(P("x1*x2 - x3", 12), PermGroup.symmetric(12))) == 660
+
+    def test_multi_term_bound_names_the_image_bound(self, P):
+        # refused on its monomials (665,280 for 2 terms) or on its images
+        # (1,540 monomials), the message names the image bound either way
+        for text in ("x1^6*x2^5*x3^4*x4^3*x5^2*x6 - 2*x2^6*x1^5*x3^4*x4^3*x5^2*x6",
+                     "x1^3*x2^2*x3 + x1*x2*x3 - x4^3*x5^2*x6"):
+            with pytest.raises(ValueError, match="50000"):
+                orbit(P(text, 12), PermGroup.symmetric(12))
+
+    def test_deadline(self, P):
+        with pytest.raises(BudgetExceededError):
+            orbit(P("x1*x2 - x3", 5), PermGroup.symmetric(5), deadline=time.monotonic() - 1)
 
     def test_orbit_stabilizer(self):
         rng = random.Random(53)
@@ -210,7 +231,8 @@ class TestOrbits:
                 )
                 if f.is_zero:
                     continue
-                assert len(orbit(f, group)) * len(stabilizer(f, group)) == group.order
+                stabilizer = sum(g.act(f) == f for g in group.elements)
+                assert len(orbit(f, group)) * stabilizer == group.order
 
     def test_monomial_orbit_is_type_class(self):
         group = PermGroup.symmetric(4)
