@@ -17,12 +17,13 @@ from typing import Sequence
 
 from .groebner import DEFAULT_MAX_PAIRS, GroebnerBasis, buchberger
 from .linalg import ExactMatrix, _span, spin_rank
-from .permutations import DEFAULT_GROUP_BOUND, PermGroup, _image_codes, orbit
+from .permutations import DEFAULT_GROUP_BOUND, PermGroup, _orbit_size, _row_perms, orbit
 from .polynomials import (
     GREVLEX,
     Monomial,
     MonomialOrder,
     Polynomial,
+    _format_monomial,
     monomial_type,
     monomials_of_degree,
     monomials_of_type,
@@ -59,7 +60,9 @@ class OrbitIdeal:
 def orbit_ideal(seeds: Sequence[Polynomial], group: PermGroup, *,
                 deadline: float | None = None) -> OrbitIdeal:
     """The orbit ideal of the seeds: its generators are the union of their
-    orbits, canonically ordered; ``deadline`` is checked as in ``orbit``."""
+    orbits, canonically ordered (one seed's orbit is already distinct and
+    ordered, so it is kept as ``orbit`` returns it); ``deadline`` is
+    checked as in ``orbit``."""
     if not seeds:
         raise ValueError("need at least one seed polynomial")
     field = seeds[0].field
@@ -70,8 +73,11 @@ def orbit_ideal(seeds: Sequence[Polynomial], group: PermGroup, *,
             raise ValueError(f"seed nvars {f.nvars} != group degree {group.degree}")
         if f.is_zero:
             raise ValueError("zero polynomial cannot seed an orbit ideal")
-    expanded = set().union(*(orbit(f, group, deadline=deadline) for f in seeds))
-    return OrbitIdeal(group, tuple(seeds), tuple(sorted(expanded, key=Polynomial.sort_key)))
+    orbits = [orbit(f, group, deadline=deadline) for f in seeds]
+    expanded = orbits[0] if len(orbits) == 1 else tuple(
+        sorted(set().union(*orbits), key=Polynomial.sort_key)
+    )
+    return OrbitIdeal(group, tuple(seeds), expanded)
 
 
 @dataclass
@@ -140,9 +146,7 @@ def _product_matrix(
 def _by_monomial(index: Sequence[Monomial], vector) -> dict[str, str]:
     """The nonzero entries of a vector over the rows of ``index``, keyed by
     monomial text."""
-    return {
-        str(Polynomial.from_monomial(c.field, m)): str(c) for m, c in zip(index, vector) if c
-    }
+    return {_format_monomial(m) or "1": str(c) for m, c in zip(index, vector) if c}
 
 
 def graded_piece(
@@ -224,7 +228,7 @@ def graded_member(
             names[gi] = str(gens[gi])
         combination.append({
             "generator": names[gi],
-            "multiplier": str(Polynomial.from_monomial(field, u)),
+            "multiplier": _format_monomial(u) or "1",
             "coefficient": str(c),
         })
     if {m: x for m, x in total.items() if x} != target.terms:
@@ -298,15 +302,16 @@ def rank_condition(
     the rank (2^61 - 1, or a larger listed prime after a failed lift or
     check) and, on a false verdict, a left-kernel vector over the
     monomials, checked exactly against every spun vector, which proves
-    their span G-stable.  The distinct images are counted by the closure
-    that ``orbit`` walks (``permutations._image_codes``), over the rows of
-    the type, which also gives the generators as row permutations.
-    ``deadline`` is checked per image counted and per vector spun.
+    their span G-stable.  The distinct images are counted, not walked, by
+    orbit-stabilizer (``permutations._orbit_size``); the count is reported
+    and bounds the copies of f in the Hadamard bound of the retry.
+    ``deadline`` is checked per image of the subgroup walked by the count
+    and per vector spun.
 
     Past ``DEFAULT_GROUP_BOUND`` monomials of the type, counted in closed
     form as N! / prod(multiplicity!) over a term's exponents (zeros
-    included) before any is listed, or past as many distinct images, it
-    raises ValueError.
+    included) before any is listed, or past as many images walked by the
+    count, it raises ValueError.
     """
     if f.is_zero:
         raise ValueError("zero polynomial has no type")
@@ -328,9 +333,10 @@ def rank_condition(
         )
     row_index = sorted(monomials_of_type(mono_type, f.nvars), key=GREVLEX.key, reverse=True)
     n = len(row_index)
-    perms, _, images = _image_codes(f, group.generators, row_index, deadline)
+    images = _orbit_size(f, group, deadline=deadline)
     column = {i: f.terms[m] for i, m in enumerate(row_index) if m in f.terms}
-    got = spin_rank(f.field, n, column, perms, len(images), deadline=deadline)
+    perms = _row_perms(group.generators, row_index)
+    got = spin_rank(f.field, n, column, perms, images, deadline=deadline)
     verdict = got.rank == n
     certificate = {"full_rank": verdict, "prime": got.prime}
     if not verdict:
@@ -342,7 +348,7 @@ def rank_condition(
             "group": group.descriptor,
             "field": str(f.field),
             "monomials_of_type": n,
-            "distinct_orbit_vectors": len(images),
+            "distinct_orbit_vectors": images,
             "rank": got.rank,
         },
         verdict,

@@ -7,10 +7,12 @@ closed form for S_n and C_n.  Every orbit (of indices, index sets, monomials,
 polynomials, group elements) is the closure of a start set under the
 generators, so no orbit walks the group's elements.  The images of a
 polynomial are walked in one place, ``_image_codes``, as sorted int tuples
-over a list of rows (monomials); ``orbit`` and ``ideals.rank_condition``
-both call it.  The orbit of a polynomial is bounded by
-``DEFAULT_GROUP_BOUND`` distinct images, and elements are enumerated only
-on demand, up to the same bound on the order.
+over a list of rows (monomials).  ``orbit`` walks G.f there; ``_orbit_size``
+counts it by orbit-stabilizer, walking under S_N only the product of the
+symmetric groups on the cells of a colour refinement of f's variables,
+which holds f's stabilizer.  A walk is bounded by ``DEFAULT_GROUP_BOUND``
+distinct images, and elements are enumerated only on demand, up to the
+same bound on the order.
 """
 
 from __future__ import annotations
@@ -238,27 +240,93 @@ def _element_images(degree: int, generators: Sequence[Permutation]) -> set[tuple
     )
 
 
-def _image_codes(f: Polynomial, generators: Sequence[Permutation], rows: Sequence[Monomial],
-                 deadline: float | None) -> tuple[list[list[int]], list, set]:
-    """The orbit of f, coded over ``rows``, which must hold every monomial
-    of every image: the generators as permutations of the row positions,
-    f's distinct coefficients in term order, and the set of distinct
-    images, each the sorted tuple of codes k * len(rows) + i of its terms,
-    i the term's row and k its coefficient's index.  Refused with
-    ValueError past ``DEFAULT_GROUP_BOUND`` images; ``deadline`` is checked
-    once per image."""
+def _row_perms(generators: Sequence[Permutation], rows: Sequence[Monomial]) -> list[list[int]]:
+    """The generators as permutations of the positions of ``rows``, which
+    they must map onto themselves."""
     pos = {m: i for i, m in enumerate(rows)}
+    return [[pos[g.act_monomial(m)] for m in rows] for g in generators]
+
+
+def _image_codes(f: Polynomial, generators: Sequence[Permutation],
+                 deadline: float | None) -> tuple[list[Monomial], list, set]:
+    """The orbit of f under the group the generators generate, coded over
+    its rows, the closure of f's monomials: the rows, f's distinct
+    coefficients in term order, and the set of distinct images, each the
+    sorted tuple of codes k * len(rows) + i of its terms, i the term's row
+    and k its coefficient's index.  Refused with ValueError past
+    ``DEFAULT_GROUP_BOUND`` images, or past as many rows per term of f,
+    since each row is a term of some image; ``deadline`` is checked once
+    per row and once per image."""
+    rows = list(_closure(f.terms, lambda m: (g.act_monomial(m) for g in generators),
+                         DEFAULT_GROUP_BOUND, deadline))
     n = len(rows)
-    perms = [[pos[g.act_monomial(m)] for m in rows] for g in generators]
+    pos = {m: i for i, m in enumerate(rows)}
     values = list(dict.fromkeys(f.terms.values()))
     start = tuple(sorted(values.index(c) * n + pos[m] for m, c in f.terms.items()))
-    steps = [[k * n + r for k in range(len(values)) for r in perm].__getitem__ for perm in perms]
+    steps = [[k * n + r for k in range(len(values)) for r in perm].__getitem__
+             for perm in _row_perms(generators, rows)]
     # an image keeps f's coefficients, so the action keeps its codes sorted
     # when no coefficient repeats
     canonical = tuple if len(values) == len(f.terms) else lambda codes: tuple(sorted(codes))
     images = _closure([start], lambda key: [canonical(map(step, key)) for step in steps],
                       DEFAULT_GROUP_BOUND, deadline)
-    return perms, values, images
+    return rows, values, images
+
+
+def _colour_cells(f: Polynomial) -> list[list[int]]:
+    """The cells of the colour refinement of f's variables (McKay 1981),
+    each the sorted list of its 0-based indices.  A variable's new colour
+    is its old colour plus, for each term holding it, the coefficient, its
+    exponent and the sorted (colour, exponent) pairs of the term's
+    variables; colours are renumbered by sorting the distinct signatures,
+    until their number stops growing.  No colour mentions a variable's
+    name, so every sigma with sigma.f = f preserves them."""
+    holding: list[list] = [[] for _ in range(f.nvars)]
+    for m, c in f.terms.items():
+        support = [(i, e) for i, e in enumerate(m) if e]
+        for i, e in support:
+            holding[i].append((c, e, support))
+    colour, count = [0] * f.nvars, 1
+    while True:
+        signatures = [
+            (colour[v], tuple(sorted(
+                (c, e, tuple(sorted((colour[i], x) for i, x in support)))
+                for c, e, support in holding[v])))
+            for v in range(f.nvars)
+        ]
+        palette = {s: k for k, s in enumerate(sorted(set(signatures)))}
+        colour = [palette[s] for s in signatures]
+        if len(palette) == count:
+            break
+        count = len(palette)
+    cells: dict[int, list[int]] = {}
+    for v, k in enumerate(colour):
+        cells.setdefault(k, []).append(v)
+    return list(cells.values())
+
+
+def _orbit_size(f: Polynomial, group: PermGroup, *, deadline: float | None) -> int:
+    """|G.f| by orbit-stabilizer, as |G| * |K.f| / |K|, walking only K.f
+    (``_image_codes``).  For the full symmetric group K is H, the product
+    of the symmetric groups on the cells of ``_colour_cells``: the
+    stabilizer of f preserves the colours, so it lies in H, and
+    |G.f| / |H.f| = |G| / |H|.  H is generated by a transposition of two
+    adjacent members and the cycle through each cell.  For any other group
+    K is G.  Refused as ``_image_codes`` refuses; ``deadline`` is checked
+    once per row and once per image of K.f."""
+    if not group.is_full_symmetric:
+        return len(_image_codes(f, group.generators, deadline)[2])
+    generators, order = [], 1
+    for cell in _colour_cells(f):
+        order *= math.factorial(len(cell))
+        if len(cell) >= 2:
+            generators.append(Permutation.transposition(f.nvars, cell[0] + 1, cell[1] + 1))
+        if len(cell) >= 3:
+            images = list(range(f.nvars))
+            for a, b in zip(cell, cell[1:] + cell[:1]):
+                images[a] = b
+            generators.append(Permutation(images))
+    return group.order // order * len(_image_codes(f, generators, deadline)[2])
 
 
 def orbit(f: Polynomial, group: PermGroup, *,
@@ -272,9 +340,7 @@ def orbit(f: Polynomial, group: PermGroup, *,
     per monomial and once per image."""
     if f.nvars != group.degree:
         raise ValueError(f"permutation degree {group.degree} != nvars {f.nvars}")
-    rows = list(_closure(f.terms, lambda m: (g.act_monomial(m) for g in group.generators),
-                         DEFAULT_GROUP_BOUND, deadline))
-    _, values, images = _image_codes(f, group.generators, rows, deadline)
+    rows, values, images = _image_codes(f, group.generators, deadline)
     terms = [(m, c) for c in values for m in rows]  # the term each code stands for
     polys = (f._make(dict(map(terms.__getitem__, codes))) for codes in images)
     return tuple(sorted(polys, key=Polynomial.sort_key))

@@ -222,10 +222,12 @@ class Polynomial:
 
     # arithmetic
 
-    def _make(self, data: dict[Monomial, Raw]) -> "Polynomial":
+    def _make(self, data: dict[Monomial, Raw], nvars: int | None = None) -> "Polynomial":
+        """A polynomial over this field from already valid terms, in this
+        ring or in ``nvars`` variables."""
         p = object.__new__(Polynomial)
         p.field = self.field
-        p.nvars = self.nvars
+        p.nvars = self.nvars if nvars is None else nvars
         p.terms = data
         p._hash = None
         return p
@@ -328,7 +330,7 @@ class Polynomial:
         if nvars == self.nvars:
             return self
         pad = (0,) * (nvars - self.nvars)
-        return Polynomial(self.field, nvars, {m + pad: c for m, c in self.terms.items()})
+        return self._make({m + pad: c for m, c in self.terms.items()}, nvars)
 
     # equality / hashing / display
 

@@ -67,9 +67,10 @@ class TestExitCodes:
         assert code == 3 and out == "" and "budget" in err
 
     def test_rank_condition_s8_within_budget(self, capsys):
-        # 336 monomials of type (3,2,1) against 20,160 orbit vectors, some
-        # 0.1 s of work; the deadline is checked per image counted and per
-        # vector spun
+        # 336 monomials of type (3,2,1) against 20,160 orbit vectors, counted
+        # by orbit-stabilizer; the deadline is checked per image walked by
+        # the count and per vector spun.  The timeout is given e(7,5) in 12
+        # variables, which is counted at once and spun for seconds
         argv = ("verify", "rank-condition", "--group", "S8", "--poly",
                 "x1^3*x2^2*x3 + 2*x2^3*x1^2*x3 - x4^3*x5^2*x6", "--format", "machine")
         start = time.monotonic()
@@ -77,7 +78,8 @@ class TestExitCodes:
         assert code == 0 and "verdict=true" in out and "param.rank=336" in out
         assert time.monotonic() - start < 2.0
         start = time.monotonic()
-        code, out, err = invoke(capsys, *argv, "--timeout", "0.01")
+        code, out, err = invoke(capsys, "verify", "rank-condition", "--group", "S12",
+                                "--poly", "e(7,5)", "--timeout", "0.01")
         assert code == 3 and out == "" and "budget" in err
         assert time.monotonic() - start < 2.0
 
@@ -215,6 +217,23 @@ class TestCommands:
             "--target-nvars", "9", "--format", "machine",
         )
         assert code == 0 and "certificate.rank=84" in out.splitlines()
+
+    def test_verify_squarefree_generic_cubic_at_nine(self, capsys):
+        # 60,480 images in 9 variables, counted as 9! / 3! since colour
+        # refinement leaves only x7, x8, x9 in one cell; walking them was
+        # refused by the 50,000 image bound
+        cubic = "x1*x2*x3 + 2*x1*x4*x5 + 3*x2*x5*x6 {}*x3*x4*x6"
+        argv = ("verify", "squarefree", "--nvars", "6", "--target-nvars", "9",
+                "--format", "machine", "--poly")
+        code, out, _ = invoke(capsys, *argv, cubic.format("+ 5"))
+        lines = out.splitlines()
+        assert code == 0 and "verdict=true" in lines and "certificate.rank=84" in lines
+        start = time.monotonic()
+        code, out, _ = invoke(capsys, *argv, cubic.format("- 6"))
+        assert time.monotonic() - start < 0.1
+        lines = out.splitlines()
+        assert code == 0 and "param.branch=all-ones-witness" in lines
+        assert "certificate.generators_checked=60480" in lines
 
     def test_verify_radical_orbit(self, capsys):
         code, out, _ = invoke(

@@ -22,6 +22,7 @@ from symorbits import (
     orbit,
     parse_polynomial,
 )
+from symorbits.permutations import _orbit_size
 
 
 class TestPermutationBasics:
@@ -203,6 +204,39 @@ class TestOrbits:
                 fast = orbit(f, group)
                 slow = {g.act(f) for g in group.elements}
                 assert set(fast) == slow and len(fast) == len(slow), (group, f)
+
+    def test_orbit_size_agrees_with_the_walk(self):
+        # |G.f| by orbit-stabilizer: under S_N only the product of the
+        # symmetric groups on f's colour cells is walked, under any other
+        # group G itself
+        rng = random.Random(22)
+        fixed = [
+            "x1*x2 + x2*x3 + x3*x4 + x4*x5 + x1*x5",  # refinement cannot split it
+            "x1^2*x2 + x2^2*x3 + x3^2*x1 + 2*x4*x5",
+            "x1*x2 - x3 + 2*x1^2",
+            "3*x1^2 + 3*x2*x3 - x4 - x5",
+        ]
+        groups = [PermGroup.generated(5, ["(1 2 3)", "(3 4 5)"])]  # A5
+        for n in range(1, 7):
+            groups += [PermGroup.symmetric(n), PermGroup.cyclic(n)]
+            if n >= 3:  # dihedral
+                reflection = "".join(f"({i} {n + 2 - i})" for i in range(2, n // 2 + 2)
+                                     if i < n + 2 - i)
+                groups.append(PermGroup.generated(n, [f"({' '.join(map(str, range(1, n + 1)))})",
+                                                      reflection]))
+        for field, group in itertools.product((QQ, GF(7), GF(32003)), groups):
+            n = group.degree
+            polys = [parse_polynomial(text, 5, field) for text in fixed] if n == 5 else []
+            polys += [elementary_symmetric(k, range(1, k + 1), d, field).extend(n)
+                      for k in range(1, n + 1) for d in range(1, k + 1)]
+            for _ in range(8):
+                polys.append(Polynomial(field, n, {
+                    tuple(rng.randint(0, 2) for _ in range(n)): rng.choice((1, 1, 2, -1, 3))
+                    for _ in range(rng.randint(1, 4))
+                }))
+            for f in polys:
+                if not f.is_zero:
+                    assert _orbit_size(f, group, deadline=None) == len(orbit(f, group)), (group, f)
 
     def test_symmetric_orbit_beyond_element_bound(self, P):
         # C(12, 2) choices of the product times 10 of the subtracted variable

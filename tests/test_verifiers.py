@@ -205,7 +205,8 @@ class TestSquarefreeOrbit:
         assert not report.verdict
         assert "below the guaranteed range" in report.notes
         assert report.certificate == {
-            "rank": 4, "monomials_of_type": 6, "distinct_orbit_vectors": 4
+            "rank": 4, "monomials_of_type": 6, "distinct_orbit_vectors": 4,
+            "dual_vector": {"x1*x3": "1", "x1*x4": "-1", "x2*x3": "-1", "x2*x4": "1"},
         }
 
     def test_paper_threshold_n_plus_d(self):
@@ -219,6 +220,30 @@ class TestSquarefreeOrbit:
                 assert verify_squarefree_orbit(f, n + d).verdict, (n, d)
                 if d < n:
                     assert not verify_squarefree_orbit(f, n + d - 1).verdict, (n, d)
+
+    def test_generic_squarefree_is_answered(self):
+        # seeded square-free f with n <= 6, n <= N <= n+d+1 and coefficients
+        # in +-{1, 2, 3}, about 30 % with coefficient sum 0: the images are
+        # counted, not walked, so none is refused by the image bound, and
+        # every nonzero sum is true from N = n + d on (the paper's claim)
+        rng = random.Random(22)
+        for _ in range(120):
+            n = rng.randint(1, 6)
+            d = rng.randint(1, n)
+            supports = list(itertools.combinations(range(n), d))
+            zero_sum = len(supports) > 1 and rng.random() < 0.3
+            while True:
+                chosen = rng.sample(supports, rng.randint(1 + zero_sum, min(len(supports), 6)))
+                coeffs = [rng.choice((1, 2, 3, -1, -2, -3)) for _ in chosen]
+                if (sum(coeffs) == 0) == zero_sum:
+                    break
+            f = Polynomial(QQ, n, {tuple(int(i in s) for i in range(n)): c
+                                   for s, c in zip(chosen, coeffs)})
+            nvars = rng.randint(n, n + d + 1)
+            report = verify_squarefree_orbit(f, nvars)
+            branch = "all-ones-witness" if zero_sum else "monomial-equality"
+            assert report.parameters["branch"] == branch, f
+            assert report.verdict or nvars < n + d, (f, nvars)
 
     def test_validation(self, P):
         with pytest.raises(ValueError):
