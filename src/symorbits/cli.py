@@ -261,8 +261,9 @@ def _verify_witness(args) -> int:
     group, f = _group_and_poly(args)
     witness = monomial_free_witness(f, group, deadline=deadline)
     found = witness is not None
+    parameters = {"poly": str(f), "group": group.descriptor, "field": str(f.field), "nvars": f.nvars}
     report = VerdictReport(
-        "monomial-free-witness", {"poly": str(f), "group": group.descriptor}, found,
+        "monomial-free-witness", parameters, found,
         certificate={"point": [str(x) for x in witness]} if found else None,
         notes="" if found else "no witness found (not a proof of absence)",
     )

@@ -3,16 +3,16 @@ action on monomials and polynomials.
 
 The action follows the convention that a permutation sends the variable
 x_i to x_{sigma(i)}.  A group is its generators plus its order, known in
-closed form for S_n and C_n.  Every orbit (of indices, index sets, monomials,
-polynomials, group elements) is the closure of a start set under the
-generators, so no orbit walks the group's elements.  The images of a
-polynomial are walked in one place, ``_image_codes``, as sorted int tuples
-over a list of rows (monomials).  ``orbit`` walks G.f there; ``_orbit_size``
-counts it by orbit-stabilizer, walking under S_N only the product of the
-symmetric groups on the cells of a colour refinement of f's variables,
-which holds f's stabilizer.  A walk is bounded by ``DEFAULT_GROUP_BOUND``
-distinct images, and elements are enumerated only on demand, up to the
-same bound on the order.
+closed form for S_n and C_n.  Every orbit (of indices, monomials, term
+supports, points, polynomials, group elements) is the closure of a start
+set under the generators, so no orbit walks the group's elements.  The
+images of a polynomial are walked in one place, ``_image_codes``, as sorted
+int tuples over a list of rows (monomials).  ``orbit`` walks G.f there;
+``_orbit_size`` counts it by orbit-stabilizer, walking under S_N only the
+product of the symmetric groups on the cells of a colour refinement of f's
+variables, which holds f's stabilizer.  A walk is bounded by
+``DEFAULT_GROUP_BOUND`` distinct images, and elements are enumerated only
+on demand, up to the same bound on the order.
 """
 
 from __future__ import annotations
@@ -221,13 +221,6 @@ class PermGroup:
             return False
         reach = _closure(all_monos[:1], lambda m: (g.act_monomial(m) for g in self.generators))
         return len(reach) == len(all_monos)
-
-    def index_set_orbit(self, indices: Iterable[int]) -> set[frozenset[int]]:
-        """Orbit of a set of 1-based indices under the group."""
-        return _closure(
-            [frozenset(indices)],
-            lambda s: (frozenset(g(i) for i in s) for g in self.generators),
-        )
 
 
 def _element_images(degree: int, generators: Sequence[Permutation]) -> set[tuple[int, ...]]:

@@ -9,6 +9,7 @@ ideals whose radical contains no monomial.
 from __future__ import annotations
 
 import itertools
+import operator
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
@@ -16,7 +17,7 @@ from fractions import Fraction
 from .fields import QQ, Field, Scalar, binomial
 from .groebner import DEFAULT_MAX_PAIRS, radical_equals_irrelevant, radical_member
 from .ideals import orbit_ideal, rank_condition
-from .permutations import PermGroup, Permutation, _orbit_size, orbit
+from .permutations import DEFAULT_GROUP_BOUND, PermGroup, Permutation, _closure, _orbit_size
 from .polynomials import Polynomial, elementary_symmetric
 from .reports import CertificateError, VerdictReport, check_deadline
 
@@ -266,30 +267,30 @@ def radical_orbit_equality(
     Every term of every generator lies in M, and M is radical, so the
     radical of I always lies in M; equality holds exactly when every x_S
     lies in the radical, and by equivariance one S per group orbit of
-    minimal supports suffices.  When the minimal supports are the N
-    singletons, M is (x1, ..., xN) and one grevlex basis decides it
+    minimal supports suffices.  The minimal supports come from f's own
+    supports (``_minimal_supports``); G.f is walked once, for the
+    generators the Groebner step needs.  When the minimal supports are the
+    N singletons, M is (x1, ..., xN) and one grevlex basis decides it
     (``radical_equals_irrelevant``); otherwise each orbit representative,
-    the lexicographically smallest support of its orbit, gets one radical
-    membership test, stopping at the first false.
+    the largest exponent vector of its orbit (on an antichain, the
+    lexicographically smallest support), gets one radical membership test,
+    stopping at the first false.
     """
     if f.is_zero or not f.is_homogeneous():
         raise ValueError("polynomial must be homogeneous and nonzero")
     if f.nvars != group.degree:
         raise ValueError("variable count mismatch")
     generators = list(orbit_ideal([f], group, deadline=deadline).expanded)
-    minimal = _minimal_supports(generators)
+    minimal = _minimal_supports(f, group, deadline=deadline)
     # the minimal supports of an orbit form a G-stable set
     representatives = []
     remaining = set(minimal)
     while remaining:
-        representatives.append(min(remaining, key=sorted))
-        remaining -= group.index_set_orbit(representatives[-1])
-    monomials = [
-        Polynomial.from_monomial(f.field, tuple(int(i + 1 in s) for i in range(f.nvars)))
-        for s in representatives
-    ]
+        representatives.append(max(remaining))
+        remaining -= _tuple_orbit([representatives[-1]], group, deadline)
+    monomials = [Polynomial.from_monomial(f.field, s) for s in representatives]
     notes = ""
-    if minimal == {frozenset([i]) for i in range(1, f.nvars + 1)}:
+    if all(sum(s) == 1 for s in minimal) and len(minimal) == f.nvars:
         route = "finiteness"
         verdict = radical_equals_irrelevant(generators, max_pairs=max_pairs, deadline=deadline)
     else:
@@ -323,27 +324,39 @@ def radical_orbit_equality(
 # -- witness search -------------------------------------------------------------
 
 
-def _minimal_supports(generators) -> set[frozenset[int]]:
-    """The inclusion-minimal supports (1-based variable sets) of the terms
-    of the generators: the x_S for these S generate the monomial ideal M
-    that holds every term."""
-    supports = {
-        frozenset(i + 1 for i, e in enumerate(m) if e) for g in generators for m in g.terms
-    }
-    return {s for s in supports if not any(t < s for t in supports)}
+def _tuple_orbit(starts, group: PermGroup, deadline: float | None) -> set:
+    """The orbit of the tuples ``starts`` under the group, each generator
+    moving the entry at position i to position sigma(i); refused past
+    ``DEFAULT_GROUP_BOUND`` tuples per start."""
+    return _closure(starts, lambda v: (g.act_monomial(v) for g in group.generators),
+                    DEFAULT_GROUP_BOUND, deadline)
+
+
+def _minimal_supports(f: Polynomial, group: PermGroup, *,
+                      deadline: float | None = None) -> set[tuple[int, ...]]:
+    """The inclusion-minimal term supports of the orbit ideal of f, as
+    square-free exponent vectors: the x_S for these S generate the monomial
+    ideal M that holds every term.  The terms of sigma.f are sigma applied
+    to the terms of f, so these are the minimal elements of the closure of
+    f's own supports."""
+    supports = _tuple_orbit({tuple(int(e > 0) for e in m) for m in f.terms}, group, deadline)
+    return {s for s in supports
+            if not any(t != s and all(map(operator.le, t, s)) for t in supports)}
 
 
 def _constant_point_roots(f: Polynomial, deadline: float | None) -> list:
-    """Nonzero constants t with f(t, ..., t) = 0: rational-root search over
-    the rationals, exhaustive search over a prime field; ``deadline`` is
-    checked once per candidate t."""
+    """Nonzero constants t with f(t, ..., t) = 0: none when f(t, ..., t)
+    is a single term c*t^e (as for every homogeneous f), else a
+    rational-root search over the rationals and an exhaustive search over
+    a prime field; ``deadline`` is checked once per candidate t and once
+    per divisor trial."""
     field = f.field
     by_degree: dict[int, object] = {}
     for m, c in f.terms.items():
         deg = sum(m)
         by_degree[deg] = field.add(by_degree.get(deg, field.zero), c)
     by_degree = {e: c for e, c in by_degree.items() if c != field.zero}
-    if not by_degree:
+    if len(by_degree) <= 1:
         return []
     if field.characteristic:
         def value(t):
@@ -363,8 +376,8 @@ def _constant_point_roots(f: Polynomial, deadline: float | None) -> list:
     trailing = abs(int_coeffs[low])
     leading = abs(int_coeffs[max(int_coeffs)])
     candidates = set()
-    for p in _divisors(trailing):
-        for q in _divisors(leading):
+    for p in _divisors(trailing, deadline):
+        for q in _divisors(leading, deadline):
             candidates.add(Fraction(p, q))
             candidates.add(Fraction(-p, q))
     roots = []
@@ -377,11 +390,14 @@ def _constant_point_roots(f: Polynomial, deadline: float | None) -> list:
     return roots
 
 
-def _divisors(n: int) -> list[int]:
+def _divisors(n: int, deadline: float | None) -> list[int]:
+    """The positive divisors of n by trial division up to sqrt(|n|);
+    ``deadline`` is checked once per trial."""
     n = abs(n)
     out = []
     i = 1
     while i * i <= n:
+        check_deadline(deadline)
         if n % i == 0:
             out.extend((i, n // i))
         i += 1
@@ -389,11 +405,11 @@ def _divisors(n: int) -> list[int]:
 
 
 def default_witness_patterns(nvars: int) -> list[tuple[int, ...]]:
-    """All arrangements of one +1, one -1, and zeros elsewhere."""
-    if nvars < 2:
-        return []
-    base = (1, -1) + (0,) * (nvars - 2)
-    return sorted(set(itertools.permutations(base)))
+    """All arrangements of one +1, one -1, and zeros elsewhere, sorted."""
+    return sorted(
+        tuple(1 if k == i else -1 if k == j else 0 for k in range(nvars))
+        for i in range(nvars) for j in range(nvars) if i != j
+    )
 
 
 def monomial_free_witness(
@@ -403,44 +419,45 @@ def monomial_free_witness(
     *,
     deadline: float | None = None,
 ) -> tuple[Scalar, ...] | None:
-    """Search for a point killing every generator of the orbit ideal of f
+    """Search for a point P killing every generator of the orbit ideal of f
     off V(M), M the monomial ideal of the minimal term supports: some x_S
     must be nonzero there, so that x_S lies outside the radical.  A point
-    that kills every term proves nothing.
+    that kills every term proves nothing.  Since (sigma.f)(P) is f at P
+    with its coordinates permuted, every generator vanishes at P exactly
+    when f vanishes on the orbit of P, which is walked instead of G.f.
 
     Tried in order: the all-ones point; constant points (t, ..., t) with t
-    a nonzero root of f on the diagonal; then a finite pool of sign/zero
-    patterns (by default all arrangements of one +1 and one -1).  Returns
-    the first verified witness, or None; None is not a proof of absence.
-    The deadline is checked once per candidate point; the zero polynomial,
-    which every point kills, raises ValueError.
+    a nonzero root of f on the diagonal, searched only if the all-ones
+    point fails; then a finite pool of sign/zero patterns (by default all
+    arrangements of one +1 and one -1).  Returns the first verified
+    witness, or None; None is not a proof of absence.  The deadline is
+    checked once per candidate point and once per point of its orbit; an
+    orbit past ``DEFAULT_GROUP_BOUND`` points is refused with ValueError,
+    as are the zero polynomial, which every point kills, and a group of
+    another degree than f's variable count.
     """
     if f.is_zero:
         raise ValueError("zero polynomial")
-    generators = orbit(f, group, deadline=deadline)
-    minimal = _minimal_supports(generators)
+    if f.nvars != group.degree:
+        raise ValueError(f"permutation degree {group.degree} != nvars {f.nvars}")
+    minimal = _minimal_supports(f, group, deadline=deadline)
     field = f.field
-    nvars = f.nvars
 
-    def verify(point) -> tuple[Scalar, ...] | None:
+    def candidates():
+        yield (1,) * f.nvars
+        for t in _constant_point_roots(f, deadline):
+            yield (t,) * f.nvars
+        yield from patterns if patterns is not None else default_witness_patterns(f.nvars)
+
+    for point in candidates():
         check_deadline(deadline)
         scalars = tuple(field.scalar(x) for x in point)
-        off_v_of_m = any(all(not scalars[i - 1].is_zero for i in s) for s in minimal)
-        if off_v_of_m and all(g.evaluate(scalars).is_zero for g in generators):
+        off_v_of_m = any(all(not x.is_zero for x, e in zip(scalars, s) if e) for s in minimal)
+        # P lies in its own orbit: most candidates fail there, before the walk
+        if off_v_of_m and f.evaluate(scalars).is_zero and all(
+            f.evaluate(q).is_zero for q in _tuple_orbit([scalars], group, deadline)
+        ):
             return scalars
-        return None
-
-    found = verify([1] * nvars)
-    if found:
-        return found
-    for t in _constant_point_roots(f, deadline):
-        found = verify([t] * nvars)
-        if found:
-            return found
-    for pattern in patterns if patterns is not None else default_witness_patterns(nvars):
-        found = verify(pattern)
-        if found:
-            return found
     return None
 
 

@@ -1,4 +1,5 @@
 import json
+import shlex
 import time
 from pathlib import Path
 
@@ -7,7 +8,8 @@ import pytest
 from symorbits import cli
 from symorbits.cli import run
 
-REPRO_GOLDEN = Path(__file__).resolve().parents[1] / "bench" / "data" / "repro_golden.json"
+ROOT = Path(__file__).resolve().parents[1]
+REPRO_GOLDEN = ROOT / "bench" / "data" / "repro_golden.json"
 
 
 def invoke(capsys, *argv):
@@ -104,14 +106,44 @@ class TestExitCodes:
 
     def test_witness_root_search_timeout_exits_three(self, capsys):
         # over a 61-bit prime field the constant-point root search is
-        # exhaustive; it checks the deadline once per candidate t
+        # exhaustive; it checks the deadline once per candidate t.  The
+        # diagonal t^2 - 3 has no root: 3 is a non-residue mod 2^61 - 1
         start = time.monotonic()
         code, out, err = invoke(
-            capsys, "verify", "witness", "--group", "S3", "--poly", "x1^2 + x2^2 - 3*x1*x2",
+            capsys, "verify", "witness", "--group", "S2", "--poly", "x1*x2 - 3",
             "--field", "F2305843009213693951", "--timeout", "0.1",
         )
         assert code == 3 and out == "" and "budget" in err
         assert time.monotonic() - start < 0.5
+
+    def test_witness_divisor_search_timeout_exits_three(self, capsys):
+        # the rational-root search trial-divides the constant 10^30 up to
+        # 10^15, checking the deadline once per trial
+        start = time.monotonic()
+        code, out, err = invoke(
+            capsys, "verify", "witness", "--group", "S2",
+            "--poly", "x1 + x2 - 1000000000000000000000000000000", "--timeout", "0.1",
+        )
+        assert code == 3 and out == "" and "budget" in err
+        assert time.monotonic() - start < 0.5
+
+    @pytest.mark.parametrize("argv, expected", [
+        # coefficient sum 0 under S9: the all-ones point, though G.f has
+        # 60,480 images
+        (("--nvars", "9", "--group", "S9",
+          "--poly", "x1*x2*x3 + 2*x1*x4*x5 + 3*x2*x5*x6 - 6*x3*x4*x6"), 0),
+        # the sign patterns of S11 are built, not found among 11! permutations
+        (("--group", "S11", "--poly", "x1^2*x2 + x1*x2^2"), 0),
+        (("--group", "C12", "--poly", "x1^2 + x2^2", "--timeout", "1"), 1),
+        # homogeneous: no exhaustive diagonal search over GF(2^61 - 1)
+        (("--group", "S3", "--poly", "x1^2 + x2^2 - 3*x1*x2",
+          "--field", "F2305843009213693951"), 1),
+    ], ids=["s9-zero-sum", "s11-patterns", "c12-none", "gf61-homogeneous"])
+    def test_witness_search_walks_candidate_orbits(self, capsys, argv, expected):
+        start = time.monotonic()
+        code, out, err = invoke(capsys, "verify", "witness", *argv)
+        assert code == expected, err
+        assert time.monotonic() - start < 1.0
 
     def test_eliminate_timeout_exits_three(self, capsys):
         # the identity check expands C(18, 12) = 18,564 subsets, some 4 s of
@@ -186,6 +218,15 @@ class TestCommands:
             "--poly", "x1^2*x2 + x1*x2^2",
         )
         assert code == 0 and "certificate.point" in out
+
+    def test_verify_witness_all_ones_at_nine(self, capsys):
+        code, out, _ = invoke(
+            capsys, "verify", "witness", "--nvars", "9", "--group", "S9",
+            "--poly", "x1*x2*x3 + 2*x1*x4*x5 + 3*x2*x5*x6 - 6*x3*x4*x6", "--format", "machine",
+        )
+        points = [line for line in out.splitlines() if line.startswith("certificate.point.")]
+        assert code == 0 and "param.field=QQ" in out and "param.nvars=9" in out
+        assert points == [f"certificate.point.{i}=1" for i in range(9)]
 
     def test_verify_witness_rejects_points_that_kill_every_term(self, capsys):
         # (-1, 0, 0, 0, 1) kills every generator only by killing every term
@@ -273,6 +314,20 @@ class TestCommands:
         )
         assert code == 0
         assert "trials=5" in out and "seed=7" in out
+
+
+def readme_commands() -> list[list[str]]:
+    """The commands of the first code block of README's CLI section."""
+    section = (ROOT / "README.md").read_text().split("\n## CLI\n", 1)[1]
+    block = section.split("```\n", 2)[1].replace("\\\n", " ")
+    return [shlex.split(line)[1:] for line in block.splitlines() if line.strip()]
+
+
+def test_readme_cli_block_runs():
+    commands = readme_commands()
+    assert len(commands) == 7
+    for argv in commands:
+        assert run(argv) in (0, 1), argv
 
 
 class TestRadicalOrbit:

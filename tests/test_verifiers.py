@@ -12,10 +12,12 @@ from symorbits import (
     BudgetExceededError,
     PermGroup,
     Polynomial,
+    default_witness_patterns,
     elementary_symmetric,
     elimination_coefficients,
     ideal_equal,
     monomial_free_witness,
+    monomials_of_degree,
     orbit,
     orbit_ideal,
     parse_polynomial,
@@ -27,6 +29,8 @@ from symorbits import (
     verify_squarefree_orbit,
     witness_classification,
 )
+from symorbits.permutations import _closure
+from symorbits.verifiers import _constant_point_roots, _minimal_supports
 
 
 class TestEliminationCoefficients:
@@ -467,6 +471,99 @@ class TestWitnessSearch:
         assert all(g.evaluate(witness).is_zero for g in gens)
         assert all(g.evaluate([QQ.scalar(x) for x in patterns[0]]).is_zero for g in gens)
         assert monomial_free_witness(f, group, patterns=patterns[:1]) is None
+
+    def test_degree_mismatch_rejected(self, P):
+        with pytest.raises(ValueError, match="degree"):
+            monomial_free_witness(P("x1*x2 - x2*x3", 3), PermGroup.symmetric(4))
+
+    def test_default_patterns_are_sorted_and_distinct(self):
+        base = (1, -1, 0, 0, 0)
+        assert default_witness_patterns(5) == sorted(set(itertools.permutations(base)))
+        assert default_witness_patterns(1) == []
+
+    @staticmethod
+    def _reference_witness(f, group):
+        # every generator expanded and evaluated at each candidate, with
+        # the minimal supports read off the expanded generators
+        gens = orbit(f, group)
+        supports = {frozenset(i for i, e in enumerate(m) if e) for g in gens for m in g.terms}
+        minimal = [s for s in supports if not any(t < s for t in supports)]
+        n = f.nvars
+        candidates = [[1] * n] + [[t] * n for t in _constant_point_roots(f, None)]
+        candidates += sorted(set(itertools.permutations((1, -1) + (0,) * (n - 2))))
+        for point in candidates:
+            scalars = tuple(f.field.scalar(x) for x in point)
+            if any(all(not scalars[i].is_zero for i in s) for s in minimal) and all(
+                g.evaluate(scalars).is_zero for g in gens
+            ):
+                return scalars
+        return None
+
+    @staticmethod
+    def _reference_representatives(f, group):
+        # one support per orbit of minimal supports, the lexicographically
+        # smallest, with index sets moved by the generators
+        gens = orbit(f, group)
+        supports = {frozenset(i + 1 for i, e in enumerate(m) if e) for g in gens for m in g.terms}
+        minimal = {s for s in supports if not any(t < s for t in supports)}
+        out, remaining = [], set(minimal)
+        while remaining:
+            out.append(min(remaining, key=sorted))
+            remaining -= _closure(
+                [out[-1]], lambda s: (frozenset(g(i) for i in s) for g in group.generators)
+            )
+        exponents = [tuple(int(i + 1 in s) for i in range(f.nvars)) for s in out]
+        return len(minimal), [str(Polynomial.from_monomial(f.field, e)) for e in exponents]
+
+    def test_agrees_with_expanding_the_orbit(self):
+        # seeded (f, G) pairs, homogeneous and inhomogeneous, some with
+        # coefficient sum 0: the same witness or None as the expanded
+        # orbit gives, and the same radical-orbit representatives
+        groups = [
+            PermGroup.symmetric(3), PermGroup.cyclic(3), PermGroup.cyclic(4),
+            PermGroup.symmetric(4), PermGroup.generated(4, ["(1 2 3 4)", "(1 4)(2 3)"]),
+            PermGroup.generated(4, ["(1 2)"]), PermGroup.symmetric(5), PermGroup.cyclic(5),
+        ]
+        fields = [QQ, GF(5), GF(7), GF(32003)]
+        rng = random.Random(2027)
+        found = radical = 0
+        for trial in range(192):
+            group = groups[trial % len(groups)]
+            field = fields[trial // len(groups) % len(fields)]
+            n = group.degree
+            homogeneous = trial % 3 != 2
+            degrees = [rng.choice((1, 2, 3))] if homogeneous else range(4)
+            monos = [m for d in degrees for m in monomials_of_degree(n, d)]
+            chosen = rng.sample(monos, min(len(monos), rng.randint(1, 4)))
+            coeffs = {m: rng.choice((-8, -3, -2, -1, 1, 2, 3, 8)) for m in chosen}
+            if trial % 4 == 1 and len(chosen) > 1:
+                coeffs[chosen[-1]] = -sum(coeffs[m] for m in chosen[:-1]) or 1
+            f = Polynomial(field, n, coeffs)
+            if f.is_zero:
+                continue
+            witness = monomial_free_witness(f, group)
+            assert witness == self._reference_witness(f, group), (str(f), group.descriptor)
+            found += witness is not None
+            if homogeneous and trial % 2 == 0:
+                report = radical_orbit_equality(f, group)
+                assert (report.parameters["minimal_supports"],
+                        report.certificate["representatives"]) == \
+                    self._reference_representatives(f, group)
+                radical += 1
+        assert found >= 50 and radical >= 50
+
+    def test_minimal_supports_of_the_expanded_orbit(self, seeded_orbit_seeds, P):
+        cases = list(seeded_orbit_seeds) + [
+            (PermGroup.generated(4, ["(1 2)"]), P("3*x1*x3^2 - x1^2*x4 + x2^2*x4", 4)),
+            (PermGroup.cyclic(5), P("x1^2*x3 + x1*x2 - 4", 5)),
+        ]
+        for group, f in cases:
+            supports = {tuple(int(e > 0) for e in m) for g in orbit(f, group) for m in g.terms}
+            expected = {
+                s for s in supports
+                if not any(t != s and all(a <= b for a, b in zip(t, s)) for t in supports)
+            }
+            assert _minimal_supports(f, group) == expected, str(f)
 
     def test_classification(self):
         point = (QQ.scalar(1), QQ.scalar(-1), QQ.scalar(0))
