@@ -3,6 +3,8 @@
 Every command, and under ``verify`` every verifier, names in ``COMMANDS``
 or ``VERIFIERS`` its handler and the arguments, taken from the one table
 ``ARGUMENTS``, that the handler reads; any other option is a usage error.
+Before dispatch ``_resolve_inputs`` starts the deadline and parses every
+text input once, so the handlers only compute and print.
 The pinned computations behind ``repro`` live in ``scenarios.py``.
 
 Exit codes: 0 verdict-true/success, 1 verdict-false, 2 usage error,
@@ -63,18 +65,21 @@ def parse_field(token: str) -> Field:
 
 
 def parse_group(token: str, nvars: int | None) -> PermGroup:
-    match = re.fullmatch(r"S(\d+)", token)
+    """``S<N>``, ``C<N>`` or ``gens:<cycles>``; ``nvars``, which ``gens:``
+    needs, must be the group's degree when given."""
+    match = re.fullmatch(r"([SC])(\d+)", token)
     if match:
-        return PermGroup.symmetric(int(match.group(1)))
-    match = re.fullmatch(r"C(\d+)", token)
-    if match:
-        return PermGroup.cyclic(int(match.group(1)))
-    if token.startswith("gens:"):
-        if nvars is None:
-            raise UsageError("gens:<cycles> groups need --nvars")
-        cycles = [c for c in token[5:].split(",") if c.strip()]
-        return PermGroup.generated(nvars, cycles)
-    raise UsageError(f"unknown group {token!r}; use S<N>, C<N>, or gens:<cycles>")
+        build = PermGroup.symmetric if match.group(1) == "S" else PermGroup.cyclic
+        group = build(int(match.group(2)))
+    elif not token.startswith("gens:"):
+        raise UsageError(f"unknown group {token!r}; use S<N>, C<N>, or gens:<cycles>")
+    elif nvars is None:
+        raise UsageError("gens:<cycles> groups need --nvars")
+    else:
+        group = PermGroup.generated(nvars, [c for c in token[5:].split(",") if c.strip()])
+    if nvars is not None and group.degree != nvars:
+        raise UsageError(f"group degree {group.degree} != nvars {nvars}")
+    return group
 
 
 def parse_poly_spec(token: str, nvars: int, field: Field) -> Polynomial:
@@ -97,11 +102,7 @@ def parse_ideal_spec(token: str, nvars: int | None, field: Field,
     if not colon:
         raise UsageError("ideal spec needs orbit:<group>:<poly>")
     group = parse_group(prefix + group_token, nvars)
-    if nvars is None:
-        nvars = group.degree
-    if group.degree != nvars:
-        raise UsageError(f"group degree {group.degree} != nvars {nvars}")
-    seed_poly = parse_poly_spec(poly_text, nvars, field)
+    seed_poly = parse_poly_spec(poly_text, group.degree, field)
     return orbit_ideal([seed_poly], group, deadline=deadline)
 
 
@@ -123,8 +124,31 @@ def _seconds(token: str) -> float:
     return seconds
 
 
-def _deadline(args: argparse.Namespace) -> float | None:
-    return None if args.timeout is None else time.monotonic() + args.timeout
+def _resolve_inputs(args: argparse.Namespace) -> None:
+    """Replace the text inputs on ``args`` by their values, once, before
+    any handler runs.  Start ``args.deadline`` from ``--timeout``, then
+    parse the group, the ideal (expanded under that deadline), the order,
+    the polynomial and the support; ``--nvars``, the group's degree and
+    the ideal's variable count must agree, and ``args.nvars`` becomes
+    that count."""
+    timeout = getattr(args, "timeout", None)
+    args.deadline = None if timeout is None else time.monotonic() + timeout
+    nvars = getattr(args, "nvars", None)
+    if getattr(args, "group", None) is not None:
+        args.group = parse_group(args.group, nvars)
+        nvars = args.group.degree
+    if getattr(args, "ideal", None) is not None:
+        args.ideal = parse_ideal_spec(args.ideal, nvars, args.field, args.deadline)
+        nvars = args.ideal.nvars
+    if getattr(args, "order", None) is not None:
+        args.order = order_by_name(args.order)
+    if getattr(args, "poly", None) is not None:
+        args.poly = parse_poly_spec(args.poly, nvars, args.field)
+    if getattr(args, "support", None) is not None:
+        monos = [m for text in args.support.split(",")
+                 for m in parse_polynomial(text.strip(), nvars, args.field).terms]
+        args.support = SupportSet.of(nvars, monos)
+    args.nvars = nvars
 
 
 # -- handlers: one per command or verifier, reading only the arguments it names --
@@ -140,54 +164,39 @@ def _verdict(report: VerdictReport, fmt: str) -> int:
 
 
 def _orbit(args) -> int:
-    group = parse_group(args.group, args.nvars)
-    f = parse_poly_spec(args.poly, args.nvars or group.degree, args.field)
-    order = order_by_name(args.order)
-    for g in orbit_ideal([f], group).expanded:
-        print(format_polynomial(g, order))
+    for g in orbit_ideal([args.poly], args.group).expanded:
+        print(format_polynomial(g, args.order))
     return 0
 
 
 def _gb(args) -> int:
-    deadline = _deadline(args)
-    order = order_by_name(args.order)
-    ideal = parse_ideal_spec(args.ideal, args.nvars, args.field, deadline)
-    gb = ideal.groebner_basis(order, max_pairs=args.budget, deadline=deadline)
+    gb = args.ideal.groebner_basis(args.order, max_pairs=args.budget, deadline=args.deadline)
     for i, g in enumerate(gb.basis):
-        text = format_polynomial(g, order)
+        text = format_polynomial(g, args.order)
         print(f"basis.{i}={text}" if args.format == "machine" else text)
     return 0
 
 
-def _membership(args, claim: str, ideal: OrbitIdeal, f: Polynomial, verdict: bool) -> int:
-    parameters = {"poly": str(f), "group": ideal.group.descriptor,
-                  "field": str(args.field), "nvars": ideal.nvars}
+def _membership(args, claim: str, verdict: bool) -> int:
+    parameters = {"poly": str(args.poly), "group": args.ideal.group.descriptor,
+                  "field": str(args.field), "nvars": args.nvars}
     return _verdict(VerdictReport(claim, parameters, verdict), args.format)
 
 
-def _ideal_and_poly(args, deadline: float | None) -> tuple[OrbitIdeal, Polynomial]:
-    ideal = parse_ideal_spec(args.ideal, args.nvars, args.field, deadline)
-    return ideal, parse_poly_spec(args.poly, ideal.nvars, args.field)
-
-
 def _member(args) -> int:
-    deadline = _deadline(args)
-    order = order_by_name(args.order)
-    ideal, f = _ideal_and_poly(args, deadline)
-    gb = ideal.groebner_basis(order, max_pairs=args.budget, deadline=deadline)
-    return _membership(args, "ideal-membership", ideal, f, gb.contains(f))
+    gb = args.ideal.groebner_basis(args.order, max_pairs=args.budget, deadline=args.deadline)
+    return _membership(args, "ideal-membership", gb.contains(args.poly))
 
 
 def _radical_member(args) -> int:
-    deadline = _deadline(args)
-    ideal, f = _ideal_and_poly(args, deadline)
-    verdict = radical_member(f, list(ideal.expanded), max_pairs=args.budget, deadline=deadline)
-    return _membership(args, "radical-membership", ideal, f, verdict)
+    verdict = radical_member(args.poly, list(args.ideal.expanded), max_pairs=args.budget,
+                             deadline=args.deadline)
+    return _membership(args, "radical-membership", verdict)
 
 
 def _eliminate(args) -> int:
     coeffs = elimination_coefficients(args.n, args.d, args.field)
-    report = verify_elimination_identity(args.n, args.d, args.field, deadline=_deadline(args))
+    report = verify_elimination_identity(args.n, args.d, args.field, deadline=args.deadline)
     if args.format == "machine":
         for j, c in enumerate(coeffs):
             print(f"coefficient.{j}={c}")
@@ -197,23 +206,16 @@ def _eliminate(args) -> int:
 
 
 def _sample_genericity(args) -> int:
-    deadline = _deadline(args)
-    group = parse_group(args.group, args.nvars)
-    nvars = args.nvars or group.degree
-    monos = []
-    for text in args.support.split(","):
-        monos.extend(parse_polynomial(text.strip(), nvars, args.field).terms)
     report = sample_genericity(
-        SupportSet.of(nvars, monos), group, args.property, trials=args.trials,
-        coeff_box=args.coeff_box, seed=args.seed, field=args.field, max_pairs=args.budget,
-        deadline=deadline,
+        args.support, args.group, args.property, trials=args.trials, coeff_box=args.coeff_box,
+        seed=args.seed, field=args.field, max_pairs=args.budget, deadline=args.deadline,
     )
     _emit(report, args.format)
     return 0
 
 
 def _repro(args) -> int:
-    ok, reports = SCENARIOS[args.scenario](args.budget, _deadline(args))
+    ok, reports = SCENARIOS[args.scenario](args.budget, args.deadline)
     for report in reports:
         _emit(report, args.format)
         if args.format == "human":
@@ -222,44 +224,32 @@ def _repro(args) -> int:
     return 0 if ok else 1
 
 
-def _group_and_poly(args) -> tuple[PermGroup, Polynomial]:
-    group = parse_group(args.group, args.nvars)
-    return group, parse_poly_spec(args.poly, group.degree, args.field)
-
-
 def _verify_squarefree(args) -> int:
-    deadline = _deadline(args)
-    f = parse_poly_spec(args.poly, args.nvars, args.field)
-    report = verify_squarefree_orbit(f, args.target_nvars, deadline=deadline)
+    report = verify_squarefree_orbit(args.poly, args.target_nvars, deadline=args.deadline)
     return _verdict(report, args.format)
 
 
 def _verify_radical_orbit(args) -> int:
-    deadline = _deadline(args)
-    group, f = _group_and_poly(args)
-    report = radical_orbit_equality(f, group, max_pairs=args.budget, deadline=deadline)
+    report = radical_orbit_equality(args.poly, args.group, max_pairs=args.budget,
+                                    deadline=args.deadline)
     return _verdict(report, args.format)
 
 
 def _verify_rank_condition(args) -> int:
-    deadline = _deadline(args)
-    group, f = _group_and_poly(args)
-    return _verdict(rank_condition(f, group, deadline=deadline), args.format)
+    return _verdict(rank_condition(args.poly, args.group, deadline=args.deadline), args.format)
 
 
 def _verify_irrelevant_radical(args) -> int:
-    deadline = _deadline(args)
-    ideal = parse_ideal_spec(args.ideal, args.nvars, args.field, deadline)
-    verdict = radical_equals_irrelevant(list(ideal.expanded), max_pairs=args.budget,
-                                        deadline=deadline)
-    parameters = {"group": ideal.group.descriptor, "field": str(args.field), "nvars": ideal.nvars}
+    verdict = radical_equals_irrelevant(list(args.ideal.expanded), max_pairs=args.budget,
+                                        deadline=args.deadline)
+    parameters = {"group": args.ideal.group.descriptor, "field": str(args.field),
+                  "nvars": args.nvars}
     return _verdict(VerdictReport("irrelevant-radical", parameters, verdict), args.format)
 
 
 def _verify_witness(args) -> int:
-    deadline = _deadline(args)
-    group, f = _group_and_poly(args)
-    witness = monomial_free_witness(f, group, deadline=deadline)
+    f, group = args.poly, args.group
+    witness = monomial_free_witness(f, group, deadline=args.deadline)
     found = witness is not None
     parameters = {"poly": str(f), "group": group.descriptor, "field": str(f.field), "nvars": f.nvars}
     report = VerdictReport(
@@ -397,6 +387,7 @@ def run(argv: list[str]) -> int:
         return exc.code if isinstance(exc.code, int) else 2
 
     try:
+        _resolve_inputs(args)
         return args.handler(args)
     except BudgetExceededError as exc:
         print(f"error: {exc}", file=sys.stderr)

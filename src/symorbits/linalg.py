@@ -119,14 +119,13 @@ class RankCertificate(NamedTuple):
 
 class _Echelon:
     """Reduced column echelon form mod p, grown one column at a time:
-    ``basis`` maps each lead row to its vector, ``pivots`` lists the columns
-    that became basis vectors and, with ``track``, ``combos`` maps each lead
-    to the combination of columns that makes its vector."""
+    ``basis`` maps each lead row to its vector and, with ``track``,
+    ``combos`` maps each lead to the combination of columns that makes its
+    vector."""
 
     def __init__(self, p: int, track: bool):
         self.p = p
         self.basis: dict[int, dict[int, int]] = {}
-        self.pivots: list[int] = []
         self.combos: dict[int, dict[int, int]] | None = {} if track else None
 
     def reduce(self, vec: dict[int, int]) -> list[tuple[int, int]]:
@@ -160,7 +159,6 @@ class _Echelon:
                 if self.combos is not None:
                     _subtract(self.combos[row], m, combo, p)
         self.basis[lead] = new
-        self.pivots.append(j)
         if self.combos is not None:
             self.combos[lead] = combo
         return lead

@@ -384,84 +384,57 @@ def parse_polynomial(text: str, nvars: int, field: Field) -> Polynomial:
     tokens = _tokenize(text)
     if not tokens:
         raise PolynomialSyntaxError("empty polynomial text", 0)
-    pos = 0
+    # the end token: no grammar rule accepts it, so nothing reads past it
+    stream = iter(tokens + [(None, "", len(text))])
 
-    def peek():
-        return tokens[pos] if pos < len(tokens) else (None, "", len(text))
+    def integer(what: str) -> tuple[int, int]:
+        kind, val, at = next(stream)
+        if kind != "int":
+            raise PolynomialSyntaxError(f"expected integer {what}", at)
+        return int(val), at
 
     terms: list[tuple[Monomial, Raw]] = []
-    sign = 1
-    kind, val, at = peek()
-    if kind == "op" and val in "+-":
-        sign = -1 if val == "-" else 1
-        pos += 1
-
+    kind, val, at = next(stream)
     while True:
-        coeff = Fraction(sign)
-        exps = [0] * nvars
-        saw_factor = False
-        while True:
-            kind, val, at = peek()
-            if kind == "int":
-                pos += 1
-                num = int(val)
-                k2, v2, a2 = peek()
-                if k2 == "op" and v2 == "/":
-                    pos += 1
-                    k3, v3, a3 = peek()
-                    if k3 != "int":
-                        raise PolynomialSyntaxError("expected integer denominator", a3)
-                    pos += 1
-                    den = int(v3)
+        sign = -1 if val == "-" else 1
+        if val in ("+", "-"):
+            kind, val, at = next(stream)
+        if kind not in ("int", "var") and val != "*":
+            raise PolynomialSyntaxError("expected a term", at)
+        coeff, exps = Fraction(sign), [0] * nvars
+        while kind in ("int", "var") or val == "*":
+            if val == "*":
+                kind, val, at = next(stream)
+                if kind not in ("int", "var"):
+                    raise PolynomialSyntaxError("expected factor after '*'", at)
+            elif kind == "int":
+                coeff *= int(val)
+                kind, val, at = next(stream)
+                if val == "/":
+                    den, at = integer("denominator")
                     if den == 0:
-                        raise PolynomialSyntaxError("zero denominator", a3)
+                        raise PolynomialSyntaxError("zero denominator", at)
                     if field.characteristic and den % field.characteristic == 0:
                         raise PolynomialSyntaxError(
-                            f"denominator {den} not invertible mod {field.characteristic}", a3
+                            f"denominator {den} not invertible mod {field.characteristic}", at
                         )
-                    coeff *= Fraction(num, den)
-                else:
-                    coeff *= num
-                saw_factor = True
-            elif kind == "var":
-                pos += 1
+                    coeff /= den
+                    kind, val, at = next(stream)
+            else:
                 index = int(val[1:])
                 if not 1 <= index <= nvars:
-                    raise PolynomialSyntaxError(
-                        f"variable {val} out of range x1..x{nvars}", at
-                    )
+                    raise PolynomialSyntaxError(f"variable {val} out of range x1..x{nvars}", at)
+                kind, val, at = next(stream)
                 power = 1
-                k2, v2, a2 = peek()
-                if k2 == "op" and v2 == "^":
-                    pos += 1
-                    k3, v3, a3 = peek()
-                    if k3 != "int":
-                        raise PolynomialSyntaxError("expected integer exponent", a3)
-                    pos += 1
-                    power = int(v3)
+                if val == "^":
+                    power, _ = integer("exponent")
+                    kind, val, at = next(stream)
                 exps[index - 1] += power
-                saw_factor = True
-            elif kind == "op" and val == "*":
-                pos += 1
-                k2, v2, a2 = peek()
-                if k2 not in ("int", "var"):
-                    raise PolynomialSyntaxError("expected factor after '*'", a2)
-            else:
-                break
-        if not saw_factor:
-            raise PolynomialSyntaxError("expected a term", peek()[2])
         terms.append((tuple(exps), coeff))
-
-        kind, val, at = peek()
         if kind is None:
-            break
-        if kind == "op" and val in "+-":
-            sign = -1 if val == "-" else 1
-            pos += 1
-        else:
+            return Polynomial(field, nvars, terms)
+        if val not in ("+", "-"):
             raise PolynomialSyntaxError(f"unexpected token {val!r}", at)
-
-    return Polynomial(field, nvars, terms)
 
 
 def _format_monomial(m: Monomial) -> str:

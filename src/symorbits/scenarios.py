@@ -33,14 +33,14 @@ PINNED_LEX_BASIS_E32_S4 = (
 )
 
 
-def _e32_orbit(nvars: int, field: Field) -> OrbitIdeal:
+def _e32_orbit(nvars: int, field: Field, deadline: float | None) -> OrbitIdeal:
     """The S_nvars orbit ideal of the elementary quadric in x1, x2, x3."""
     seed = elementary_symmetric(nvars, (1, 2, 3), 2, field)
-    return orbit_ideal([seed], PermGroup.symmetric(nvars))
+    return orbit_ideal([seed], PermGroup.symmetric(nvars), deadline=deadline)
 
 
 def groebner_e32_s4(max_pairs: int, deadline: float | None) -> tuple[bool, list]:
-    gb = _e32_orbit(4, QQ).groebner_basis(LEX, max_pairs=max_pairs, deadline=deadline)
+    gb = _e32_orbit(4, QQ, deadline).groebner_basis(LEX, max_pairs=max_pairs, deadline=deadline)
     expected = {parse_polynomial(text, 4, QQ).monic(LEX) for text in PINNED_LEX_BASIS_E32_S4}
     ok = {g.monic(LEX) for g in gb.basis} == expected
     basis = [format_polynomial(g, LEX) for g in gb.basis]
@@ -50,7 +50,7 @@ def groebner_e32_s4(max_pairs: int, deadline: float | None) -> tuple[bool, list]
 
 def f2_e32(nvars: int, max_pairs: int, deadline: float | None) -> tuple[bool, list]:
     field = GF(2)
-    ideal = _e32_orbit(nvars, field)
+    ideal = _e32_orbit(nvars, field, deadline)
     gb = ideal.groebner_basis(GREVLEX, max_pairs=max_pairs, deadline=deadline)
     x1x2 = parse_polynomial("x1*x2", nvars, field)
     checks = {
@@ -63,7 +63,7 @@ def f2_e32(nvars: int, max_pairs: int, deadline: float | None) -> tuple[bool, li
             ideal.seeds[0], ideal.group, max_pairs=max_pairs, deadline=deadline
         ).verdict
         equal = ideal_equal(
-            ideal, orbit_ideal([x1x2], ideal.group), GREVLEX,
+            ideal, orbit_ideal([x1x2], ideal.group, deadline=deadline), GREVLEX,
             max_pairs=max_pairs, deadline=deadline,
         ).verdict
         checks["radical_equals_monomial_orbit"] = radical_ok
@@ -83,7 +83,7 @@ def counterexample_x1sq(max_pairs: int, deadline: float | None) -> tuple[bool, l
         square, mixed = (2,) + (0,) * (n - 1), (1, 1) + (0,) * (n - 2)
         for t in (1, 2, -1, 0):
             seed = Polynomial(QQ, n, {square: 1, mixed: t})
-            ideal = orbit_ideal([seed], group)
+            ideal = orbit_ideal([seed], group, deadline=deadline)
             member = graded_member(target, ideal, deadline=deadline).verdict
             reports.append(VerdictReport(
                 "counterexample-x1sq", {"n": n, "t": t}, member == (t == 0),
@@ -94,7 +94,7 @@ def counterexample_x1sq(max_pairs: int, deadline: float | None) -> tuple[bool, l
 
 def radical_x1x2x3(max_pairs: int, deadline: float | None) -> tuple[bool, list]:
     f = parse_polynomial("x1^2*x2 + x1*x2^2", 3, QQ)
-    gens = list(orbit_ideal([f], PermGroup.symmetric(3)).expanded)
+    gens = list(orbit_ideal([f], PermGroup.symmetric(3), deadline=deadline).expanded)
 
     def in_radical(text: str) -> bool:
         target = parse_polynomial(text, 3, QQ)
@@ -114,7 +114,7 @@ def radical_x1x2x3(max_pairs: int, deadline: float | None) -> tuple[bool, list]:
 def inhomogeneous_monomial(max_pairs: int, deadline: float | None) -> tuple[bool, list]:
     def graded(target: str, field: Field):
         f = parse_polynomial("x1 + x2 + x1^2 - x2^2", 3, field)
-        ideal = orbit_ideal([f], PermGroup.symmetric(3))
+        ideal = orbit_ideal([f], PermGroup.symmetric(3), deadline=deadline)
         return graded_member(parse_polynomial(target, 3, field), ideal, deadline=deadline)
 
     over_q = graded("2*x1", QQ)
@@ -132,7 +132,8 @@ def squarefree_c_zero(max_pairs: int, deadline: float | None) -> tuple[bool, lis
 
 
 def elimination_grid(max_pairs: int, deadline: float | None) -> tuple[bool, list]:
-    reports = [verify_elimination_identity(n, d, QQ) for n in range(2, 7) for d in range(1, n)]
+    reports = [verify_elimination_identity(n, d, QQ, deadline=deadline)
+               for n in range(2, 7) for d in range(1, n)]
     coeffs = [str(c) for c in elimination_coefficients(3, 2, QQ)]
     reports.append(VerdictReport("elimination-coefficients", {"n": 3, "d": 2},
                                  coeffs == ["1", "1/2", "1"], certificate={"coefficients": coeffs}))
@@ -141,7 +142,7 @@ def elimination_grid(max_pairs: int, deadline: float | None) -> tuple[bool, list
 
 def telescoping_n3d2(max_pairs: int, deadline: float | None) -> tuple[bool, list]:
     cert = telescoping_certificate(3, 2, 5, QQ)
-    gb = _e32_orbit(5, QQ).groebner_basis(GREVLEX, max_pairs=max_pairs, deadline=deadline)
+    gb = _e32_orbit(5, QQ, deadline).groebner_basis(GREVLEX, max_pairs=max_pairs, deadline=deadline)
     reduces = gb.contains(cert.final)
     chain = [format_polynomial(p) for p in cert.chain]
     return reduces, [VerdictReport(

@@ -153,6 +153,40 @@ class TestExitCodes:
         assert code == 3 and out == "" and "budget" in err
         assert time.monotonic() - start < 0.5
 
+    def test_eliminate_past_the_subset_bound_exits_two(self, capsys):
+        # C(45, 15), about 3.4e11 subsets, is refused before any is expanded
+        start = time.monotonic()
+        code, out, err = invoke(capsys, "eliminate", "--n", "30", "--d", "15")
+        assert code == 2 and out == "" and "exceed enumeration bound" in err
+        assert time.monotonic() - start < 1.0
+
+    def test_elimination_grid_timeout_exits_three(self, capsys):
+        code, out, err = invoke(capsys, "repro", "elimination-grid", "--timeout", "0.000001")
+        assert code == 3 and out == "" and "budget" in err
+
+    @pytest.mark.parametrize("argv", [
+        ("verify", "witness", "--poly", "x1*x2"),
+        ("verify", "radical-orbit", "--poly", "x1*x2"),
+        ("verify", "rank-condition", "--poly", "x1*x2"),
+        ("orbit", "x1*x2"),
+        ("sample-genericity", "--support", "x1*x2", "--property", "irrelevant_radical"),
+    ], ids=lambda argv: " ".join(argv[:2]))
+    def test_nvars_must_be_the_group_degree(self, capsys, argv):
+        # the three verifiers used to read the polynomial in S3's variables
+        # and ignore --nvars
+        code, out, err = invoke(capsys, *argv, "--group", "S3", "--nvars", "4")
+        assert code == 2 and out == "" and "group degree 3 != nvars 4" in err
+
+    @pytest.mark.parametrize("argv", [
+        ("gb", "orbit:S3:x1^2"),
+        ("member", "x1", "--ideal", "orbit:S3:x1^2"),
+        ("radical-member", "x1", "--ideal", "orbit:S3:x1^2"),
+        ("verify", "irrelevant-radical", "--ideal", "orbit:S3:x1^2"),
+    ], ids=lambda argv: " ".join(argv[:2]))
+    def test_nvars_must_be_the_ideal_group_degree(self, capsys, argv):
+        code, out, err = invoke(capsys, *argv, "--nvars", "4")
+        assert code == 2 and out == "" and "group degree 3 != nvars 4" in err
+
     def test_witness_of_zero_polynomial_is_usage_error(self, capsys):
         # every point kills the zero polynomial; it used to exit 0 with verdict true
         code, out, err = invoke(capsys, "verify", "witness", "--group", "S3", "--poly", "0")

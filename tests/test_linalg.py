@@ -308,6 +308,24 @@ def added(monkeypatch):
     return calls
 
 
+def echelon_pivots(monkeypatch, matrix, p):
+    """The columns that became basis vectors of the echelon of ``matrix``
+    mod p, in order: those for which ``_Echelon.add`` returned a lead."""
+    pivots = []
+    original = linalg._Echelon.add
+
+    def spy(self, j, vec):
+        lead = original(self, j, vec)
+        if lead is not None:
+            pivots.append(j)
+        return lead
+
+    with monkeypatch.context() as patch:
+        patch.setattr(linalg._Echelon, "add", spy)
+        linalg._echelon_columns(matrix, p, None)
+    return pivots
+
+
 class TestModularKernel:
     """The elimination mod p against the exact greedy pivots of plain Gauss."""
 
@@ -344,7 +362,7 @@ class TestModularKernel:
         assert added == [0, 1, 2, 3]
 
     @pytest.mark.parametrize("field", [QQ, GF(2), GF(5), GF(32003)])
-    def test_against_greedy_pivots_randomized(self, field, moduli):
+    def test_against_greedy_pivots_randomized(self, field, moduli, monkeypatch):
         rng = random.Random(89)
         for _ in range(80):
             nrows, ncols = rng.randint(1, 7), rng.randint(1, 8)
@@ -363,7 +381,7 @@ class TestModularKernel:
             m = ExactMatrix.from_columns(field, nrows, cols)
             exact = greedy_pivots(field, cols)
             p = field.p or linalg.PRIME
-            assert linalg._echelon_columns(m, p, None)[0].pivots == exact
+            assert echelon_pivots(monkeypatch, m, p) == exact
             got = rank(m)
             assert got.rank == len(exact)
             assert got.prime == p
@@ -383,7 +401,7 @@ class TestModularKernel:
         # field is only ever eliminated at its own prime
         assert {q for _, q in moduli} == {p}
 
-    def test_prime_dividing_a_minor(self, moduli):
+    def test_prime_dividing_a_minor(self, moduli, monkeypatch):
         p = linalg.PRIME
         # det = p: rank 2 over QQ, 1 mod p
         m = from_rows(QQ, [[1, 1], [1, 1 + p]])
@@ -401,7 +419,7 @@ class TestModularKernel:
         c2 = [2 * x for x in c0]
         cols = [c0, c1, c2]
         m = ExactMatrix.from_columns(QQ, 4, cols)
-        assert linalg._echelon_columns(m, p, None)[0].pivots == [0]
+        assert echelon_pivots(monkeypatch, m, p) == [0]
         got = rank(m)
         assert got.rank == 2 and is_dual(QQ, got.dual, cols)
         assert above_hadamard(got.prime, cols, 4)

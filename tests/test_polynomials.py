@@ -4,6 +4,12 @@ from fractions import Fraction
 
 import pytest
 
+try:  # hypothesis is a test-only dependency; without it its tests are left out
+    from hypothesis import given, settings
+    from hypothesis import strategies as st
+except ImportError:
+    st = None
+
 from symorbits import (
     GF,
     GREVLEX,
@@ -29,6 +35,22 @@ def random_polynomial(rng, nvars, field=QQ, max_degree=3, max_terms=5):
         mono = tuple(rng.randint(0, max_degree) for _ in range(nvars))
         terms[mono] = rng.randint(-9, 9)
     return Polynomial(field, nvars, terms)
+
+
+if st is not None:
+    ORDERS = st.sampled_from([LEX, GREVLEX])
+
+    @st.composite
+    def text_polynomials(draw, field, coeffs):
+        nvars = draw(st.integers(1, 5))
+        terms = draw(st.dictionaries(st.tuples(*[st.integers(0, 4)] * nvars), coeffs, max_size=6))
+        return Polynomial(field, nvars, terms)
+
+    BIG = st.integers(-10**30, 10**30)
+    RATIONAL_POLYS = text_polynomials(QQ, st.builds(Fraction, BIG, st.integers(1, 10**12)))
+    PRIME_POLYS = st.sampled_from([GF(2), GF(7), GF(32003), GF(2305843009213693951)]).flatmap(
+        lambda field: text_polynomials(field, BIG)
+    )
 
 
 class TestArithmetic:
@@ -116,6 +138,44 @@ class TestParseFormat:
         with pytest.raises(PolynomialSyntaxError):
             parse_polynomial("x1 + ", 2, QQ)
 
+    @pytest.mark.parametrize("text, field, message, position", [
+        ("1/0*x1", QQ, "zero denominator", 2),
+        ("1/x1", QQ, "expected integer denominator", 2),
+        ("2/", QQ, "expected integer denominator", 2),
+        ("x1^x2", QQ, "expected integer exponent", 3),
+        ("x1^", QQ, "expected integer exponent", 3),
+        ("x1*+x2", QQ, "expected factor after '*'", 3),
+        ("x1*", QQ, "expected factor after '*'", 3),
+        ("x1^2^3", QQ, "unexpected token '^'", 4),
+        ("1/2/3", QQ, "unexpected token '/'", 3),
+        ("-", QQ, "expected a term", 1),
+        ("x1 + ", QQ, "expected a term", 5),
+        ("--x1", QQ, "expected a term", 1),
+        ("x", QQ, "unexpected character 'x'", 0),
+        ("x1 + x3 @", QQ, "unexpected character '@'", 8),  # tokenised before any grammar check
+        ("x3", QQ, "variable x3 out of range x1..x2", 0),
+        ("", QQ, "empty polynomial text", 0),
+        ("1/2*x1", GF(2), "denominator 2 not invertible mod 2", 2),
+        ("3/6", GF(3), "denominator 6 not invertible mod 3", 2),
+    ])
+    def test_syntax_error_message_and_position(self, text, field, message, position):
+        with pytest.raises(PolynomialSyntaxError) as err:
+            parse_polynomial(text, 2, field)
+        assert str(err.value) == f"{message} (at position {position})"
+        assert err.value.position == position
+
+    @pytest.mark.parametrize("text, expected", [
+        ("*x1", "x1"),
+        ("2 3*x1", "6*x1"),
+        ("x1 2", "2*x1"),
+        ("x1*x1", "x1^2"),
+        ("x1 x2", "x1*x2"),
+        ("x01", "x1"),
+        ("-1/2*x2^0", "-1/2"),
+    ])
+    def test_accepted_quirks(self, text, expected):
+        assert format_polynomial(parse_polynomial(text, 2, QQ)) == expected
+
     def test_variable_out_of_range(self):
         with pytest.raises(PolynomialSyntaxError):
             parse_polynomial("x3", 2, QQ)
@@ -128,20 +188,18 @@ class TestParseFormat:
         with pytest.raises(PolynomialSyntaxError):
             parse_polynomial("1/2*x1", 2, GF(2))
 
-    def test_roundtrip_randomized(self):
-        rng = random.Random(17)
-        for _ in range(60):
-            nvars = rng.randint(1, 5)
-            f = random_polynomial(rng, nvars)
-            for order in (LEX, GREVLEX):
-                assert parse_polynomial(format_polynomial(f, order), nvars, QQ) == f
+    if st is not None:
+        # parse of format is the identity, in both orders and with large coefficients
 
-    def test_roundtrip_prime_field(self):
-        rng = random.Random(19)
-        field = GF(7)
-        for _ in range(40):
-            f = random_polynomial(rng, 3, field=field)
-            assert parse_polynomial(format_polynomial(f), 3, field) == f
+        @settings(deadline=None)
+        @given(RATIONAL_POLYS, ORDERS)
+        def test_roundtrip_randomized(self, f, order):
+            assert parse_polynomial(format_polynomial(f, order), f.nvars, QQ) == f
+
+        @settings(deadline=None)
+        @given(PRIME_POLYS, ORDERS)
+        def test_roundtrip_prime_field(self, f, order):
+            assert parse_polynomial(format_polynomial(f, order), f.nvars, f.field) == f
 
     def test_formatting_descending_with_absorbed_signs(self, P):
         f = P("x2 - x1^2 + 1/2", 2)

@@ -100,6 +100,13 @@ class TestEliminationIdentity:
         with pytest.raises(BudgetExceededError):
             verify_elimination_identity(12, 6, QQ, deadline=time.monotonic() - 1)
 
+    def test_refused_past_the_subset_bound(self):
+        # C(20, 8) = 125,970 subsets J are within the bound, C(21, 8) = 203,490 are not
+        with pytest.raises(BudgetExceededError):
+            verify_elimination_identity(12, 8, QQ, deadline=time.monotonic() - 1)
+        with pytest.raises(ValueError, match="203490 subsets J exceed enumeration bound 200000"):
+            verify_elimination_identity(13, 8, QQ)
+
     def test_identity_under_evaluation(self):
         # independent spot-check: both sides agree at random integer points
         import itertools
