@@ -3,9 +3,12 @@ elementary symmetric orbit members.
 
 In n+d variables, the monomial x1...xd times C(n,d) equals an alternating
 sum of e_n^d evaluated on all n-element index subsets, weighted by the
-closed-form coefficients C(n-1,d)/C(n-1,d-j).  The identity is expanded
-symbolically and compared term by term; over small prime fields it can
-fail because a coefficient denominator vanishes.
+closed-form coefficients C(n-1,d)/C(n-1,d-j).  Both sides are fixed by
+every permutation of x1..xd and of the other n variables, so two square-free
+monomials that share as many of x1..xd have the same coefficient; the
+identity is checked by expanding one monomial of each such class exactly,
+which covers every monomial.  Over small prime fields it can fail because a
+coefficient denominator vanishes.
 """
 
 from symorbits import (

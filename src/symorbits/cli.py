@@ -39,7 +39,6 @@ from .polynomials import (
 from .reports import BudgetExceededError, GenericityReport, VerdictReport
 from .scenarios import SCENARIOS
 from .verifiers import (
-    elimination_coefficients,
     monomial_free_witness,
     radical_orbit_equality,
     verify_elimination_identity,
@@ -195,13 +194,13 @@ def _radical_member(args) -> int:
 
 
 def _eliminate(args) -> int:
-    coeffs = elimination_coefficients(args.n, args.d, args.field)
     report = verify_elimination_identity(args.n, args.d, args.field, deadline=args.deadline)
+    coeffs = report.certificate["coefficients"]
     if args.format == "machine":
         for j, c in enumerate(coeffs):
             print(f"coefficient.{j}={c}")
     else:
-        print("coefficients:", ", ".join(str(c) for c in coeffs))
+        print("coefficients:", ", ".join(coeffs))
     return _verdict(report, args.format)
 
 

@@ -47,6 +47,15 @@ def _closure(starts: Iterable, step: Callable[..., Iterable], bound: int | None 
     return reach
 
 
+def _tuple_orbit(starts, generators: Sequence[Permutation], deadline: float | None) -> set:
+    """The closure of the tuples ``starts`` under the generators, each
+    moving the entry at position i to position sigma(i); refused past
+    ``DEFAULT_GROUP_BOUND`` tuples per start; ``deadline`` is checked once
+    per tuple."""
+    return _closure(starts, lambda v: (g.act_monomial(v) for g in generators),
+                    DEFAULT_GROUP_BOUND, deadline)
+
+
 class Permutation:
     """A bijection of {1..N}, stored as a 0-based image tuple."""
 
@@ -250,8 +259,7 @@ def _image_codes(f: Polynomial, generators: Sequence[Permutation],
     ``DEFAULT_GROUP_BOUND`` images, or past as many rows per term of f,
     since each row is a term of some image; ``deadline`` is checked once
     per row and once per image."""
-    rows = list(_closure(f.terms, lambda m: (g.act_monomial(m) for g in generators),
-                         DEFAULT_GROUP_BOUND, deadline))
+    rows = list(_tuple_orbit(f.terms, generators, deadline))
     n = len(rows)
     pos = {m: i for i, m in enumerate(rows)}
     values = list(dict.fromkeys(f.terms.values()))

@@ -10,14 +10,13 @@ from __future__ import annotations
 
 import itertools
 import operator
-from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .fields import QQ, Field, Scalar, binomial
 from .groebner import DEFAULT_MAX_PAIRS, radical_equals_irrelevant, radical_member
 from .ideals import orbit_ideal, rank_condition
-from .permutations import DEFAULT_GROUP_BOUND, PermGroup, Permutation, _closure, _orbit_size
+from .permutations import DEFAULT_GROUP_BOUND, PermGroup, Permutation, _orbit_size, _tuple_orbit
 from .polynomials import Polynomial, elementary_symmetric
 from .reports import CertificateError, VerdictReport, check_deadline
 
@@ -74,13 +73,6 @@ def elimination_coefficients(n: int, d: int, field: Field = QQ) -> list[Scalar]:
     return out
 
 
-# The counts of verify_elimination_identity grow with the number of subsets
-# J: under CPython 3.11, (12, 8) with 125,970 of them peaks at 158 MB and
-# (13, 8) with 203,490 at 292 MB.  Past this bound the expansion is refused;
-# below it ``deadline`` bounds the time.
-ELIMINATION_SUBSET_BOUND = 200_000
-
-
 def verify_elimination_identity(
     n: int, d: int, field: Field = QQ, *, deadline: float | None = None
 ) -> VerdictReport:
@@ -90,32 +82,40 @@ def verify_elimination_identity(
                                sum_{J} e_n^d(x_J)
 
     where J runs over the n-element subsets of {1..n+d} meeting {1..d} in
-    exactly d-j indices, and compare both sides exactly.  Every e_n^d(x_J)
-    is expanded term by term: the j-th count records how often each
-    square-free monomial (a d-subset of indices) occurs in the j-th inner
-    sum.  ``deadline`` is checked once per subset J; past
-    ``ELIMINATION_SUBSET_BOUND`` subsets the check is refused with
-    ValueError before any is expanded."""
+    exactly d-j indices, and compare both sides exactly.  Both sides are
+    fixed by every permutation of {1..d} and of {d+1..n+d}, whose orbits on
+    the square-free monomials x_S of degree d are the classes
+    a = |S cap {1..d}|, so every x_S has the coefficient of its class
+    representative S = {1..a} u {d+1..2d-a}.  That coefficient is expanded
+    by visiting the C(n, d) subsets J containing S, tallying each J under
+    its j, and summing (-1)^j c_j over the visits, minus C(n, d) for a = d.
+    On a false verdict every monomial of a failing class enters the
+    ``difference``.  More than ``DEFAULT_GROUP_BOUND`` subsets J per class
+    are refused with ValueError before any is visited; ``deadline`` is
+    checked once per subset J and once per monomial of a failing class."""
     nvars = n + d
     coeffs = elimination_coefficients(n, d, field)
-    subsets = binomial(nvars, n)
-    if subsets > ELIMINATION_SUBSET_BOUND:
-        raise ValueError(f"{subsets} subsets J exceed enumeration bound {ELIMINATION_SUBSET_BOUND}")
-    counts = [Counter() for _ in range(d + 1)]
-    for subset in itertools.combinations(range(1, nvars + 1), n):
-        check_deadline(deadline)
-        counts[d - sum(1 for i in subset if i <= d)].update(itertools.combinations(subset, d))
+    per_class = binomial(n, d)
+    if per_class > DEFAULT_GROUP_BOUND:
+        raise ValueError(f"{per_class} subsets J per class exceed enumeration bound "
+                         f"{DEFAULT_GROUP_BOUND}")
     terms = {}
-    for j, count in enumerate(counts):
-        signed = coeffs[j].value if j % 2 == 0 else field.neg(coeffs[j].value)
-        for support, k in count.items():
-            terms[support] = field.add(terms.get(support, field.zero), field.mul(signed, k))
-    lhs = tuple(range(1, d + 1))
-    terms[lhs] = field.sub(terms.get(lhs, field.zero), field.coerce(binomial(n, d)))
-    difference = Polynomial(
-        field, nvars,
-        {tuple(int(i in support) for i in range(1, nvars + 1)): c for support, c in terms.items()},
-    )
+    for a in range(d + 1):
+        # J is S plus n-d of the other indices, those in {1..d} being a+1..d
+        rest = [i for i in range(a + 1, nvars + 1) if not d < i <= 2 * d - a]
+        tally = [0] * (d + 1)
+        for extra in itertools.combinations(rest, n - d):
+            check_deadline(deadline)
+            tally[d - a - sum(i <= d for i in extra)] += 1
+        c = field.coerce(sum((-1) ** j * coeffs[j].value * k for j, k in enumerate(tally))
+                         - (per_class if a == d else 0))
+        if c == field.zero:
+            continue
+        for inside in itertools.combinations(range(d), a):
+            for outside in itertools.combinations(range(d, nvars), d - a):
+                check_deadline(deadline)
+                terms[tuple(int(i in inside + outside) for i in range(nvars))] = c
+    difference = Polynomial(field, nvars, terms)
     return VerdictReport(
         "elimination-identity",
         {"n": n, "d": d, "field": str(field), "nvars": nvars},
@@ -299,7 +299,7 @@ def radical_orbit_equality(
     remaining = set(minimal)
     while remaining:
         representatives.append(max(remaining))
-        remaining -= _tuple_orbit([representatives[-1]], group, deadline)
+        remaining -= _tuple_orbit([representatives[-1]], group.generators, deadline)
     monomials = [Polynomial.from_monomial(f.field, s) for s in representatives]
     notes = ""
     if all(sum(s) == 1 for s in minimal) and len(minimal) == f.nvars:
@@ -336,14 +336,6 @@ def radical_orbit_equality(
 # -- witness search -------------------------------------------------------------
 
 
-def _tuple_orbit(starts, group: PermGroup, deadline: float | None) -> set:
-    """The orbit of the tuples ``starts`` under the group, each generator
-    moving the entry at position i to position sigma(i); refused past
-    ``DEFAULT_GROUP_BOUND`` tuples per start."""
-    return _closure(starts, lambda v: (g.act_monomial(v) for g in group.generators),
-                    DEFAULT_GROUP_BOUND, deadline)
-
-
 def _minimal_supports(f: Polynomial, group: PermGroup, *,
                       deadline: float | None = None) -> set[tuple[int, ...]]:
     """The inclusion-minimal term supports of the orbit ideal of f, as
@@ -351,7 +343,8 @@ def _minimal_supports(f: Polynomial, group: PermGroup, *,
     ideal M that holds every term.  The terms of sigma.f are sigma applied
     to the terms of f, so these are the minimal elements of the closure of
     f's own supports."""
-    supports = _tuple_orbit({tuple(int(e > 0) for e in m) for m in f.terms}, group, deadline)
+    supports = _tuple_orbit({tuple(int(e > 0) for e in m) for m in f.terms},
+                            group.generators, deadline)
     return {s for s in supports
             if not any(t != s and all(map(operator.le, t, s)) for t in supports)}
 
@@ -395,8 +388,6 @@ def _constant_point_roots(f: Polynomial, deadline: float | None) -> list:
     roots = []
     for t in sorted(candidates):
         check_deadline(deadline)
-        if t == 0:
-            continue
         if sum(c * t**e for e, c in int_coeffs.items()) == 0:
             roots.append(t)
     return roots
@@ -467,7 +458,7 @@ def monomial_free_witness(
         off_v_of_m = any(all(not x.is_zero for x, e in zip(scalars, s) if e) for s in minimal)
         # P lies in its own orbit: most candidates fail there, before the walk
         if off_v_of_m and f.evaluate(scalars).is_zero and all(
-            f.evaluate(q).is_zero for q in _tuple_orbit([scalars], group, deadline)
+            f.evaluate(q).is_zero for q in _tuple_orbit([scalars], group.generators, deadline)
         ):
             return scalars
     return None

@@ -146,15 +146,16 @@ class TestExitCodes:
         assert time.monotonic() - start < 1.0
 
     def test_eliminate_timeout_exits_three(self, capsys):
-        # the identity check expands C(18, 12) = 18,564 subsets, some 4 s of
-        # work, and checks the deadline once per subset
+        # the identity check visits C(18, 9) = 48,620 subsets J in each of
+        # its 10 classes, some 0.3 s of work, and checks the deadline once
+        # per subset
         start = time.monotonic()
-        code, out, err = invoke(capsys, "eliminate", "--n", "12", "--d", "6", "--timeout", "0.1")
+        code, out, err = invoke(capsys, "eliminate", "--n", "18", "--d", "9", "--timeout", "0.1")
         assert code == 3 and out == "" and "budget" in err
         assert time.monotonic() - start < 0.5
 
     def test_eliminate_past_the_subset_bound_exits_two(self, capsys):
-        # C(45, 15), about 3.4e11 subsets, is refused before any is expanded
+        # C(30, 15), about 1.6e8 subsets per class, is refused before any is visited
         start = time.monotonic()
         code, out, err = invoke(capsys, "eliminate", "--n", "30", "--d", "15")
         assert code == 2 and out == "" and "exceed enumeration bound" in err
@@ -245,6 +246,27 @@ class TestCommands:
         assert code == 0
         assert "1, 1/2, 1" in out
         assert "verdict: true" in out
+
+    def test_eliminate_machine_format(self, capsys):
+        code, out, _ = invoke(capsys, "eliminate", "--n", "3", "--d", "2", "--format", "machine")
+        assert code == 0
+        assert out.splitlines() == [
+            "coefficient.0=1",
+            "coefficient.1=1/2",
+            "coefficient.2=1",
+            "report=verdict",
+            "claim=elimination-identity",
+            "param.d=2",
+            "param.field=QQ",
+            "param.n=3",
+            "param.nvars=5",
+            "verdict=true",
+            "certificate.coefficients.0=1",
+            "certificate.coefficients.1=1/2",
+            "certificate.coefficients.2=1",
+            "certificate.difference=0",
+            "notes=symbolic expansion compared exactly",
+        ]
 
     def test_verify_witness(self, capsys):
         code, out, _ = invoke(

@@ -38,6 +38,25 @@ class TestScalarArithmetic:
         with pytest.raises(ZeroDivisionError):
             GF(5).scalar(0).inverse()
 
+    @pytest.mark.parametrize("field, text", [
+        (QQ, "Scalar(3/2, QQ)"), (GF(7), "Scalar(5, GF(7))"),
+    ], ids=["QQ", "GF(7)"])
+    def test_operators_agree_with_the_field(self, field, text):
+        x, y = field.scalar(Fraction(3, 2)), field.scalar(5)
+        four = field.coerce(4)
+        cases = [
+            (x - y, field.sub(x.value, y.value)),
+            (x - 4, field.sub(x.value, four)),
+            (4 - x, field.sub(four, x.value)),
+            (x / y, field.div(x.value, y.value)),
+            (x / 4, field.div(x.value, four)),
+            (4 / x, field.div(four, x.value)),
+            (-x, field.neg(x.value)),
+        ]
+        for got, expected in cases:
+            assert got.field == field and got.value == expected
+        assert repr(x) == text
+
     def test_rational_values_reduced(self):
         s = QQ.scalar(Fraction(4, 8))
         assert s.value == Fraction(1, 2)

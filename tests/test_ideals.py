@@ -108,6 +108,18 @@ class TestGradedMember:
         report = graded_member(P("x1^2", 3), ideal)
         assert report.verdict and report.certificate is not None
 
+    def test_zero_target_is_a_member(self, P):
+        ideal = orbit_ideal([P("x1^2 + x1*x2", 3)], PermGroup.symmetric(3))
+        report = graded_member(Polynomial.zero(QQ, 3), ideal)
+        assert report.machine().splitlines() == [
+            "report=verdict",
+            "claim=graded-membership",
+            "param.target=0",
+            "verdict=true",
+            "certificate.combination=[]",
+            "notes=zero polynomial lies in every ideal",
+        ]
+
     def test_target_below_every_generator_degree(self, P):
         ideal = orbit_ideal([P("x1^2", 3)], PermGroup.symmetric(3))
         report = graded_member(P("x1", 3), ideal)

@@ -12,6 +12,8 @@ from symorbits import (
     BudgetExceededError,
     PermGroup,
     Polynomial,
+    VerdictReport,
+    binomial,
     default_witness_patterns,
     elementary_symmetric,
     elimination_coefficients,
@@ -29,6 +31,7 @@ from symorbits import (
     verify_squarefree_orbit,
     witness_classification,
 )
+from symorbits import verifiers
 from symorbits.permutations import _closure
 from symorbits.verifiers import _constant_point_roots, _minimal_supports
 
@@ -61,6 +64,26 @@ class TestEliminationCoefficients:
     def test_f5_large_enough(self):
         coeffs = elimination_coefficients(3, 2, GF(5))
         assert [c.value for c in coeffs] == [1, 3, 1]  # 1/2 = 3 mod 5
+
+
+def expanded_identity(n, d, field):
+    """The elimination identity expanded in full, every e_n^d(x_J) as a
+    polynomial, in the report form of ``verify_elimination_identity``: the
+    reference its per-class expansion must reproduce byte for byte."""
+    nvars = n + d
+    coeffs = verifiers.elimination_coefficients(n, d, field)
+    difference = Polynomial.from_monomial(field, (1,) * d + (0,) * n, -binomial(n, d))
+    for subset in itertools.combinations(range(1, nvars + 1), n):
+        j = d - sum(1 for i in subset if i <= d)
+        inner = elementary_symmetric(nvars, subset, d, field)
+        difference = difference + inner.scale((-1) ** j * coeffs[j].value)
+    return VerdictReport(
+        "elimination-identity",
+        {"n": n, "d": d, "field": str(field), "nvars": nvars},
+        difference.is_zero,
+        certificate={"coefficients": [str(c) for c in coeffs], "difference": str(difference)},
+        notes="symbolic expansion compared exactly",
+    )
 
 
 class TestEliminationIdentity:
@@ -101,11 +124,34 @@ class TestEliminationIdentity:
             verify_elimination_identity(12, 6, QQ, deadline=time.monotonic() - 1)
 
     def test_refused_past_the_subset_bound(self):
-        # C(20, 8) = 125,970 subsets J are within the bound, C(21, 8) = 203,490 are not
+        # each class visits C(n, d) subsets J: C(13, 8) = 1,287 and
+        # C(18, 9) = 48,620 are within the bound, C(19, 9) = 92,378 are not
         with pytest.raises(BudgetExceededError):
-            verify_elimination_identity(12, 8, QQ, deadline=time.monotonic() - 1)
-        with pytest.raises(ValueError, match="203490 subsets J exceed enumeration bound 200000"):
-            verify_elimination_identity(13, 8, QQ)
+            verify_elimination_identity(13, 8, QQ, deadline=time.monotonic() - 1)
+        assert verify_elimination_identity(13, 8, QQ).verdict
+        with pytest.raises(
+            ValueError, match="92378 subsets J per class exceed enumeration bound 50000"
+        ):
+            verify_elimination_identity(19, 9, QQ)
+
+    @pytest.mark.parametrize("field", [QQ, GF(32003)], ids=str)
+    def test_agrees_with_the_full_expansion(self, field, monkeypatch):
+        pairs = [(n, d) for n in range(2, 10) for d in range(1, n) if n + d <= 10]
+        for n, d in pairs:
+            assert verify_elimination_identity(n, d, field).machine() == (
+                expanded_identity(n, d, field).machine()
+            ), (n, d)
+        for n, d in pairs:
+            # raise one coefficient by one: the verdict turns false and the
+            # difference must still match monomial by monomial
+            wrong = elimination_coefficients(n, d, field)
+            wrong[n % (d + 1)] += 1
+            monkeypatch.setattr(
+                "symorbits.verifiers.elimination_coefficients", lambda n, d, field: wrong
+            )
+            report = verify_elimination_identity(n, d, field)
+            assert not report.verdict, (n, d)
+            assert report.machine() == expanded_identity(n, d, field).machine(), (n, d)
 
     def test_identity_under_evaluation(self):
         # independent spot-check: both sides agree at random integer points
