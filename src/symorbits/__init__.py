@@ -10,8 +10,6 @@ from .fields import (
     Scalar,
     binomial,
     binomial_alternating_sum,
-    char_divides_binomial,
-    falling_factorial,
 )
 from .genericity import sample_genericity
 from .groebner import (
@@ -28,7 +26,6 @@ from .ideals import (
     ideal_equal,
     orbit_ideal,
     rank_condition,
-    symmetrize,
 )
 from .linalg import ExactMatrix, in_span, rank
 from .permutations import PermGroup, Permutation, orbit
@@ -59,7 +56,6 @@ from .verifiers import (
     telescoping_certificate,
     verify_elimination_identity,
     verify_squarefree_orbit,
-    witness_classification,
 )
 
 __version__ = "0.1.0"

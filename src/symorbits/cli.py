@@ -63,9 +63,11 @@ def parse_field(token: str) -> Field:
     raise argparse.ArgumentTypeError(f"unknown field {token!r}; use Q or F<p>")
 
 
-def parse_group(token: str, nvars: int | None) -> PermGroup:
-    """``S<N>``, ``C<N>`` or ``gens:<cycles>``; ``nvars``, which ``gens:``
-    needs, must be the group's degree when given."""
+def parse_group(token: str, nvars: int | None, deadline: float | None = None) -> PermGroup:
+    """``S<N>``, ``C<N>`` or ``gens:<cycles>``, the generators separated by
+    commas outside parentheses (so ``gens:(1,2,3),(1,2)`` also reads);
+    ``nvars``, which ``gens:`` needs, must be the group's degree when
+    given.  ``deadline`` bounds building a ``gens:`` group."""
     match = re.fullmatch(r"([SC])(\d+)", token)
     if match:
         build = PermGroup.symmetric if match.group(1) == "S" else PermGroup.cyclic
@@ -75,7 +77,8 @@ def parse_group(token: str, nvars: int | None) -> PermGroup:
     elif nvars is None:
         raise UsageError("gens:<cycles> groups need --nvars")
     else:
-        group = PermGroup.generated(nvars, [c for c in token[5:].split(",") if c.strip()])
+        cycles = re.split(r",(?![^(]*\))", token[len("gens:"):])
+        group = PermGroup.generated(nvars, [c for c in cycles if c.strip()], deadline=deadline)
     if nvars is not None and group.degree != nvars:
         raise UsageError(f"group degree {group.degree} != nvars {nvars}")
     return group
@@ -100,7 +103,7 @@ def parse_ideal_spec(token: str, nvars: int | None, field: Field,
     group_token, colon, poly_text = rest[len(prefix) :].partition(":")
     if not colon:
         raise UsageError("ideal spec needs orbit:<group>:<poly>")
-    group = parse_group(prefix + group_token, nvars)
+    group = parse_group(prefix + group_token, nvars, deadline)
     seed_poly = parse_poly_spec(poly_text, group.degree, field)
     return orbit_ideal([seed_poly], group, deadline=deadline)
 
@@ -126,7 +129,7 @@ def _seconds(token: str) -> float:
 def _resolve_inputs(args: argparse.Namespace) -> None:
     """Replace the text inputs on ``args`` by their values, once, before
     any handler runs.  Start ``args.deadline`` from ``--timeout``, then
-    parse the group, the ideal (expanded under that deadline), the order,
+    parse the group and the ideal (both built under that deadline), the order,
     the polynomial and the support; ``--nvars``, the group's degree and
     the ideal's variable count must agree, and ``args.nvars`` becomes
     that count."""
@@ -134,7 +137,7 @@ def _resolve_inputs(args: argparse.Namespace) -> None:
     args.deadline = None if timeout is None else time.monotonic() + timeout
     nvars = getattr(args, "nvars", None)
     if getattr(args, "group", None) is not None:
-        args.group = parse_group(args.group, nvars)
+        args.group = parse_group(args.group, nvars, args.deadline)
         nvars = args.group.degree
     if getattr(args, "ideal", None) is not None:
         args.ideal = parse_ideal_spec(args.ideal, nvars, args.field, args.deadline)

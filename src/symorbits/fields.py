@@ -216,19 +216,6 @@ def binomial(n: int, k: int) -> int:
     return math.comb(n, k)
 
 
-def falling_factorial(s: int, r: int) -> int:
-    """s * (s-1) * ... * (s-r+1); the empty product (r = 0) is 1.
-
-    s may be negative; the result is an exact integer.
-    """
-    if r < 0:
-        raise ValueError("falling_factorial requires r >= 0")
-    out = 1
-    for i in range(r):
-        out *= s - i
-    return out
-
-
 def binomial_alternating_sum(n: int, d: int, a: int) -> Scalar:
     """The alternating binomial sum
 
@@ -248,11 +235,3 @@ def binomial_alternating_sum(n: int, d: int, a: int) -> Scalar:
             * Fraction(binomial(d - a, j) * binomial(n - d + a, d - j), binomial(n - 1, d - j))
         )
     return QQ.scalar(binomial(n - 1, d) * total)
-
-
-def char_divides_binomial(field: Field, n: int, d: int) -> bool:
-    """True iff the field characteristic is positive and divides C(n, d)."""
-    if not 0 <= d <= n:
-        raise ValueError(f"need 0 <= d <= n, got n={n}, d={d}")
-    ch = field.characteristic
-    return ch > 0 and binomial(n, d) % ch == 0

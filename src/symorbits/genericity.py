@@ -22,7 +22,8 @@ from .verifiers import radical_orbit_equality
 PROPERTIES = ("irrelevant_radical", "monomial_ideal", "radical_orbit")
 
 
-def _validate_hypotheses(support: SupportSet, group: PermGroup, property_name: str) -> str:
+def _validate_hypotheses(support: SupportSet, group: PermGroup, property_name: str,
+                         deadline: float | None) -> str:
     profile = analyze_support(support)
     if support.nvars != group.degree:
         raise ValueError("support nvars must match group degree")
@@ -40,7 +41,7 @@ def _validate_hypotheses(support: SupportSet, group: PermGroup, property_name: s
         if len(profile.types) != 1:
             raise ValueError("monomial_ideal requires a single-type support set")
         mono_type = next(iter(profile.types))
-        if not group.transitive_on_type(mono_type):
+        if not group.transitive_on_type(mono_type, deadline=deadline):
             raise ValueError("monomial_ideal requires transitivity on the support type")
     elif property_name == "radical_orbit":
         if not profile.homogeneous:
@@ -77,7 +78,7 @@ def sample_genericity(
         raise ValueError("need at least one trial")
     if coeff_box < 1:
         raise ValueError(f"coeff_box must be at least 1, got {coeff_box}")
-    notes = _validate_hypotheses(support, group, property_name)
+    notes = _validate_hypotheses(support, group, property_name, deadline)
     elements = support.sorted_elements()
     candidates = [c for c in range(-coeff_box, coeff_box + 1) if field.coerce(c) != field.zero]
     rng = random.Random(seed)

@@ -10,7 +10,6 @@ expanded generators.  This route is independent of the Groebner route in
 
 from __future__ import annotations
 
-import math
 import operator
 from dataclasses import dataclass
 from typing import Sequence
@@ -24,6 +23,7 @@ from .polynomials import (
     MonomialOrder,
     Polynomial,
     _format_monomial,
+    count_of_type,
     monomial_type,
     monomials_of_degree,
     monomials_of_type,
@@ -305,13 +305,13 @@ def rank_condition(
     their span G-stable.  The distinct images are counted, not walked, by
     orbit-stabilizer (``permutations._orbit_size``); the count is reported
     and bounds the copies of f in the Hadamard bound of the retry.
-    ``deadline`` is checked per image of the subgroup walked by the count
-    and per vector spun.
+    ``deadline`` is checked per monomial walked by the transitivity check
+    (none under S_N), per image of the subgroup walked by the count and
+    per vector spun.
 
     Past ``DEFAULT_GROUP_BOUND`` monomials of the type, counted in closed
-    form as N! / prod(multiplicity!) over a term's exponents (zeros
-    included) before any is listed, or past as many images walked by the
-    count, it raises ValueError.
+    form (``count_of_type``) before any is listed, or past as many images
+    walked by the count, it raises ValueError.
     """
     if f.is_zero:
         raise ValueError("zero polynomial has no type")
@@ -321,13 +321,12 @@ def rank_condition(
     if len(types) != 1:
         raise ValueError(f"support mixes types {sorted(types)}")
     mono_type = next(iter(types))
-    term = next(iter(f.terms))
-    rows = math.factorial(f.nvars) // math.prod(math.factorial(term.count(e)) for e in set(term))
+    rows = count_of_type(mono_type, f.nvars)
     if rows > DEFAULT_GROUP_BOUND:
         raise ValueError(
             f"{rows} monomials of type {mono_type} exceed enumeration bound {DEFAULT_GROUP_BOUND}"
         )
-    if not group.transitive_on_type(mono_type):
+    if not group.transitive_on_type(mono_type, deadline=deadline):
         raise ValueError(
             f"group {group.descriptor} is not transitive on monomials of type {mono_type}"
         )
@@ -360,13 +359,3 @@ def rank_condition(
             "vanishes on every orbit vector, checked exactly"
         ),
     )
-
-
-def symmetrize(f: Polynomial, group: PermGroup) -> Polynomial:
-    """Sum of sigma.f over every group element, with multiplicity: each
-    orbit element occurs |stabilizer| = order / |orbit| times."""
-    if f.nvars != group.degree:
-        raise ValueError("variable count mismatch")
-    images = orbit(f, group)
-    total = sum(images, Polynomial.zero(f.field, f.nvars))
-    return total.scale(group.order // len(images))

@@ -80,30 +80,6 @@ class ExactMatrix:
         self.columns = tuple(data)
         self.ncols = len(data)
 
-    @classmethod
-    def from_columns(
-        cls, field: Field, nrows: int, columns: Sequence[Sequence]
-    ) -> "ExactMatrix":
-        """The matrix with the given dense columns; ``nrows`` keeps the row
-        count when there are no columns."""
-        if any(len(col) != nrows for col in columns):
-            raise ValueError(f"column length differs from row count {nrows}")
-        return cls(field, nrows, [dict(enumerate(col)) for col in columns])
-
-    @property
-    def rows(self) -> tuple[tuple[Raw, ...], ...]:
-        zero = self.field.zero
-        return tuple(
-            tuple(col.get(i, zero) for col in self.columns) for i in range(self.nrows)
-        )
-
-    def transpose(self) -> "ExactMatrix":
-        rows: list[dict[int, Raw]] = [{} for _ in range(self.nrows)]
-        for j, col in enumerate(self.columns):
-            for i, x in col.items():
-                rows[i][j] = x
-        return ExactMatrix(self.field, self.ncols, rows)
-
     def __repr__(self) -> str:
         return f"ExactMatrix({self.field}, {self.nrows}x{self.ncols})"
 

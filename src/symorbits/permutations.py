@@ -3,26 +3,25 @@ action on monomials and polynomials.
 
 The action follows the convention that a permutation sends the variable
 x_i to x_{sigma(i)}.  A group is its generators plus its order, known in
-closed form for S_n and C_n.  Every orbit (of indices, monomials, term
-supports, points, polynomials, group elements) is the closure of a start
-set under the generators, so no orbit walks the group's elements.  The
-images of a polynomial are walked in one place, ``_image_codes``, as sorted
-int tuples over a list of rows (monomials).  ``orbit`` walks G.f there;
+closed form for S_n and C_n and otherwise read off a Schreier-Sims chain
+built from the generators (``_order``), so no group is ever enumerated.
+Every orbit (of indices, monomials, term supports, points, polynomials) is
+the closure of a start set under the generators.  The images of a
+polynomial are walked in one place, ``_image_codes``, as sorted int tuples
+over a list of rows (monomials).  ``orbit`` walks G.f there;
 ``_orbit_size`` counts it by orbit-stabilizer, walking under S_N only the
 product of the symmetric groups on the cells of a colour refinement of f's
 variables, which holds f's stabilizer.  A walk is bounded by
-``DEFAULT_GROUP_BOUND`` distinct images, and elements are enumerated only
-on demand, up to the same bound on the order.
+``DEFAULT_GROUP_BOUND`` distinct images or points.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 import re
 from typing import Callable, Iterable, Sequence
 
-from .polynomials import Monomial, Polynomial, monomials_of_type
+from .polynomials import Monomial, Polynomial, count_of_type
 from .reports import check_deadline
 
 DEFAULT_GROUP_BOUND = 50_000
@@ -116,10 +115,6 @@ class Permutation:
     def inverse(self) -> "Permutation":
         return Permutation(sorted(range(self.degree), key=self.images.__getitem__))
 
-    @property
-    def is_identity(self) -> bool:
-        return all(i == j for i, j in enumerate(self.images))
-
     def act_monomial(self, m: Monomial) -> Monomial:
         """Move the exponent at position i to position sigma(i)."""
         out = [0] * len(m)
@@ -191,26 +186,19 @@ class PermGroup:
         return cls(n, [Permutation(tuple(range(1, n)) + (0,))], n, f"C{n}")
 
     @classmethod
-    def generated(cls, n: int, generators: Iterable[Permutation | str]) -> "PermGroup":
+    def generated(cls, n: int, generators: Iterable[Permutation | str], *,
+                  deadline: float | None = None) -> "PermGroup":
+        """The group the generators (permutations or cycle notation)
+        generate, its order from a Schreier-Sims chain (``_order``);
+        ``deadline`` is checked once per sifted generator."""
         gens = [
             g if isinstance(g, Permutation) else Permutation.from_cycles(g, n)
             for g in generators
         ]
         if any(g.degree != n for g in gens):
             raise ValueError("generator degree mismatch")
-        order = len(_element_images(n, gens))
-        return cls(n, gens, order, "gens:" + "".join(repr(g) for g in gens))
-
-    @functools.cached_property
-    def elements(self) -> tuple[Permutation, ...]:
-        """Every element, sorted by image tuple; enumerated on first use."""
-        if self.order > DEFAULT_GROUP_BOUND:
-            raise ValueError(
-                f"group order {self.order} exceeds enumeration bound {DEFAULT_GROUP_BOUND}"
-            )
-        return tuple(
-            Permutation(p) for p in sorted(_element_images(self.degree, self.generators))
-        )
+        order = _order(n, [g.images for g in gens], deadline)
+        return cls(n, gens, order, "gens:" + ",".join(repr(g) for g in gens))
 
     def __repr__(self) -> str:
         return f"PermGroup({self.descriptor}, order={self.order})"
@@ -220,26 +208,79 @@ class PermGroup:
         reach = _closure([0], lambda i: (g.images[i] for g in self.generators))
         return len(reach) == self.degree
 
-    def transitive_on_type(self, partition: Sequence[int]) -> bool:
-        """True iff all monomials of the given type form a single orbit."""
-        if self.is_full_symmetric:
-            # S_n reaches every placement of the parts on the n variables
-            return sum(1 for e in partition if e > 0) <= self.degree
-        all_monos = monomials_of_type(partition, self.degree)
-        if not all_monos:
-            return False
-        reach = _closure(all_monos[:1], lambda m: (g.act_monomial(m) for g in self.generators))
-        return len(reach) == len(all_monos)
+    def transitive_on_type(self, partition: Sequence[int], *,
+                           deadline: float | None = None) -> bool:
+        """True iff all monomials of the given type form a single orbit:
+        S_N reaches every placement of the parts, and any other group
+        iff the orbit of one monomial (``_tuple_orbit``, bounded as it is)
+        has all ``count_of_type`` of them.  False when the type has more
+        parts than there are variables."""
+        count = count_of_type(partition, self.degree)
+        if count == 0 or self.is_full_symmetric:
+            return count > 0
+        parts = sorted((e for e in partition if e > 0), reverse=True)
+        start = tuple(parts) + (0,) * (self.degree - len(parts))
+        return len(_tuple_orbit([start], self.generators, deadline)) == count
 
 
-def _element_images(degree: int, generators: Sequence[Permutation]) -> set[tuple[int, ...]]:
-    """Image tuples of every element of the group the generators generate."""
-    gens = [g.images for g in generators]
-    return _closure(
-        [tuple(range(degree))],
-        lambda p: (tuple(h[j] for j in p) for h in gens),
-        DEFAULT_GROUP_BOUND,
-    )
+def _order(degree: int, generators: Sequence[tuple[int, ...]], deadline: float | None) -> int:
+    """|G| for the group of the image tuples ``generators``, by deterministic
+    Schreier-Sims (Sims 1970; Seress, Permutation Group Algorithms, 2003):
+    a base b_0, b_1, ... and per level l the generators of a group G_l that
+    fixes b_0..b_{l-1}, the orbit of b_l under them with a transversal
+    element u (u[b_l] = point, stored with its inverse) per point, and the
+    (point, generator) pairs not yet read.  A pair (beta, s) whose image
+    gamma is new extends the orbit with u_beta * s; otherwise its Schreier
+    generator u_beta * s * u_gamma^-1 is sifted through the levels below,
+    and a nontrivial residue becomes a generator of every level from l + 1
+    to the one where it stopped, a new level when it passed them all.  The
+    deepest level with unread pairs is read first, and each pair is read
+    once.  When none is left, the chain is a base and strong generating
+    set, and |G| is the product of the orbit lengths.  ``deadline`` is
+    checked once per sifted generator."""
+    identity = tuple(range(degree))
+    base, gens, orbits, unread = [], [], [], []
+
+    def sift(h: tuple[int, ...], level: int) -> int:
+        """Sift h from ``level``; make a nontrivial residue a generator of
+        every level from there to where it stopped, and return that level,
+        or -1 for none."""
+        check_deadline(deadline)
+        stop = level
+        while stop < len(base) and (entry := orbits[stop].get(h[base[stop]])):
+            h = tuple(map(entry[1].__getitem__, h))
+            stop += 1
+        if h == identity:
+            return -1
+        if stop == len(base):
+            point = next(i for i in identity if h[i] != i)
+            base.append(point)
+            gens.append([])
+            orbits.append({point: (identity, identity)})
+            unread.append([])
+        for lvl in range(level, stop + 1):
+            gens[lvl].append(h)
+            unread[lvl].extend((beta, h) for beta in orbits[lvl])
+        return stop
+
+    for g in generators:
+        sift(g, 0)
+    level = len(base) - 1
+    while level >= 0:
+        if not unread[level]:
+            level -= 1
+            continue
+        beta, s = unread[level].pop()
+        orbit_l = orbits[level]
+        u, gamma = orbit_l[beta][0], s[beta]
+        if gamma in orbit_l:
+            inverse = orbit_l[gamma][1]
+            level = max(level, sift(tuple(inverse[s[x]] for x in u), level + 1))
+        else:
+            us = tuple(map(s.__getitem__, u))
+            orbit_l[gamma] = (us, tuple(sorted(identity, key=us.__getitem__)))
+            unread[level].extend((gamma, t) for t in gens[level])
+    return math.prod(len(o) for o in orbits)
 
 
 def _row_perms(generators: Sequence[Permutation], rows: Sequence[Monomial]) -> list[list[int]]:

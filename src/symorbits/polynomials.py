@@ -9,6 +9,7 @@ written ``x1 .. xN`` with the order convention x1 > x2 > ... > xN.
 from __future__ import annotations
 
 import itertools
+import math
 import re
 from dataclasses import dataclass
 from fractions import Fraction
@@ -64,6 +65,17 @@ def monomials_of_type(partition: Sequence[int], nvars: int) -> list[Monomial]:
     for e in part:
         monos = {m[:i] + (e,) + m[i + 1:] for m in monos for i in range(nvars) if not m[i]}
     return sorted(monos)
+
+
+def count_of_type(partition: Sequence[int], nvars: int) -> int:
+    """``len(monomials_of_type(partition, nvars))`` in closed form, listing
+    none: nvars! / prod(multiplicity!) over the exponents, zeros included."""
+    part = [e for e in partition if e > 0]
+    if len(part) > nvars:
+        return 0
+    exponents = part + [0] * (nvars - len(part))
+    return math.factorial(nvars) // math.prod(
+        math.factorial(exponents.count(e)) for e in set(exponents))
 
 
 # -- monomial orders --------------------------------------------------------

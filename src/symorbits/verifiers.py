@@ -462,21 +462,3 @@ def monomial_free_witness(
         ):
             return scalars
     return None
-
-
-def witness_classification(point: tuple[Scalar, ...], k: int, degree_bound: int) -> dict:
-    """Classify a witness point: how many coordinates vanish, whether at
-    least nvars-k+1 do (so the point already kills the orbit of x1...xk),
-    and for which exponents e <= degree_bound all coordinates share the
-    same e-th power."""
-    zeros = sum(1 for x in point if x.is_zero)
-    equal_exponents = []
-    for e in range(1, degree_bound + 1):
-        powers = {x**e for x in point}
-        if len(powers) == 1:
-            equal_exponents.append(e)
-    return {
-        "zero_entries": zeros,
-        "kills_monomial_orbit": zeros >= len(point) - k + 1,
-        "equal_power_exponents": equal_exponents,
-    }

@@ -3,7 +3,9 @@ import signal
 
 import pytest
 
-from symorbits import GF, QQ, PermGroup, Polynomial, monomials_of_degree, parse_polynomial
+from symorbits import (
+    GF, QQ, PermGroup, Permutation, Polynomial, monomials_of_degree, parse_polynomial
+)
 
 TEST_TIME_LIMIT = 120  # seconds; the heaviest test takes about 7 s
 
@@ -38,6 +40,30 @@ def P():
         return parse_polynomial(text, nvars, field)
 
     return build
+
+
+@pytest.fixture
+def elements():
+    """Every element of a group, sorted by image tuple: the closure of the
+    identity under the generators, an oracle that never reads the group's
+    order.  Past ``limit`` elements it returns None."""
+
+    def enumerate_group(group, limit=None):
+        gens = [g.images for g in group.generators]
+        start = tuple(range(group.degree))
+        reach, todo = {start}, [start]
+        while todo:
+            p = todo.pop()
+            for h in gens:
+                q = tuple(h[j] for j in p)
+                if q not in reach:
+                    if limit is not None and len(reach) >= limit:
+                        return None
+                    reach.add(q)
+                    todo.append(q)
+        return [Permutation(p) for p in sorted(reach)]
+
+    return enumerate_group
 
 
 @pytest.fixture(scope="session")

@@ -104,6 +104,20 @@ class TestExitCodes:
         assert code == 3 and out == "" and "budget" in err
         assert time.monotonic() - start < 0.5
 
+    def test_group_building_timeout_exits_three(self, capsys):
+        # S50 from a transposition and a 50-cycle: its Schreier-Sims chain
+        # takes seconds, and it checks the deadline once per sifted
+        # Schreier generator, for --group and for the group of an --ideal
+        group = "gens:(1 2),(" + " ".join(map(str, range(1, 51))) + ")"
+        for argv in (
+            ["verify", "rank-condition", "--nvars", "50", "--group", group, "--poly", "x1"],
+            ["member", "--n", "50", "x1", "--ideal", f"orbit:{group}:x1"],
+        ):
+            start = time.monotonic()
+            code, out, err = invoke(capsys, *argv, "--timeout", "0.05")
+            assert code == 3 and out == "" and "budget" in err
+            assert time.monotonic() - start < 0.5
+
     def test_witness_root_search_timeout_exits_three(self, capsys):
         # over a 61-bit prime field the constant-point root search is
         # exhaustive; it checks the deadline once per candidate t.  The
@@ -361,6 +375,24 @@ class TestCommands:
         )
         assert code == 0
         assert len([l for l in out.splitlines() if l.strip()]) == 2
+
+    def test_generated_group_past_enumeration(self, capsys):
+        # A9 has order 181,440, read off a Schreier-Sims chain; the orbit
+        # of the cubic has 1,680 images spanning the 84 monomials
+        code, out, _ = invoke(
+            capsys, "verify", "rank-condition", "--nvars", "9",
+            "--group", "gens:(1 2 3),(1 2 3 4 5 6 7 8 9)",
+            "--poly", "x1*x2*x3 + 2*x4*x5*x6", "--format", "machine",
+        )
+        assert code == 0 and "verdict=true" in out and "param.rank=84" in out
+        assert "param.distinct_orbit_vectors=1680" in out
+
+    def test_group_descriptor_reads_back(self, capsys):
+        # the printed descriptor, and GAP-style commas inside the cycles
+        for group in ("gens:(1 2 3 4),(1 4)(2 3)", "gens:(1,2,3,4),(1,4)(2,3)"):
+            code, out, _ = invoke(capsys, "verify", "rank-condition", "--nvars", "4",
+                                  "--group", group, "--poly", "x1", "--format", "machine")
+            assert code == 0 and "param.group=gens:(1 2 3 4),(1 4)(2 3)\n" in out
 
     def test_sample_genericity_runs(self, capsys):
         code, out, _ = invoke(

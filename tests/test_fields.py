@@ -11,8 +11,6 @@ from symorbits import (
     Field,
     binomial,
     binomial_alternating_sum,
-    char_divides_binomial,
-    falling_factorial,
 )
 from symorbits.fields import is_prime
 
@@ -122,13 +120,6 @@ class TestBinomials:
         with pytest.raises(ValueError):
             binomial(-1, 2)
 
-    def test_falling_factorial(self):
-        assert falling_factorial(5, 3) == 60
-        assert falling_factorial(2, 4) == 0  # the factor (2 - 2) occurs
-        for s in range(-3, 6):
-            assert falling_factorial(s, 0) == 1
-        assert falling_factorial(-1, 3) == -6
-
 
 class TestAlternatingBinomialSum:
     def test_collapse_at_top(self):
@@ -148,11 +139,11 @@ class TestAlternatingBinomialSum:
 
     def test_falling_factorial_equivalent_form(self):
         # sum_j (-1)^j C(r,j) ff(s+j, r-1) = 0: the r-th finite difference of
-        # a degree r-1 polynomial
+        # a degree r-1 polynomial (ff(m, k) = m!/(m-k)! is math.perm)
         for r in range(1, 9):
             for s in range(0, 9):
                 total = sum(
-                    (-1) ** j * binomial(r, j) * falling_factorial(s + j, r - 1)
+                    (-1) ** j * binomial(r, j) * math.perm(s + j, r - 1)
                     for j in range(r + 1)
                 )
                 assert total == 0, (r, s)
@@ -162,18 +153,3 @@ class TestAlternatingBinomialSum:
             binomial_alternating_sum(3, 3, 0)
         with pytest.raises(ValueError):
             binomial_alternating_sum(4, 2, 3)
-
-
-class TestCharDividesBinomial:
-    def test_rationals_never(self):
-        assert not char_divides_binomial(QQ, 3, 2)
-
-    def test_f3_divides(self):
-        assert char_divides_binomial(GF(3), 3, 2)  # C(3,2) = 3
-
-    def test_f2_does_not(self):
-        assert not char_divides_binomial(GF(2), 3, 2)
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            char_divides_binomial(QQ, 2, 3)

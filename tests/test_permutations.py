@@ -1,5 +1,10 @@
+import ast
 import itertools
+import json
+import math
+import pathlib
 import random
+import re
 import time
 
 import pytest
@@ -22,14 +27,32 @@ from symorbits import (
     orbit,
     parse_polynomial,
 )
+from symorbits.cli import parse_group
 from symorbits.permutations import _orbit_size
+
+TESTS = pathlib.Path(__file__).parent
+
+
+def built_groups():
+    """Every group the test files build with ``PermGroup.generated`` from
+    literal arguments, and every ``gens:`` group stored in tests/data."""
+    groups = []
+    for path in sorted(TESTS.glob("*.py")):
+        for n, gens in re.findall(r"PermGroup\.generated\(\s*(\d+),\s*(\[[^\]]*\])",
+                                  path.read_text()):
+            groups.append(PermGroup.generated(int(n), ast.literal_eval(gens)))
+    stored = json.loads((TESTS / "data" / "groebner_bases.json").read_text()).values()
+    for desc, n in sorted({(e["group"], e["nvars"]) for e in stored}):
+        if desc.startswith("gens:"):
+            groups.append(parse_group(desc, n))
+    return groups
 
 
 class TestPermutationBasics:
     def test_cycle_parsing(self):
         s = Permutation.from_cycles("(1 2)(3 4)", 4)
         assert s(1) == 2 and s(2) == 1 and s(3) == 4 and s(4) == 3
-        assert Permutation.from_cycles("()", 3).is_identity
+        assert Permutation.from_cycles("()", 3) == Permutation.identity(3)
         assert repr(Permutation.from_cycles("(1 3 2)", 3)) == "(1 3 2)"
 
     def test_cycle_parse_errors(self):
@@ -48,7 +71,7 @@ class TestPermutationBasics:
             b = Permutation(tuple(rng.sample(range(n), n)))
             for i in range(1, n + 1):
                 assert (a * b)(i) == a(b(i))
-            assert (a * a.inverse()).is_identity
+            assert a * a.inverse() == Permutation.identity(n)
 
 
 class TestAction:
@@ -68,23 +91,23 @@ class TestAction:
             s = Permutation.from_cycles(text, 5)
             assert s.act(e) == e
 
-    def test_action_is_group_homomorphism(self):
+    def test_action_is_group_homomorphism(self, elements):
         rng = random.Random(37)
-        group = PermGroup.symmetric(4)
+        group = elements(PermGroup.symmetric(4))
         for _ in range(40):
             f = Polynomial(
                 QQ, 4,
                 {tuple(rng.randint(0, 2) for _ in range(4)): rng.randint(-5, 5)
                  for _ in range(3)},
             )
-            a = rng.choice(group.elements)
-            b = rng.choice(group.elements)
+            a = rng.choice(group)
+            b = rng.choice(group)
             assert (a * b).act(f) == a.act(b.act(f))
             assert Permutation.identity(4).act(f) == f
 
-    def test_action_is_ring_homomorphism(self):
+    def test_action_is_ring_homomorphism(self, elements):
         rng = random.Random(41)
-        group = PermGroup.symmetric(3)
+        group = elements(PermGroup.symmetric(3))
         for _ in range(40):
             f = Polynomial(
                 QQ, 3,
@@ -96,7 +119,7 @@ class TestAction:
                 {tuple(rng.randint(0, 2) for _ in range(3)): rng.randint(-5, 5)
                  for _ in range(3)},
             )
-            s = rng.choice(group.elements)
+            s = rng.choice(group)
             assert s.act(f * g) == s.act(f) * s.act(g)
             assert s.act(f + g) == s.act(f) + s.act(g)
 
@@ -124,40 +147,78 @@ class TestGroups:
         group = PermGroup.generated(4, ["(1 2)", "(1 2 3 4)"])
         assert group.order == 24
 
+    def test_order_matches_enumeration(self, elements):
+        # the Schreier-Sims order against listing the elements, on every
+        # group the tests build and on 300 seeded random groups of degree
+        # <= 7; past 50,000 elements the listing stops and the order must
+        # be larger
+        groups = built_groups()
+        assert len(groups) >= 20
+        rng = random.Random(26)
+        for _ in range(300):
+            n = rng.randint(1, 7)
+            groups.append(PermGroup.generated(
+                n, [Permutation(rng.sample(range(n), n)) for _ in range(rng.randint(0, 3))]))
+        for group in groups:
+            listed = elements(group, limit=50_000)
+            if listed is None:
+                assert group.order > 50_000, group
+            else:
+                assert group.order == len(listed), group
+        assert {g.order for g in groups} >= {1, 2, 6, 8, 10, 12, 24, 60, 120, 720, 5040}
+
+    def test_orders_past_any_enumeration(self):
+        a9 = PermGroup.generated(9, ["(1 2 3)", "(1 2 3 4 5 6 7 8 9)"])
+        assert a9.order == math.factorial(9) // 2 and not a9.is_full_symmetric
+        s10 = PermGroup.generated(10, ["(1 2)", "(1 2 3 4 5 6 7 8 9 10)"])
+        assert s10.order == math.factorial(10) and s10.is_full_symmetric
+        start = time.monotonic()
+        s12 = PermGroup.generated(12, ["(1 2)", "(1 2 3 4 5 6 7 8 9 10 11 12)"])
+        assert time.monotonic() - start < 0.5
+        assert s12.is_full_symmetric
+        # the product of two disjoint symmetric groups, and a cyclic group
+        # given by a power of its generator
+        product = PermGroup.generated(12, ["(1 2)", "(1 2 3 4 5 6)", "(7 8)", "(7 8 9 10 11 12)"])
+        assert product.order == 720 * 720
+        assert PermGroup.generated(6, ["(1 3 5)(2 4 6)"]).order == 3
+
+    def test_generated_checks_the_deadline(self):
+        with pytest.raises(BudgetExceededError):
+            PermGroup.generated(5, ["(1 2)", "(1 2 3 4 5)"], deadline=time.monotonic() - 1)
+        group = PermGroup.generated(5, ["(1 2)", "(1 2 3 4 5)"], deadline=time.monotonic() + 60)
+        assert group.order == 120
+
+    def test_descriptor_rebuilds_the_generators(self):
+        for group in built_groups():
+            if group.descriptor.startswith("gens:"):
+                rebuilt = parse_group(group.descriptor, group.degree)
+                assert rebuilt.generators == group.generators, group.descriptor
+                assert rebuilt.descriptor == group.descriptor
+        # generators are joined by commas, so these two no longer print alike
+        pair = PermGroup.generated(4, ["(1 2)", "(3 4)"])
+        product = PermGroup.generated(4, ["(1 2)(3 4)"])
+        assert (pair.descriptor, pair.order) == ("gens:(1 2),(3 4)", 4)
+        assert (product.descriptor, product.order) == ("gens:(1 2)(3 4)", 2)
+
     def test_enumeration_bound(self, P):
-        with pytest.raises(ValueError):
-            PermGroup.generated(9, ["(1 2)", "(1 2 3 4 5 6 7 8 9)"])
-        # S9 is built from its order alone; only its elements are refused
         s9 = PermGroup.symmetric(9)
         assert s9.order == 362880 and s9.is_full_symmetric
-        with pytest.raises(ValueError):
-            s9.elements
         # the bound counts distinct images: C(12, 7) of x1...x7 under S12,
         # but all 12!/6! placements of six distinct exponents
         assert len(orbit(P("x1*x2*x3*x4*x5*x6*x7", 12), PermGroup.symmetric(12))) == 792
         with pytest.raises(ValueError):
             orbit(P("x1^6*x2^5*x3^4*x4^3*x5^2*x6", 12), PermGroup.symmetric(12))
 
-    def test_element_order(self):
-        # sorted by image tuple: lexicographic for S4, powers of the cycle for C5
-        assert [g.images for g in PermGroup.symmetric(4).elements] == list(
-            itertools.permutations(range(4))
-        )
-        gen = PermGroup.cyclic(5).generators[0]
-        powers = [Permutation.identity(5)]
-        for _ in range(4):
-            powers.append(gen * powers[-1])
-        assert list(PermGroup.cyclic(5).elements) == powers
-
-    def test_closure_under_product_and_inverse(self):
+    def test_closure_under_product_and_inverse(self, elements):
         group = PermGroup.generated(4, ["(1 2)", "(3 4)", "(1 3)(2 4)"])
-        elements = set(group.elements)
-        for a in group.elements:
-            assert a.inverse() in elements
+        listed = elements(group)
+        assert len(listed) == group.order == 8
+        for a in listed:
+            assert a.inverse() in listed
         rng = random.Random(43)
         for _ in range(50):
-            a, b = rng.choice(group.elements), rng.choice(group.elements)
-            assert a * b in elements
+            a, b = rng.choice(listed), rng.choice(listed)
+            assert a * b in listed
 
 
 class TestOrbits:
@@ -178,7 +239,7 @@ class TestOrbits:
         }
         assert got == expected and len(got) == 4
 
-    def test_shortcut_agrees_with_full_enumeration(self):
+    def test_shortcut_agrees_with_full_enumeration(self, elements):
         rng = random.Random(47)
         fixed = [  # repeated coefficients, which the coded images re-sort; mixed types
             "x1^2*x2 + x2^2*x3 + x3^2*x1 + 2*x4*x5",
@@ -202,7 +263,7 @@ class TestOrbits:
                 if f.is_zero:
                     continue
                 fast = orbit(f, group)
-                slow = {g.act(f) for g in group.elements}
+                slow = {g.act(f) for g in elements(group)}
                 assert set(fast) == slow and len(fast) == len(slow), (group, f)
 
     def test_orbit_size_agrees_with_the_walk(self):
@@ -254,7 +315,7 @@ class TestOrbits:
         with pytest.raises(BudgetExceededError):
             orbit(P("x1*x2 - x3", 5), PermGroup.symmetric(5), deadline=time.monotonic() - 1)
 
-    def test_orbit_stabilizer(self):
+    def test_orbit_stabilizer(self, elements):
         rng = random.Random(53)
         for group in (PermGroup.symmetric(3), PermGroup.symmetric(4), PermGroup.cyclic(4)):
             for _ in range(10):
@@ -265,7 +326,7 @@ class TestOrbits:
                 )
                 if f.is_zero:
                     continue
-                stabilizer = sum(g.act(f) == f for g in group.elements)
+                stabilizer = sum(g.act(f) == f for g in elements(group))
                 assert len(orbit(f, group)) * stabilizer == group.order
 
     def test_monomial_orbit_is_type_class(self):
@@ -307,6 +368,15 @@ if st is not None:
             assert {g.act(h) for h in images} == images
 
 
+
+def partitions(total, largest):
+    """The partitions of ``total`` into parts at most ``largest``."""
+    if total == 0:
+        yield ()
+    for part in range(min(total, largest), 0, -1):
+        for rest in partitions(total - part, part):
+            yield (part,) + rest
+
 class TestTransitivity:
     def test_symmetric_transitive_on_variables(self):
         assert PermGroup.symmetric(3).transitive_on_variables()
@@ -328,13 +398,6 @@ class TestTransitivity:
         from symorbits.permutations import _closure
         from symorbits.polynomials import monomials_of_type
 
-        def partitions(total, largest):
-            if total == 0:
-                yield ()
-            for part in range(min(total, largest), 0, -1):
-                for rest in partitions(total - part, part):
-                    yield (part,) + rest
-
         for n in (3, 4, 5):
             group = PermGroup.symmetric(n)
             for total in range(1, n + 3):
@@ -348,3 +411,37 @@ class TestTransitivity:
         assert PermGroup.symmetric(12).transitive_on_type((6, 5, 4, 3, 2, 1))
         assert time.monotonic() - start < 0.1
         assert not PermGroup.symmetric(5).transitive_on_type((1,) * 6)
+
+    def test_type_transitivity_from_one_orbit(self):
+        # any group other than S_N walks the orbit of one monomial and
+        # compares it with the closed-form count; that agrees with asking
+        # whether the closure of one listed monomial reaches all of them
+        from symorbits.permutations import _closure
+        from symorbits.polynomials import monomials_of_type
+
+        groups = [PermGroup.cyclic(n) for n in (3, 4, 5)] + [
+            PermGroup.generated(4, ["(1 2 3 4)", "(1 4)(2 3)"]),
+            PermGroup.generated(5, ["(1 2 3 4 5)", "(2 5)(3 4)"]),
+            PermGroup.generated(5, ["(1 2 3)", "(3 4 5)"]),
+            PermGroup.generated(4, ["(1 2)"]),
+        ]
+        answers = set()
+        for group in groups:
+            n = group.degree
+            for total in range(1, n + 3):
+                for part in partitions(total, total):
+                    monos = monomials_of_type(part, n)
+                    walked = bool(monos) and len(_closure(
+                        monos[:1], lambda m: (g.act_monomial(m) for g in group.generators)
+                    )) == len(monos)
+                    assert group.transitive_on_type(part) == walked, (group, part)
+                    answers.add(walked)
+        assert answers == {True, False}
+        with pytest.raises(BudgetExceededError):
+            PermGroup.cyclic(7).transitive_on_type((1, 1), deadline=time.monotonic() - 1)
+        # S10 given by generators takes the S_N route and walks nothing
+        s10 = PermGroup.generated(10, ["(1 2)", "(1 2 3 4 5 6 7 8 9 10)"])
+        start = time.monotonic()
+        assert s10.transitive_on_type((5, 4, 3, 2, 1))
+        assert time.monotonic() - start < 0.1
+        assert not s10.transitive_on_type((1,) * 11)

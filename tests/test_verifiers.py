@@ -29,7 +29,6 @@ from symorbits import (
     telescoping_certificate,
     verify_elimination_identity,
     verify_squarefree_orbit,
-    witness_classification,
 )
 from symorbits import verifiers
 from symorbits.permutations import _closure
@@ -617,13 +616,3 @@ class TestWitnessSearch:
                 if not any(t != s and all(a <= b for a, b in zip(t, s)) for t in supports)
             }
             assert _minimal_supports(f, group) == expected, str(f)
-
-    def test_classification(self):
-        point = (QQ.scalar(1), QQ.scalar(-1), QQ.scalar(0))
-        info = witness_classification(point, 3, 3)
-        assert info["zero_entries"] == 1
-        assert info["kills_monomial_orbit"]  # 1 >= 3 - 3 + 1
-        assert info["equal_power_exponents"] == []
-        diag = (QQ.scalar(2), QQ.scalar(-2), QQ.scalar(2))
-        info = witness_classification(diag, 1, 4)
-        assert info["equal_power_exponents"] == [2, 4]
