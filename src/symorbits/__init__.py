@@ -7,7 +7,6 @@ from .fields import (
     GF,
     QQ,
     Field,
-    Scalar,
     binomial,
     binomial_alternating_sum,
 )
@@ -48,7 +47,6 @@ from .polynomials import (
 from .reports import BudgetExceededError, CertificateError, GenericityReport, VerdictReport
 from .verifiers import (
     TelescopingCertificate,
-    default_witness_patterns,
     elimination_coefficients,
     monomial_free_witness,
     radical_orbit_equality,

@@ -23,11 +23,11 @@ import sys
 import time
 from typing import Callable, NamedTuple
 
-from .fields import GF, QQ, Field
+from .fields import GF, QQ, Field, binomial
 from .genericity import PROPERTIES, sample_genericity
 from .groebner import DEFAULT_MAX_PAIRS, radical_equals_irrelevant, radical_member
 from .ideals import OrbitIdeal, orbit_ideal, rank_condition
-from .permutations import PermGroup
+from .permutations import DEFAULT_GROUP_BOUND, PermGroup
 from .polynomials import (
     Polynomial,
     SupportSet,
@@ -85,11 +85,17 @@ def parse_group(token: str, nvars: int | None, deadline: float | None = None) ->
 
 
 def parse_poly_spec(token: str, nvars: int, field: Field) -> Polynomial:
+    """The text grammar or ``e(n,d)``; an ``e(n,d)`` of more than
+    ``DEFAULT_GROUP_BOUND`` terms is refused before any is built."""
     match = re.fullmatch(r"e\((\d+),(\d+)\)", token.replace(" ", ""))
     if match:
         n, d = int(match.group(1)), int(match.group(2))
         if n > nvars:
             raise UsageError(f"e({n},{d}) does not fit in {nvars} variables")
+        terms = binomial(n, d)
+        if terms > DEFAULT_GROUP_BOUND:
+            raise UsageError(f"e({n},{d}) has {terms} terms, past the enumeration bound "
+                             f"{DEFAULT_GROUP_BOUND}")
         return elementary_symmetric(nvars, range(1, n + 1), d, field)
     return parse_polynomial(token, nvars, field)
 

@@ -1,10 +1,11 @@
 """Exact coefficient arithmetic over the rationals and over prime fields.
 
-Raw coefficient values are `fractions.Fraction` over the rationals and
-plain `int` residues in [0, p) over a prime field.  Containers such as
-polynomials and matrices store raw values together with a `Field` tag;
-`Scalar` bundles a raw value with its field for use at API boundaries.
-No floating point is used anywhere.
+Field values are raw: `fractions.Fraction` over the rationals and plain
+`int` residues in [0, p) over a prime field.  Containers such as
+polynomials and matrices store raw values together with a `Field` tag, and
+every value a public function returns is raw too, read against the field
+of its polynomial, matrix or report.  Both zeros are falsy.  No floating
+point is used anywhere.
 """
 
 from __future__ import annotations
@@ -75,8 +76,8 @@ class Field:
     def __repr__(self) -> str:
         return "QQ" if self.p is None else f"GF({self.p})"
 
-    # Raw-value arithmetic.  All containers in this package keep raw values
-    # and call these; `Scalar` wraps them with the operator protocol.
+    # Raw-value arithmetic: every container in this package keeps raw values
+    # and calls these.
 
     @property
     def zero(self) -> Raw:
@@ -87,11 +88,7 @@ class Field:
         return _ONE if self.p is None else 1
 
     def coerce(self, x) -> Raw:
-        """Normalize an int, Fraction, or Scalar to this field's raw form."""
-        if isinstance(x, Scalar):
-            if x.field != self:
-                raise ValueError(f"scalar over {x.field} used in {self}")
-            return x.value
+        """Normalize an int or Fraction to this field's raw form."""
         if isinstance(x, bool) or not isinstance(x, (int, Fraction)):
             raise TypeError(f"cannot coerce {type(x).__name__} into {self}")
         if self.p is None:
@@ -130,9 +127,6 @@ class Field:
             return self.inv(self.pow(a, -e))
         return a**e if self.p is None else pow(a, e, self.p)
 
-    def scalar(self, x) -> "Scalar":
-        return Scalar(self, self.coerce(x))
-
 
 QQ = Field()
 
@@ -142,73 +136,6 @@ def GF(p: int) -> Field:
     return Field(p)
 
 
-@dataclass(frozen=True)
-class Scalar:
-    """An exact field element tagged by its field.
-
-    Rational values are reduced fractions with positive denominator
-    (guaranteed by `Fraction`); prime-field values are residues in [0, p).
-    Arithmetic between scalars of different fields raises ValueError.
-    """
-
-    field: Field
-    value: Raw
-
-    def __post_init__(self):
-        object.__setattr__(self, "value", self.field.coerce(self.value))
-
-    def _rhs(self, other) -> Raw:
-        if isinstance(other, Scalar):
-            if other.field != self.field:
-                raise ValueError(f"field mismatch: {self.field} vs {other.field}")
-            return other.value
-        return self.field.coerce(other)
-
-    def __add__(self, other):
-        return Scalar(self.field, self.field.add(self.value, self._rhs(other)))
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        return Scalar(self.field, self.field.sub(self.value, self._rhs(other)))
-
-    def __rsub__(self, other):
-        return Scalar(self.field, self.field.sub(self._rhs(other), self.value))
-
-    def __mul__(self, other):
-        return Scalar(self.field, self.field.mul(self.value, self._rhs(other)))
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        return Scalar(self.field, self.field.div(self.value, self._rhs(other)))
-
-    def __rtruediv__(self, other):
-        return Scalar(self.field, self.field.div(self._rhs(other), self.value))
-
-    def __neg__(self):
-        return Scalar(self.field, self.field.neg(self.value))
-
-    def __pow__(self, e: int):
-        return Scalar(self.field, self.field.pow(self.value, e))
-
-    def inverse(self) -> "Scalar":
-        return Scalar(self.field, self.field.inv(self.value))
-
-    @property
-    def is_zero(self) -> bool:
-        return self.value == self.field.zero
-
-    def __bool__(self) -> bool:
-        return not self.is_zero
-
-    def __str__(self) -> str:
-        return str(self.value)
-
-    def __repr__(self) -> str:
-        return f"Scalar({self.value}, {self.field})"
-
-
 def binomial(n: int, k: int) -> int:
     """C(n, k) as an exact integer; zero when k > n."""
     if n < 0 or k < 0:
@@ -216,12 +143,12 @@ def binomial(n: int, k: int) -> int:
     return math.comb(n, k)
 
 
-def binomial_alternating_sum(n: int, d: int, a: int) -> Scalar:
+def binomial_alternating_sum(n: int, d: int, a: int) -> Fraction:
     """The alternating binomial sum
 
         C(n-1, d) * sum_{j=0}^{d} (-1)^j C(d-a, j) C(n-d+a, d-j) / C(n-1, d-j)
 
-    as an exact rational.  It collapses to C(n, d) when a = d and to 0
+    as an exact `Fraction`.  It collapses to C(n, d) when a = d and to 0
     for every 0 <= a < d; requires 1 <= d <= n-1 and 0 <= a <= d.
     """
     if not 1 <= d <= n - 1:
@@ -234,4 +161,4 @@ def binomial_alternating_sum(n: int, d: int, a: int) -> Scalar:
             (-1) ** j
             * Fraction(binomial(d - a, j) * binomial(n - d + a, d - j), binomial(n - 1, d - j))
         )
-    return QQ.scalar(binomial(n - 1, d) * total)
+    return binomial(n - 1, d) * total

@@ -219,11 +219,11 @@ def graded_member(
     names: dict[int, str] = {}  # each generator formatted once
     total: dict[Monomial, object] = {}  # the combination, summed term by term
     for (gi, u), c in zip(meta, coeffs):
-        if c.is_zero:
+        if not c:
             continue
         for m, a in gens[gi].terms.items():
             m = tuple(map(operator.add, u, m))
-            total[m] = field.add(total.get(m, zero), field.mul(c.value, a))
+            total[m] = field.add(total.get(m, zero), field.mul(c, a))
         if gi not in names:
             names[gi] = str(gens[gi])
         combination.append({

@@ -46,7 +46,7 @@ import math
 from fractions import Fraction
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
-from .fields import Field, Raw, Scalar
+from .fields import Field, Raw
 from .reports import BudgetExceededError, CertificateError, check_deadline
 
 # Mersenne primes, the moduli for rational matrices
@@ -85,9 +85,13 @@ class ExactMatrix:
 
 
 class RankCertificate(NamedTuple):
+    """The rank, the modulus whose pivots prove rank >= r and, below full
+    row rank, an exactly checked left-kernel vector of raw field values,
+    one per row; else None."""
+
     rank: int
-    prime: int  # the modulus that settled the rank; its pivots prove rank >= r
-    dual: list[Scalar] | None  # an exactly checked left-kernel vector when rank < nrows
+    prime: int
+    dual: list[Raw] | None
 
 
 # -- the modular kernel ----------------------------------------------------------
@@ -269,8 +273,10 @@ def _certified(field: Field, nrows: int, echelon: _Echelon, columns, p: int, dea
     return RankCertificate(len(echelon.basis), p, first and _dense(field, nrows, first))
 
 
-def _dense(field: Field, n: int, entries: Mapping[int, Raw]) -> list[Scalar]:
-    return [Scalar(field, entries.get(i, field.zero)) for i in range(n)]
+def _dense(field: Field, n: int, entries: Mapping[int, Raw]) -> list[Raw]:
+    """The entries as n raw values (over QQ a cleared dual vector holds ints)."""
+    zero = field.zero
+    return [field.coerce(entries[i]) if i in entries else zero for i in range(n)]
 
 
 # -- rank and span membership -------------------------------------------------------
@@ -327,10 +333,10 @@ def spin_rank(
 
 def in_span(
     vector: Sequence, matrix: ExactMatrix, *, deadline: float | None = None
-) -> tuple[bool, list[Scalar] | None]:
+) -> tuple[bool, list[Raw] | None]:
     """Decide whether the vector lies in the span of the matrix columns.
 
-    Returns ``(True, certificate)`` with one coefficient per column (zeros
+    Returns ``(True, certificate)`` with one raw coefficient per column (zeros
     off the greedy left-to-right independent columns), re-verified by
     multiplication before returning, or ``(False, None)``.  ``deadline`` is
     checked per column of the elimination.
@@ -341,7 +347,7 @@ def in_span(
 
 def _span(
     vector: Sequence, matrix: ExactMatrix, deadline: float | None = None
-) -> tuple[bool, list[Scalar]]:
+) -> tuple[bool, list[Raw]]:
     """``in_span`` with, on a false verdict, a dual vector y, one entry per
     row, such that y.A = 0 and y.v != 0 hold exactly.  The elimination stops
     once v is in the span of the columns read; v has one expression on the

@@ -11,11 +11,12 @@ from __future__ import annotations
 import itertools
 import math
 import re
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
-from .fields import Field, Raw, Scalar
+from .fields import Field, Raw
 
 Monomial = tuple[int, ...]
 
@@ -205,16 +206,10 @@ class Polynomial:
     def is_constant(self) -> bool:
         return all(sum(m) == 0 for m in self.terms)
 
-    def coefficient(self, mono: Monomial) -> Scalar:
-        return Scalar(self.field, self.terms.get(tuple(mono), self.field.zero))
-
     def leading_monomial(self, order: MonomialOrder) -> Monomial:
         if self.is_zero:
             raise ValueError("zero polynomial has no leading monomial")
         return max(self.terms, key=order.key)
-
-    def leading_coefficient(self, order: MonomialOrder) -> Scalar:
-        return Scalar(self.field, self.terms[self.leading_monomial(order)])
 
     def monic(self, order: MonomialOrder) -> "Polynomial":
         if self.is_zero:
@@ -316,7 +311,9 @@ class Polynomial:
 
     # evaluation and structure
 
-    def evaluate(self, point: Sequence) -> Scalar:
+    def evaluate(self, point: Sequence) -> Raw:
+        """The value at a point of ints or Fractions, as a raw value of
+        this polynomial's field."""
         if len(point) != self.nvars:
             raise ValueError(f"point has length {len(point)}, expected {self.nvars}")
         field = self.field
@@ -328,7 +325,7 @@ class Polynomial:
                 if e:
                     term = field.mul(term, field.pow(v, e))
             total = field.add(total, term)
-        return Scalar(field, total)
+        return total
 
     def support(self) -> "SupportSet":
         if self.is_zero:
@@ -541,10 +538,11 @@ def analyze_support(support: SupportSet) -> SupportProfile:
     degrees = {sum(m) for m in support.elements}
     homogeneous = len(degrees) == 1
     squarefree = all(e <= 1 for m in support.elements for e in m)
-    types = frozenset(monomial_type(m) for m in support.elements)
-    symmetric = all(
-        set(monomials_of_type(t, support.nvars)) <= support.elements for t in types
-    )
+    # the support holds every monomial of a type iff it holds as many as
+    # there are: count them, list none
+    counts = Counter(monomial_type(m) for m in support.elements)
+    types = frozenset(counts)
+    symmetric = all(k == count_of_type(t, support.nvars) for t, k in counts.items())
     return SupportProfile(
         homogeneous=homogeneous,
         degree=next(iter(degrees)) if homogeneous else None,

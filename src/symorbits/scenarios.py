@@ -100,11 +100,10 @@ def radical_x1x2x3(max_pairs: int, deadline: float | None) -> tuple[bool, list]:
         target = parse_polynomial(text, 3, QQ)
         return radical_member(target, gens, max_pairs=max_pairs, deadline=deadline)
 
-    point = tuple(QQ.scalar(v) for v in (1, -1, 0))
     checks = {
         "x1x2x3_in_radical": in_radical("x1*x2*x3"),
         "x1x2_not_in_radical": not in_radical("x1*x2"),
-        "witness_(1,-1,0)_kills_generators": all(g.evaluate(point).is_zero for g in gens),
+        "witness_(1,-1,0)_kills_generators": not any(g.evaluate((1, -1, 0)) for g in gens),
     }
     ok = all(checks.values())
     return ok, [VerdictReport("radical-x1x2x3", {"field": "QQ", "nvars": 3}, ok,
@@ -154,7 +153,7 @@ def telescoping_n3d2(max_pairs: int, deadline: float | None) -> tuple[bool, list
 
 def lemma_grid(max_pairs: int, deadline: float | None) -> tuple[bool, list]:
     ok = all(
-        binomial_alternating_sum(n, d, a).value == (binomial(n, d) if a == d else 0)
+        binomial_alternating_sum(n, d, a) == (binomial(n, d) if a == d else 0)
         for n in range(2, 13) for d in range(1, n) for a in range(d + 1)
     )
     notes = "alternating binomial sum collapses to C(n,d) at a=d and 0 below"

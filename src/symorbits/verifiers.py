@@ -13,7 +13,7 @@ import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .fields import QQ, Field, Scalar, binomial
+from .fields import QQ, Field, Raw, binomial
 from .groebner import DEFAULT_MAX_PAIRS, radical_equals_irrelevant, radical_member
 from .ideals import orbit_ideal, rank_condition
 from .permutations import DEFAULT_GROUP_BOUND, PermGroup, Permutation, _orbit_size, _tuple_orbit
@@ -46,9 +46,10 @@ def solve_cancellation_system(n: int, d: int) -> list[Fraction]:
     return coeffs
 
 
-def elimination_coefficients(n: int, d: int, field: Field = QQ) -> list[Scalar]:
-    """The closed-form coefficients C(n-1, d) / C(n-1, d-j), cross-checked
-    against the independently solved cancellation system.
+def elimination_coefficients(n: int, d: int, field: Field = QQ) -> list[Raw]:
+    """The closed-form coefficients C(n-1, d) / C(n-1, d-j) as raw values
+    of ``field``, cross-checked against the independently solved
+    cancellation system.
 
     Over a prime field, a coefficient whose reduced denominator vanishes
     raises ValueError naming the offending index.
@@ -69,7 +70,7 @@ def elimination_coefficients(n: int, d: int, field: Field = QQ) -> list[Scalar]:
                 f"coefficient c_{j} = {c} is undefined over {field}: "
                 f"denominator vanishes (characteristic too small)"
             )
-        out.append(field.scalar(c))
+        out.append(field.coerce(c))
     return out
 
 
@@ -107,9 +108,9 @@ def verify_elimination_identity(
         for extra in itertools.combinations(rest, n - d):
             check_deadline(deadline)
             tally[d - a - sum(i <= d for i in extra)] += 1
-        c = field.coerce(sum((-1) ** j * coeffs[j].value * k for j, k in enumerate(tally))
+        c = field.coerce(sum((-1) ** j * coeffs[j] * k for j, k in enumerate(tally))
                          - (per_class if a == d else 0))
-        if c == field.zero:
+        if not c:
             continue
         for inside in itertools.combinations(range(d), a):
             for outside in itertools.combinations(range(d, nvars), d - a):
@@ -235,7 +236,7 @@ def verify_squarefree_orbit(
         "field": str(f.field),
         "coefficient_sum": str(c),
     }
-    if not c.is_zero:
+    if c:
         notes = ""
         if nvars < n + d:
             notes = f"nvars below the guaranteed range nvars >= n+d = {n + d}"
@@ -407,7 +408,7 @@ def _divisors(n: int, deadline: float | None) -> list[int]:
     return sorted(set(out))
 
 
-def default_witness_patterns(nvars: int) -> list[tuple[int, ...]]:
+def _witness_patterns(nvars: int) -> list[tuple[int, ...]]:
     """All arrangements of one +1, one -1, and zeros elsewhere, sorted."""
     return sorted(
         tuple(1 if k == i else -1 if k == j else 0 for k in range(nvars))
@@ -416,12 +417,8 @@ def default_witness_patterns(nvars: int) -> list[tuple[int, ...]]:
 
 
 def monomial_free_witness(
-    f: Polynomial,
-    group: PermGroup,
-    patterns: list[tuple[int, ...]] | None = None,
-    *,
-    deadline: float | None = None,
-) -> tuple[Scalar, ...] | None:
+    f: Polynomial, group: PermGroup, *, deadline: float | None = None
+) -> tuple[Raw, ...] | None:
     """Search for a point P killing every generator of the orbit ideal of f
     off V(M), M the monomial ideal of the minimal term supports: some x_S
     must be nonzero there, so that x_S lies outside the radical.  A point
@@ -431,13 +428,13 @@ def monomial_free_witness(
 
     Tried in order: the all-ones point; constant points (t, ..., t) with t
     a nonzero root of f on the diagonal, searched only if the all-ones
-    point fails; then a finite pool of sign/zero patterns (by default all
-    arrangements of one +1 and one -1).  Returns the first verified
-    witness, or None; None is not a proof of absence.  The deadline is
-    checked once per candidate point and once per point of its orbit; an
-    orbit past ``DEFAULT_GROUP_BOUND`` points is refused with ValueError,
-    as are the zero polynomial, which every point kills, and a group of
-    another degree than f's variable count.
+    point fails; then every arrangement of one +1, one -1 and zeros, in
+    sorted order.  Returns the first verified witness as a tuple of raw
+    values of f's field, or None; None is not a proof of absence.  The
+    deadline is checked once per candidate point and once per point of its
+    orbit; an orbit past ``DEFAULT_GROUP_BOUND`` points is refused with
+    ValueError, as are the zero polynomial, which every point kills, and a
+    group of another degree than f's variable count.
     """
     if f.is_zero:
         raise ValueError("zero polynomial")
@@ -450,15 +447,15 @@ def monomial_free_witness(
         yield (1,) * f.nvars
         for t in _constant_point_roots(f, deadline):
             yield (t,) * f.nvars
-        yield from patterns if patterns is not None else default_witness_patterns(f.nvars)
+        yield from _witness_patterns(f.nvars)
 
     for point in candidates():
         check_deadline(deadline)
-        scalars = tuple(field.scalar(x) for x in point)
-        off_v_of_m = any(all(not x.is_zero for x, e in zip(scalars, s) if e) for s in minimal)
+        point = tuple(field.coerce(x) for x in point)
+        off_v_of_m = any(all(x for x, e in zip(point, s) if e) for s in minimal)
         # P lies in its own orbit: most candidates fail there, before the walk
-        if off_v_of_m and f.evaluate(scalars).is_zero and all(
-            f.evaluate(q).is_zero for q in _tuple_orbit([scalars], group.generators, deadline)
+        if off_v_of_m and not f.evaluate(point) and not any(
+            f.evaluate(q) for q in _tuple_orbit([point], group.generators, deadline)
         ):
-            return scalars
+            return point
     return None

@@ -86,9 +86,9 @@ def test_02_elimination_identity_grid():
             for d in range(1, n):
                 report = verify_elimination_identity(n, d, QQ)
                 assert report.verdict, (n, d)
-                closed = [c.value for c in elimination_coefficients(n, d, QQ)]
+                closed = elimination_coefficients(n, d, QQ)
                 assert closed == solve_cancellation_system(n, d), (n, d)
-        assert [c.value for c in elimination_coefficients(3, 2, QQ)] == [
+        assert elimination_coefficients(3, 2, QQ) == [
             1, Fraction(1, 2), 1,
         ]
         elapsed = time.monotonic() - start
@@ -102,7 +102,7 @@ def test_03_alternating_sum_grid():
                 for a in range(d + 1):
                     value = binomial_alternating_sum(n, d, a)
                     expected = binomial(n, d) if a == d else 0
-                    assert value.value == expected, (n, d, a)
+                    assert value == expected, (n, d, a)
 
 
 def _char2_membership_checks(nvars: int):
@@ -144,9 +144,9 @@ def test_05_characteristic_divides_binomial():
         group = PermGroup.symmetric(5)
         witness = monomial_free_witness(f, group)
         assert witness is not None
-        assert all(x == field.scalar(1) for x in witness)
+        assert witness == (1,) * 5
         generators = orbit_ideal([f], group).expanded
-        assert all(g.evaluate(witness).is_zero for g in generators)
+        assert not any(g.evaluate(witness) for g in generators)
         # a point with no zero coordinate kills no monomial, so the radical
         # contains none; the radical-equality verdict must agree
         assert not radical_orbit_equality(f, group).verdict
@@ -172,8 +172,7 @@ def test_07_radical_example():
         gens = list(orbit_ideal([f], PermGroup.symmetric(3)).expanded)
         assert radical_member(parse_polynomial("x1*x2*x3", 3, QQ), gens)
         assert not radical_member(parse_polynomial("x1*x2", 3, QQ), gens)
-        point = [QQ.scalar(1), QQ.scalar(-1), QQ.scalar(0)]
-        assert all(g.evaluate(point).is_zero for g in gens)
+        assert not any(g.evaluate([1, -1, 0]) for g in gens)
 
 
 def test_08_inhomogeneous_certificate():

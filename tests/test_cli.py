@@ -175,6 +175,33 @@ class TestExitCodes:
         assert code == 2 and out == "" and "exceed enumeration bound" in err
         assert time.monotonic() - start < 1.0
 
+    def test_elementary_symmetric_past_the_term_bound_exits_two(self, capsys):
+        # e(22,11) has C(22, 11) = 705,432 terms: refused in closed form
+        # before any is built, under the bound that rank-condition and
+        # eliminate follow
+        start = time.monotonic()
+        code, out, err = invoke(capsys, "verify", "rank-condition", "--group", "S22",
+                                "--poly", "e(22,11)", "--timeout", "0.1")
+        assert code == 2 and out == ""
+        assert "e(22,11) has 705432 terms, past the enumeration bound 50000" in err
+        assert time.monotonic() - start < 0.5
+
+    @pytest.mark.parametrize("argv, expected", [
+        (("--property", "radical_orbit", "--timeout", "0.05"), 3),
+        (("--property", "monomial_ideal"), 2),
+    ], ids=["radical-orbit-timeout", "monomial-ideal-refused"])
+    def test_genericity_support_symmetry_is_counted(self, capsys, argv, expected):
+        # type (6,5,4,3,2,1) has 665,280 monomials in 12 variables: whether
+        # the support holds them all is read from counts, none listed, so
+        # the deadline or the enumeration bound is reached at once
+        start = time.monotonic()
+        code, out, err = invoke(
+            capsys, "sample-genericity", "--support", "x1^6*x2^5*x3^4*x4^3*x5^2*x6",
+            "--group", "S12", "--nvars", "12", "--trials", "1", *argv,
+        )
+        assert code == expected and out == "", err
+        assert time.monotonic() - start < 0.5
+
     def test_elimination_grid_timeout_exits_three(self, capsys):
         code, out, err = invoke(capsys, "repro", "elimination-grid", "--timeout", "0.000001")
         assert code == 3 and out == "" and "budget" in err

@@ -516,7 +516,7 @@ class TestSymmetrize:
                     )
                     if f.is_zero:
                         continue
-                    c = f.evaluate([1] * n).value
+                    c = f.evaluate([1] * n)
                     expected = elementary_symmetric(n, range(1, n + 1), d, QQ).scale(
                         c * math.factorial(d) * math.factorial(n - d)
                     )

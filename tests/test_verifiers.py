@@ -14,7 +14,6 @@ from symorbits import (
     Polynomial,
     VerdictReport,
     binomial,
-    default_witness_patterns,
     elementary_symmetric,
     elimination_coefficients,
     ideal_equal,
@@ -32,18 +31,18 @@ from symorbits import (
 )
 from symorbits import verifiers
 from symorbits.permutations import _closure
-from symorbits.verifiers import _constant_point_roots, _minimal_supports
+from symorbits.verifiers import _constant_point_roots, _minimal_supports, _witness_patterns
 
 
 class TestEliminationCoefficients:
     def test_pinned_small_case(self):
         coeffs = elimination_coefficients(3, 2, QQ)
-        assert [c.value for c in coeffs] == [1, Fraction(1, 2), 1]
+        assert coeffs == [1, Fraction(1, 2), 1]
 
     def test_leading_coefficient_always_one(self):
         for n in range(2, 8):
             for d in range(1, n):
-                assert elimination_coefficients(n, d, QQ)[0].value == 1
+                assert elimination_coefficients(n, d, QQ)[0] == 1
 
     def test_closed_form_matches_cancellation_system(self):
         from symorbits.fields import binomial
@@ -62,7 +61,7 @@ class TestEliminationCoefficients:
 
     def test_f5_large_enough(self):
         coeffs = elimination_coefficients(3, 2, GF(5))
-        assert [c.value for c in coeffs] == [1, 3, 1]  # 1/2 = 3 mod 5
+        assert coeffs == [1, 3, 1]  # 1/2 = 3 mod 5
 
 
 def expanded_identity(n, d, field):
@@ -75,7 +74,7 @@ def expanded_identity(n, d, field):
     for subset in itertools.combinations(range(1, nvars + 1), n):
         j = d - sum(1 for i in subset if i <= d)
         inner = elementary_symmetric(nvars, subset, d, field)
-        difference = difference + inner.scale((-1) ** j * coeffs[j].value)
+        difference = difference + inner.scale((-1) ** j * coeffs[j])
     return VerdictReport(
         "elimination-identity",
         {"n": n, "d": d, "field": str(field), "nvars": nvars},
@@ -106,7 +105,7 @@ class TestEliminationIdentity:
         # raising c_1 by one changes the right side by minus the j = 1 inner
         # sum, which the term-by-term expansion must report exactly
         coeffs = elimination_coefficients(4, 2, QQ)
-        wrong = [coeffs[0], QQ.scalar(coeffs[1].value + 1), coeffs[2]]
+        wrong = [coeffs[0], coeffs[1] + 1, coeffs[2]]
         monkeypatch.setattr(
             "symorbits.verifiers.elimination_coefficients", lambda n, d, field: wrong
         )
@@ -173,8 +172,8 @@ class TestEliminationIdentity:
                         if sum(1 for i in subset if i <= d) != d - j:
                             continue
                         e = elementary_symmetric(nvars, subset, d, QQ)
-                        inner += e.evaluate(point).value
-                    rhs += (-1) ** j * coeffs[j].value * inner
+                        inner += e.evaluate(point)
+                    rhs += (-1) ** j * coeffs[j] * inner
                 assert rhs == lhs
 
 
@@ -349,7 +348,7 @@ class TestSquarefreeAgainstGroebner:
                 # symmetric in x2..xn, or in every variable
                 a, b = rng.choice(self.COEFFS), rng.choice(self.COEFFS)
                 f = Polynomial(field, n, {m: a if m[0] or kind == 2 else b for m in pool})
-            if f.is_zero or f.evaluate([1] * n).is_zero:
+            if f.is_zero or not f.evaluate([1] * n):
                 continue
             report = verify_squarefree_orbit(f, nvars)
             assert report.parameters["branch"] == "monomial-equality"
@@ -450,22 +449,21 @@ class TestWitnessSearch:
         f = P("x1^2*x2 + x1*x2^2", 3)
         witness = monomial_free_witness(f, PermGroup.symmetric(3))
         assert witness is not None
-        values = sorted(x.value for x in witness)
+        values = sorted(witness)
         assert values == [Fraction(-1), Fraction(0), Fraction(1)]
         gens = orbit_ideal([f], PermGroup.symmetric(3)).expanded
-        assert all(g.evaluate(witness).is_zero for g in gens)
+        assert not any(g.evaluate(witness) for g in gens)
 
     def test_pinned_point_kills_generators(self, P):
         # the specific point (1, -1, 0) is a common zero of the whole orbit
         f = P("x1^2*x2 + x1*x2^2", 3)
         gens = orbit_ideal([f], PermGroup.symmetric(3)).expanded
-        point = [QQ.scalar(1), QQ.scalar(-1), QQ.scalar(0)]
-        assert all(g.evaluate(point).is_zero for g in gens)
+        assert not any(g.evaluate([1, -1, 0]) for g in gens)
 
     def test_all_ones_witness(self, P):
         witness = monomial_free_witness(P("x1*x2 - x2*x3", 5), PermGroup.symmetric(5))
         assert witness is not None
-        assert all(x == QQ.scalar(1) for x in witness)
+        assert witness == (1,) * 5
 
     def test_no_witness_for_variable_orbit(self, P):
         assert monomial_free_witness(P("x1", 3), PermGroup.symmetric(3)) is None
@@ -476,14 +474,14 @@ class TestWitnessSearch:
         witness = monomial_free_witness(f, PermGroup.symmetric(2))
         assert witness is not None
         assert witness[0] == witness[1]
-        assert f.evaluate(witness).is_zero
+        assert not f.evaluate(witness)
 
     def test_prime_field_diagonal_search(self):
         field = GF(5)
         f = parse_polynomial("x1^2 + x2^2 - 3", 2, field)
         witness = monomial_free_witness(f, PermGroup.symmetric(2))
         assert witness is not None
-        assert f.evaluate(witness).is_zero
+        assert not f.evaluate(witness)
 
     def test_deadline_checked_per_candidate_point(self, P):
         past = time.monotonic() - 1
@@ -512,17 +510,16 @@ class TestWitnessSearch:
         assert report.notes == "x1*x2*x3 is not in the radical"
 
     def test_witness_must_leave_some_minimal_support_nonzero(self, P):
-        # every candidate kills each generator, but only points where some
-        # minimal support x_S is nonzero count
-        f = P("x1*x2 + x3*x4", 4)
-        group = PermGroup.generated(4, ["(1 2)"])
-        patterns = [(1, 0, 1, 0), (1, 1, 1, -1)]
-        witness = monomial_free_witness(f, group, patterns=patterns)
-        assert [x.value for x in witness] == [1, 1, 1, -1]
+        # the minimal supports are x3 and x4: (-1, 1, 0, 0), the first sign
+        # pattern to kill both generators, kills them too and proves
+        # nothing, so the search goes on to (0, -1, 0, 1)
+        f = P("x2*x3 + x3^2", 4)
+        group = PermGroup.generated(4, ["(3 4)"])
         gens = orbit_ideal([f], group).expanded
-        assert all(g.evaluate(witness).is_zero for g in gens)
-        assert all(g.evaluate([QQ.scalar(x) for x in patterns[0]]).is_zero for g in gens)
-        assert monomial_free_witness(f, group, patterns=patterns[:1]) is None
+        assert not any(g.evaluate([-1, 1, 0, 0]) for g in gens)
+        witness = monomial_free_witness(f, group)
+        assert witness == (0, -1, 0, 1)
+        assert not any(g.evaluate(witness) for g in gens)
 
     def test_degree_mismatch_rejected(self, P):
         with pytest.raises(ValueError, match="degree"):
@@ -530,8 +527,8 @@ class TestWitnessSearch:
 
     def test_default_patterns_are_sorted_and_distinct(self):
         base = (1, -1, 0, 0, 0)
-        assert default_witness_patterns(5) == sorted(set(itertools.permutations(base)))
-        assert default_witness_patterns(1) == []
+        assert _witness_patterns(5) == sorted(set(itertools.permutations(base)))
+        assert _witness_patterns(1) == []
 
     @staticmethod
     def _reference_witness(f, group):
@@ -544,11 +541,11 @@ class TestWitnessSearch:
         candidates = [[1] * n] + [[t] * n for t in _constant_point_roots(f, None)]
         candidates += sorted(set(itertools.permutations((1, -1) + (0,) * (n - 2))))
         for point in candidates:
-            scalars = tuple(f.field.scalar(x) for x in point)
-            if any(all(not scalars[i].is_zero for i in s) for s in minimal) and all(
-                g.evaluate(scalars).is_zero for g in gens
+            point = tuple(f.field.coerce(x) for x in point)
+            if any(all(point[i] for i in s) for s in minimal) and not any(
+                g.evaluate(point) for g in gens
             ):
-                return scalars
+                return point
         return None
 
     @staticmethod
