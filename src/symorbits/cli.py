@@ -25,7 +25,7 @@ from typing import Callable, NamedTuple
 
 from .fields import GF, QQ, Field, binomial
 from .genericity import PROPERTIES, sample_genericity
-from .groebner import DEFAULT_MAX_PAIRS, radical_equals_irrelevant, radical_member
+from .groebner import radical_equals_irrelevant, radical_member
 from .ideals import OrbitIdeal, orbit_ideal, rank_condition
 from .permutations import DEFAULT_GROUP_BOUND, PermGroup
 from .polynomials import (
@@ -117,13 +117,6 @@ def parse_ideal_spec(token: str, nvars: int | None, field: Field,
 # -- argument types -------------------------------------------------------------
 
 
-def _pairs(token: str) -> int:
-    pairs = int(token)
-    if pairs < 1:
-        raise argparse.ArgumentTypeError(f"must be a positive number of S-pairs, got {token}")
-    return pairs
-
-
 def _seconds(token: str) -> float:
     seconds = float(token)
     # nan compares false with everything, so it would switch every deadline off
@@ -178,7 +171,7 @@ def _orbit(args) -> int:
 
 
 def _gb(args) -> int:
-    gb = args.ideal.groebner_basis(args.order, max_pairs=args.budget, deadline=args.deadline)
+    gb = args.ideal.groebner_basis(args.order, deadline=args.deadline)
     for i, g in enumerate(gb.basis):
         text = format_polynomial(g, args.order)
         print(f"basis.{i}={text}" if args.format == "machine" else text)
@@ -192,13 +185,12 @@ def _membership(args, claim: str, verdict: bool) -> int:
 
 
 def _member(args) -> int:
-    gb = args.ideal.groebner_basis(args.order, max_pairs=args.budget, deadline=args.deadline)
+    gb = args.ideal.groebner_basis(args.order, deadline=args.deadline)
     return _membership(args, "ideal-membership", gb.contains(args.poly))
 
 
 def _radical_member(args) -> int:
-    verdict = radical_member(args.poly, list(args.ideal.expanded), max_pairs=args.budget,
-                             deadline=args.deadline)
+    verdict = radical_member(args.poly, list(args.ideal.expanded), deadline=args.deadline)
     return _membership(args, "radical-membership", verdict)
 
 
@@ -216,14 +208,14 @@ def _eliminate(args) -> int:
 def _sample_genericity(args) -> int:
     report = sample_genericity(
         args.support, args.group, args.property, trials=args.trials, coeff_box=args.coeff_box,
-        seed=args.seed, field=args.field, max_pairs=args.budget, deadline=args.deadline,
+        seed=args.seed, field=args.field, deadline=args.deadline,
     )
     _emit(report, args.format)
     return 0
 
 
 def _repro(args) -> int:
-    ok, reports = SCENARIOS[args.scenario](args.budget, args.deadline)
+    ok, reports = SCENARIOS[args.scenario](args.deadline)
     for report in reports:
         _emit(report, args.format)
         if args.format == "human":
@@ -238,8 +230,7 @@ def _verify_squarefree(args) -> int:
 
 
 def _verify_radical_orbit(args) -> int:
-    report = radical_orbit_equality(args.poly, args.group, max_pairs=args.budget,
-                                    deadline=args.deadline)
+    report = radical_orbit_equality(args.poly, args.group, deadline=args.deadline)
     return _verdict(report, args.format)
 
 
@@ -248,8 +239,7 @@ def _verify_rank_condition(args) -> int:
 
 
 def _verify_irrelevant_radical(args) -> int:
-    verdict = radical_equals_irrelevant(list(args.ideal.expanded), max_pairs=args.budget,
-                                        deadline=args.deadline)
+    verdict = radical_equals_irrelevant(list(args.ideal.expanded), deadline=args.deadline)
     parameters = {"group": args.ideal.group.descriptor, "field": str(args.field),
                   "nvars": args.nvars}
     return _verdict(VerdictReport("irrelevant-radical", parameters, verdict), args.format)
@@ -284,8 +274,6 @@ ARGUMENTS = dict([
     _argument("--nvars", "--n", type=int),
     _argument("--order", choices=("lex", "grevlex"), default="grevlex"),
     _argument("--format", choices=("human", "machine"), default="human"),
-    _argument("--budget", type=_pairs, default=DEFAULT_MAX_PAIRS,
-              help="maximum number of S-pair signatures reduced per basis computation"),
     _argument("--timeout", type=_seconds, help="wall-clock budget in seconds"),
     _argument("--group"),
     _argument("--poly"),
@@ -301,7 +289,7 @@ ARGUMENTS = dict([
 ])
 
 # what a command that computes one Groebner basis reads
-_GB_OPTIONS = ("--field", "--nvars", "--order", "--format", "--budget", "--timeout")
+_GB_OPTIONS = ("--field", "--nvars", "--order", "--format", "--timeout")
 
 
 class Command(NamedTuple):
@@ -323,17 +311,16 @@ COMMANDS = {
                       ("poly", "--ideal") + _GB_OPTIONS, ("--ideal",)),
     "radical-member": Command(
         _radical_member, "radical membership",
-        ("poly", "--ideal", "--field", "--nvars", "--format", "--budget", "--timeout"),
-        ("--ideal",)),
+        ("poly", "--ideal", "--field", "--nvars", "--format", "--timeout"), ("--ideal",)),
     "eliminate": Command(_eliminate, "elimination coefficients and identity",
                          ("--n", "--d", "--field", "--format", "--timeout"), ("--n", "--d")),
     "sample-genericity": Command(
         _sample_genericity, "randomized genericity sampling",
         ("--support", "--group", "--property", "--field", "--nvars", "--format",
-         "--seed", "--trials", "--coeff-box", "--budget", "--timeout"),
+         "--seed", "--trials", "--coeff-box", "--timeout"),
         ("--support", "--group", "--property")),
     "repro": Command(_repro, "re-run a pinned scenario",
-                     ("scenario", "--format", "--budget", "--timeout"), default_timeout=60.0),
+                     ("scenario", "--format", "--timeout"), default_timeout=60.0),
 }
 
 VERIFIERS = {
@@ -344,7 +331,7 @@ VERIFIERS = {
     "radical-orbit": Command(
         _verify_radical_orbit,
         "the radical is the monomial ideal of the orbit's minimal term supports",
-        ("--poly", "--group", "--field", "--nvars", "--format", "--budget", "--timeout"),
+        ("--poly", "--group", "--field", "--nvars", "--format", "--timeout"),
         ("--poly", "--group")),
     "rank-condition": Command(
         _verify_rank_condition, "the orbit spans the monomials of its type",
@@ -352,7 +339,7 @@ VERIFIERS = {
         ("--poly", "--group")),
     "irrelevant-radical": Command(
         _verify_irrelevant_radical, "the radical is (x1, ..., xN)",
-        ("--ideal", "--field", "--nvars", "--format", "--budget", "--timeout"), ("--ideal",)),
+        ("--ideal", "--field", "--nvars", "--format", "--timeout"), ("--ideal",)),
     "witness": Command(
         _verify_witness, "search for a point that kills every generator but not every term",
         ("--poly", "--group", "--field", "--nvars", "--format", "--timeout"),

@@ -12,7 +12,6 @@ from __future__ import annotations
 import random
 
 from .fields import QQ, Field
-from .groebner import DEFAULT_MAX_PAIRS
 from .ideals import rank_condition
 from .permutations import PermGroup
 from .polynomials import Polynomial, SupportSet, analyze_support
@@ -66,7 +65,6 @@ def sample_genericity(
     coeff_box: int = 9,
     seed: int = 0,
     field: Field = QQ,
-    max_pairs: int = DEFAULT_MAX_PAIRS,
     deadline: float | None = None,
 ) -> GenericityReport:
     """Draw coefficient vectors uniformly from the integers in
@@ -90,9 +88,7 @@ def sample_genericity(
         if property_name == "monomial_ideal":
             ok = rank_condition(f, group, deadline=deadline).verdict
         else:
-            ok = radical_orbit_equality(
-                f, group, max_pairs=max_pairs, deadline=deadline
-            ).verdict
+            ok = radical_orbit_equality(f, group, deadline=deadline).verdict
         if ok:
             successes += 1
         else:

@@ -38,14 +38,13 @@ exactly when the indices agree and the images t*lm(f_i) divide.  Known
 syzygy signatures and the elements usable as rewriters are kept in one list
 per index.
 
-Every run is bounded by a configurable budget of signatures reduced (the
-inputs, and signatures that a criterion skips, do not count; each
-reduction adds at most one element) and an optional wall-clock deadline,
-checked at every popped signature, between the element reductions of
-interreduction and at every heap pop inside one reduction (over QQ one pop
-can take a tenth of a second once coefficients run to thousands of bits);
-exceeding either raises :class:`BudgetExceededError`, which is distinct
-from any membership verdict.
+Every run is bounded by an optional wall-clock deadline, checked at every
+popped signature, between the element reductions of interreduction and at
+every heap pop inside one reduction (over QQ one pop can take a tenth of a
+second once coefficients run to thousands of bits), and by a fixed guard of
+``S_PAIR_BUDGET`` signatures reduced (each reduction adds at most one
+element); exceeding either raises :class:`BudgetExceededError`, which is
+distinct from any membership verdict.
 
 Inside the kernel a monomial is one int (Monagan and Pearce, *Polynomial
 division using dynamic arrays, heaps, and packed exponent vectors*, CASC
@@ -101,7 +100,8 @@ from .fields import Field
 from .polynomials import GREVLEX, LEX, Monomial, MonomialOrder, Polynomial
 from .reports import BudgetExceededError, CertificateError, check_deadline
 
-DEFAULT_MAX_PAIRS = 1_000_000
+# the most signatures one basis computation reduces (skipped ones do not count)
+S_PAIR_BUDGET = 1_000_000
 
 
 class _Overflow(Exception):
@@ -370,15 +370,15 @@ def buchberger(
     generators: Sequence[Polynomial],
     order: MonomialOrder = GREVLEX,
     *,
-    max_pairs: int = DEFAULT_MAX_PAIRS,
     deadline: float | None = None,
 ) -> GroebnerBasis:
     """Reduced Groebner basis of the ideal generated by ``generators``.
 
-    ``max_pairs`` bounds the signatures reduced; ``deadline`` is an
-    absolute ``time.monotonic()`` instant, checked at every popped
-    signature, between the element reductions of interreduction and at
-    every heap pop inside one reduction.
+    ``deadline`` is an absolute ``time.monotonic()`` instant, checked at
+    every popped signature, between the element reductions of
+    interreduction and at every heap pop inside one reduction.  Running
+    past it, or past the fixed guard of ``S_PAIR_BUDGET`` reduced
+    signatures, raises :class:`BudgetExceededError`.
     """
     gens = [g for g in generators if not g.is_zero]
     if not generators:
@@ -394,7 +394,7 @@ def buchberger(
     packing = _Packing.for_degree(order, nvars, max(g.total_degree() for g in gens))
     while True:
         try:
-            data = _groebner(packing.entries(gens), packing, field, max_pairs, deadline)
+            data = _groebner(packing.entries(gens), packing, field, deadline)
             break
         except _Overflow:
             packing = packing.wider()
@@ -403,12 +403,11 @@ def buchberger(
     return gb
 
 
-def _groebner(
-    data: list, packing: _Packing, field: Field, max_pairs: int, deadline: float | None
-):
+def _groebner(data: list, packing: _Packing, field: Field, deadline: float | None):
     """Reduced basis entries of the ideal of the sorted entries; the
     constant entry alone for the unit ideal."""
     guards = packing.guards
+    budget = S_PAIR_BUDGET
     _interreduce(data, guards, field, deadline)
     # signature t*e_i is the int (t*lm(f_i) << shift) - i: a smaller int is a
     # larger signature, and multiplying by a monomial u adds u << shift
@@ -464,7 +463,7 @@ def _groebner(
         if sig == last:
             continue
         last = sig
-        check_deadline(deadline, reductions)
+        check_deadline(deadline)
         index = -sig & mask
         image = (sig + index) >> shift
         if image & guards:
@@ -490,8 +489,8 @@ def _groebner(
         else:
             continue
         reductions += 1
-        if reductions > max_pairs:
-            raise BudgetExceededError(f"S-pair budget of {max_pairs} exceeded", reductions)
+        if reductions > budget:
+            raise BudgetExceededError(f"S-pair budget of {budget} exceeded")
         terms = _spoly_terms(rewriter, reducer, top, guards, field)
         remainder = _reduce_terms(terms, data, guards, field, deadline, below=(sig, shift, sig_of))
         if not remainder:
@@ -576,7 +575,6 @@ def radical_member(
     f: Polynomial,
     generators: Sequence[Polynomial],
     *,
-    max_pairs: int = DEFAULT_MAX_PAIRS,
     deadline: float | None = None,
 ) -> bool:
     """True iff some power of f lies in the generated ideal.
@@ -593,14 +591,13 @@ def radical_member(
     ext = [g.extend(nvars + 1) for g in generators]
     t = Polynomial.variable(f.field, nvars + 1, nvars + 1)
     ext.append(Polynomial.constant(f.field, nvars + 1, 1) - t * f.extend(nvars + 1))
-    gb = buchberger(ext, GREVLEX, max_pairs=max_pairs, deadline=deadline)
+    gb = buchberger(ext, GREVLEX, deadline=deadline)
     return gb.is_unit_ideal
 
 
 def radical_equals_irrelevant(
     generators: Sequence[Polynomial],
     *,
-    max_pairs: int = DEFAULT_MAX_PAIRS,
     deadline: float | None = None,
 ) -> bool:
     """True iff the radical of the generated ideal is (x1, ..., xN).
@@ -615,7 +612,7 @@ def radical_equals_irrelevant(
     for g in generators:
         if g.is_zero or not g.is_homogeneous() or g.total_degree() < 1:
             raise ValueError("generators must be homogeneous of positive degree")
-    gb = buchberger(generators, GREVLEX, max_pairs=max_pairs, deadline=deadline)
+    gb = buchberger(generators, GREVLEX, deadline=deadline)
     powers = set()
     for g in gb.basis:
         support = [i for i, e in enumerate(g.leading_monomial(GREVLEX)) if e]

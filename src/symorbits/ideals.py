@@ -14,8 +14,8 @@ import operator
 from dataclasses import dataclass
 from typing import Sequence
 
-from .groebner import DEFAULT_MAX_PAIRS, GroebnerBasis, buchberger
-from .linalg import ExactMatrix, _span, spin_rank
+from .groebner import GroebnerBasis, buchberger
+from .linalg import ExactMatrix, in_span, spin_rank
 from .permutations import DEFAULT_GROUP_BOUND, PermGroup, _orbit_size, _row_perms, orbit
 from .polynomials import (
     GREVLEX,
@@ -47,14 +47,9 @@ class OrbitIdeal:
     def nvars(self) -> int:
         return self.seeds[0].nvars
 
-    def groebner_basis(
-        self,
-        order: MonomialOrder = GREVLEX,
-        *,
-        max_pairs: int = DEFAULT_MAX_PAIRS,
-        deadline: float | None = None,
-    ) -> GroebnerBasis:
-        return buchberger(list(self.expanded), order, max_pairs=max_pairs, deadline=deadline)
+    def groebner_basis(self, order: MonomialOrder = GREVLEX, *,
+                       deadline: float | None = None) -> GroebnerBasis:
+        return buchberger(list(self.expanded), order, deadline=deadline)
 
 
 def orbit_ideal(seeds: Sequence[Polynomial], group: PermGroup, *,
@@ -196,7 +191,7 @@ def graded_member(
         )
     vector = [target.terms.get(m, target.field.zero) for m in index]
 
-    member, coeffs = _span(vector, matrix, deadline)
+    member, coeffs = in_span(vector, matrix, deadline=deadline)
     parameters = {
         "target": str(target),
         "group": ideal.group.descriptor,
@@ -247,7 +242,6 @@ def ideal_equal(
     right: OrbitIdeal | Sequence[Polynomial],
     order: MonomialOrder = GREVLEX,
     *,
-    max_pairs: int = DEFAULT_MAX_PAIRS,
     deadline: float | None = None,
 ) -> VerdictReport:
     """Equality of two ideals via mutual normal forms."""
@@ -257,8 +251,8 @@ def ideal_equal(
         raise ValueError("both generator lists must be nonempty")
     if gens_left[0].field != gens_right[0].field or gens_left[0].nvars != gens_right[0].nvars:
         raise ValueError("ideals must share field and variable count")
-    gb_left = buchberger(gens_left, order, max_pairs=max_pairs, deadline=deadline)
-    gb_right = buchberger(gens_right, order, max_pairs=max_pairs, deadline=deadline)
+    gb_left = buchberger(gens_left, order, deadline=deadline)
+    gb_right = buchberger(gens_right, order, deadline=deadline)
     failures = []
     for g in gens_left:
         if not gb_right.contains(g):

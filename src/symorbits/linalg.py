@@ -333,26 +333,18 @@ def spin_rank(
 
 def in_span(
     vector: Sequence, matrix: ExactMatrix, *, deadline: float | None = None
-) -> tuple[bool, list[Raw] | None]:
-    """Decide whether the vector lies in the span of the matrix columns.
-
-    Returns ``(True, certificate)`` with one raw coefficient per column (zeros
-    off the greedy left-to-right independent columns), re-verified by
-    multiplication before returning, or ``(False, None)``.  ``deadline`` is
-    checked per column of the elimination.
-    """
-    member, certificate = _span(vector, matrix, deadline)
-    return member, certificate if member else None
-
-
-def _span(
-    vector: Sequence, matrix: ExactMatrix, deadline: float | None = None
 ) -> tuple[bool, list[Raw]]:
-    """``in_span`` with, on a false verdict, a dual vector y, one entry per
-    row, such that y.A = 0 and y.v != 0 hold exactly.  The elimination stops
-    once v is in the span of the columns read; v has one expression on the
-    independent greedy pivots, so the certificate is that of a full
-    elimination.  ``deadline`` is checked per column of the elimination."""
+    """Decide whether the vector v lies in the span of the matrix columns.
+
+    Returns ``(True, coefficients)`` with one raw coefficient per column
+    (zeros off the greedy left-to-right independent columns), re-verified
+    by multiplication before returning, or ``(False, y)`` with a dual
+    vector y, one entry per row, such that y.A = 0 and y.v != 0 hold
+    exactly.  The elimination stops once v is in the span of the columns
+    read; v has one expression on the independent greedy pivots, so the
+    certificate is that of a full elimination.  ``deadline`` is checked per
+    column of the elimination.
+    """
     field = matrix.field
     v = [field.coerce(x) for x in vector]
     if len(v) != matrix.nrows:

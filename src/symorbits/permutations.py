@@ -2,9 +2,10 @@
 action on monomials and polynomials.
 
 The action follows the convention that a permutation sends the variable
-x_i to x_{sigma(i)}.  A group is its generators plus its order, known in
-closed form for S_n and C_n and otherwise read off a Schreier-Sims chain
-built from the generators (``_order``), so no group is ever enumerated.
+x_i to x_{sigma(i)}.  A group is its generators plus its order: n! for
+S_n, computed only when read, n for C_n, and otherwise read off a
+Schreier-Sims chain built from the generators (``_order``), so no group is
+ever enumerated.
 Every orbit (of indices, monomials, term supports, points, polynomials) is
 the closure of a start set under the generators.  The images of a
 polynomial are walked in one place, ``_image_codes``, as sorted int tuples
@@ -17,6 +18,7 @@ variables, which holds f's stabilizer.  A walk is bounded by
 
 from __future__ import annotations
 
+import functools
 import math
 import re
 from typing import Callable, Iterable, Sequence
@@ -157,16 +159,23 @@ class Permutation:
 
 
 class PermGroup:
-    """A finite permutation group: its generators and its order."""
+    """A finite permutation group: its generators and its order.  ``order``
+    None stands for S_N: full symmetric by construction, its order N! is
+    computed when first read."""
 
     def __init__(
-        self, degree: int, generators: Sequence[Permutation], order: int, descriptor: str
+        self, degree: int, generators: Sequence[Permutation], order: int | None, descriptor: str
     ):
         self.degree = degree
         self.generators = tuple(generators)
-        self.order = order
         self.descriptor = descriptor
-        self.is_full_symmetric = order == math.factorial(degree)
+        self.is_full_symmetric = order is None or order == math.factorial(degree)
+        if order is not None:
+            self.order = order
+
+    @functools.cached_property
+    def order(self) -> int:
+        return math.factorial(self.degree)
 
     @classmethod
     def symmetric(cls, n: int) -> "PermGroup":
@@ -177,7 +186,7 @@ class PermGroup:
             gens.append(Permutation.transposition(n, 1, 2))
         if n >= 3:
             gens.append(Permutation(tuple(range(1, n)) + (0,)))
-        return cls(n, gens or [Permutation.identity(n)], math.factorial(n), f"S{n}")
+        return cls(n, gens or [Permutation.identity(n)], None, f"S{n}")
 
     @classmethod
     def cyclic(cls, n: int) -> "PermGroup":
@@ -352,15 +361,18 @@ def _orbit_size(f: Polynomial, group: PermGroup, *, deadline: float | None) -> i
     (``_image_codes``).  For the full symmetric group K is H, the product
     of the symmetric groups on the cells of ``_colour_cells``: the
     stabilizer of f preserves the colours, so it lies in H, and
-    |G.f| / |H.f| = |G| / |H|.  H is generated by a transposition of two
-    adjacent members and the cycle through each cell.  For any other group
-    K is G.  Refused as ``_image_codes`` refuses; ``deadline`` is checked
-    once per row and once per image of K.f."""
+    |G.f| / |H.f| = |G| / |H|, the multinomial of the cell sizes, taken
+    as a product of binomials so that no factorial of N is computed.  H is
+    generated by a transposition of two adjacent members and the cycle
+    through each cell.  For any other group K is G.  Refused as
+    ``_image_codes`` refuses; ``deadline`` is checked once per row and once
+    per image of K.f."""
     if not group.is_full_symmetric:
         return len(_image_codes(f, group.generators, deadline)[2])
-    generators, order = [], 1
+    generators, index, free = [], 1, f.nvars
     for cell in _colour_cells(f):
-        order *= math.factorial(len(cell))
+        index *= math.comb(free, len(cell))
+        free -= len(cell)
         if len(cell) >= 2:
             generators.append(Permutation.transposition(f.nvars, cell[0] + 1, cell[1] + 1))
         if len(cell) >= 3:
@@ -368,7 +380,7 @@ def _orbit_size(f: Polynomial, group: PermGroup, *, deadline: float | None) -> i
             for a, b in zip(cell, cell[1:] + cell[:1]):
                 images[a] = b
             generators.append(Permutation(images))
-    return group.order // order * len(_image_codes(f, generators, deadline)[2])
+    return index * len(_image_codes(f, generators, deadline)[2])
 
 
 def orbit(f: Polynomial, group: PermGroup, *,

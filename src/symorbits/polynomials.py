@@ -70,13 +70,18 @@ def monomials_of_type(partition: Sequence[int], nvars: int) -> list[Monomial]:
 
 def count_of_type(partition: Sequence[int], nvars: int) -> int:
     """``len(monomials_of_type(partition, nvars))`` in closed form, listing
-    none: nvars! / prod(multiplicity!) over the exponents, zeros included."""
+    none: the multinomial nvars! / prod(multiplicity!) over the exponents,
+    zeros included, as a product of binomials C(free, multiplicity) that
+    places each nonzero exponent on the positions still free."""
     part = [e for e in partition if e > 0]
     if len(part) > nvars:
         return 0
-    exponents = part + [0] * (nvars - len(part))
-    return math.factorial(nvars) // math.prod(
-        math.factorial(exponents.count(e)) for e in set(exponents))
+    count, free = 1, nvars
+    for e in set(part):
+        multiplicity = part.count(e)
+        count *= math.comb(free, multiplicity)
+        free -= multiplicity
+    return count
 
 
 # -- monomial orders --------------------------------------------------------

@@ -18,19 +18,16 @@ class CertificateError(AssertionError):
 
 
 class BudgetExceededError(RuntimeError):
-    """The S-pair budget or the wall-clock deadline ran out before the work
-    finished: a resource limit, never a verdict."""
-
-    def __init__(self, message: str, pairs_processed: int = 0):
-        super().__init__(message)
-        self.pairs_processed = pairs_processed
+    """The wall-clock deadline, or the fixed S-pair guard of a Groebner
+    basis computation, ran out before the work finished: a resource limit,
+    never a verdict."""
 
 
-def check_deadline(deadline: float | None, pairs_processed: int = 0) -> None:
+def check_deadline(deadline: float | None) -> None:
     """Raise BudgetExceededError once the absolute ``time.monotonic()``
     instant ``deadline`` has passed; ``None`` means no deadline."""
     if deadline is not None and time.monotonic() > deadline:
-        raise BudgetExceededError("wall-clock budget exceeded", pairs_processed)
+        raise BudgetExceededError("wall-clock budget exceeded")
 
 
 def _flatten(prefix: str, value: Any, out: list[tuple[str, str]]):

@@ -1,10 +1,9 @@
 """Pinned scenarios behind ``symorbits repro <name>``.
 
 Each scenario re-runs one computation from the paper and compares it with
-the known answer.  It takes the S-pair budget and the absolute deadline
-(``None`` for none) of its Groebner and linear-algebra computations and
-returns ``(ok, reports)``; the CLI prints the reports and exits nonzero
-unless ok.
+the known answer.  It takes the absolute deadline (``None`` for none) of
+its Groebner and linear-algebra computations and returns
+``(ok, reports)``; the CLI prints the reports and exits nonzero unless ok.
 """
 
 from __future__ import annotations
@@ -39,8 +38,8 @@ def _e32_orbit(nvars: int, field: Field, deadline: float | None) -> OrbitIdeal:
     return orbit_ideal([seed], PermGroup.symmetric(nvars), deadline=deadline)
 
 
-def groebner_e32_s4(max_pairs: int, deadline: float | None) -> tuple[bool, list]:
-    gb = _e32_orbit(4, QQ, deadline).groebner_basis(LEX, max_pairs=max_pairs, deadline=deadline)
+def groebner_e32_s4(deadline: float | None) -> tuple[bool, list]:
+    gb = _e32_orbit(4, QQ, deadline).groebner_basis(LEX, deadline=deadline)
     expected = {parse_polynomial(text, 4, QQ).monic(LEX) for text in PINNED_LEX_BASIS_E32_S4}
     ok = {g.monic(LEX) for g in gb.basis} == expected
     basis = [format_polynomial(g, LEX) for g in gb.basis]
@@ -48,10 +47,10 @@ def groebner_e32_s4(max_pairs: int, deadline: float | None) -> tuple[bool, list]
     return ok, [VerdictReport("groebner-e32-s4", parameters, ok, certificate={"basis": basis})]
 
 
-def f2_e32(nvars: int, max_pairs: int, deadline: float | None) -> tuple[bool, list]:
+def f2_e32(nvars: int, deadline: float | None) -> tuple[bool, list]:
     field = GF(2)
     ideal = _e32_orbit(nvars, field, deadline)
-    gb = ideal.groebner_basis(GREVLEX, max_pairs=max_pairs, deadline=deadline)
+    gb = ideal.groebner_basis(GREVLEX, deadline=deadline)
     x1x2 = parse_polynomial("x1*x2", nvars, field)
     checks = {
         "x1x2_not_in_ideal": not gb.contains(x1x2),
@@ -59,13 +58,9 @@ def f2_e32(nvars: int, max_pairs: int, deadline: float | None) -> tuple[bool, li
     }
     ok = all(checks.values())
     if nvars == 5:
-        radical_ok = radical_orbit_equality(
-            ideal.seeds[0], ideal.group, max_pairs=max_pairs, deadline=deadline
-        ).verdict
-        equal = ideal_equal(
-            ideal, orbit_ideal([x1x2], ideal.group, deadline=deadline), GREVLEX,
-            max_pairs=max_pairs, deadline=deadline,
-        ).verdict
+        radical_ok = radical_orbit_equality(ideal.seeds[0], ideal.group, deadline=deadline).verdict
+        monomial_orbit = orbit_ideal([x1x2], ideal.group, deadline=deadline)
+        equal = ideal_equal(ideal, monomial_orbit, GREVLEX, deadline=deadline).verdict
         checks["radical_equals_monomial_orbit"] = radical_ok
         checks["ideal_equals_monomial_orbit"] = equal
         ok = ok and radical_ok and not equal
@@ -75,7 +70,7 @@ def f2_e32(nvars: int, max_pairs: int, deadline: float | None) -> tuple[bool, li
     return ok, [report]
 
 
-def counterexample_x1sq(max_pairs: int, deadline: float | None) -> tuple[bool, list]:
+def counterexample_x1sq(deadline: float | None) -> tuple[bool, list]:
     reports = []
     for n in (2, 3, 4):
         group = PermGroup.symmetric(n)
@@ -92,13 +87,13 @@ def counterexample_x1sq(max_pairs: int, deadline: float | None) -> tuple[bool, l
     return all(r.verdict for r in reports), reports
 
 
-def radical_x1x2x3(max_pairs: int, deadline: float | None) -> tuple[bool, list]:
+def radical_x1x2x3(deadline: float | None) -> tuple[bool, list]:
     f = parse_polynomial("x1^2*x2 + x1*x2^2", 3, QQ)
     gens = list(orbit_ideal([f], PermGroup.symmetric(3), deadline=deadline).expanded)
 
     def in_radical(text: str) -> bool:
         target = parse_polynomial(text, 3, QQ)
-        return radical_member(target, gens, max_pairs=max_pairs, deadline=deadline)
+        return radical_member(target, gens, deadline=deadline)
 
     checks = {
         "x1x2x3_in_radical": in_radical("x1*x2*x3"),
@@ -110,7 +105,7 @@ def radical_x1x2x3(max_pairs: int, deadline: float | None) -> tuple[bool, list]:
                               certificate=checks)]
 
 
-def inhomogeneous_monomial(max_pairs: int, deadline: float | None) -> tuple[bool, list]:
+def inhomogeneous_monomial(deadline: float | None) -> tuple[bool, list]:
     def graded(target: str, field: Field):
         f = parse_polynomial("x1 + x2 + x1^2 - x2^2", 3, field)
         ideal = orbit_ideal([f], PermGroup.symmetric(3), deadline=deadline)
@@ -124,13 +119,13 @@ def inhomogeneous_monomial(max_pairs: int, deadline: float | None) -> tuple[bool
     ]
 
 
-def squarefree_c_zero(max_pairs: int, deadline: float | None) -> tuple[bool, list]:
+def squarefree_c_zero(deadline: float | None) -> tuple[bool, list]:
     f = parse_polynomial("x1*x2 - x2*x3", 3, QQ)
     res = verify_squarefree_orbit(f, 5, deadline=deadline)
     return res.verdict and res.parameters.get("branch") == "all-ones-witness", [res]
 
 
-def elimination_grid(max_pairs: int, deadline: float | None) -> tuple[bool, list]:
+def elimination_grid(deadline: float | None) -> tuple[bool, list]:
     reports = [verify_elimination_identity(n, d, QQ, deadline=deadline)
                for n in range(2, 7) for d in range(1, n)]
     coeffs = [str(c) for c in elimination_coefficients(3, 2, QQ)]
@@ -139,9 +134,9 @@ def elimination_grid(max_pairs: int, deadline: float | None) -> tuple[bool, list
     return all(r.verdict for r in reports), reports
 
 
-def telescoping_n3d2(max_pairs: int, deadline: float | None) -> tuple[bool, list]:
+def telescoping_n3d2(deadline: float | None) -> tuple[bool, list]:
     cert = telescoping_certificate(3, 2, 5, QQ)
-    gb = _e32_orbit(5, QQ, deadline).groebner_basis(GREVLEX, max_pairs=max_pairs, deadline=deadline)
+    gb = _e32_orbit(5, QQ, deadline).groebner_basis(GREVLEX, deadline=deadline)
     reduces = gb.contains(cert.final)
     chain = [format_polynomial(p) for p in cert.chain]
     return reduces, [VerdictReport(
@@ -151,7 +146,7 @@ def telescoping_n3d2(max_pairs: int, deadline: float | None) -> tuple[bool, list
     )]
 
 
-def lemma_grid(max_pairs: int, deadline: float | None) -> tuple[bool, list]:
+def lemma_grid(deadline: float | None) -> tuple[bool, list]:
     ok = all(
         binomial_alternating_sum(n, d, a) == (binomial(n, d) if a == d else 0)
         for n in range(2, 13) for d in range(1, n) for a in range(d + 1)
@@ -160,12 +155,12 @@ def lemma_grid(max_pairs: int, deadline: float | None) -> tuple[bool, list]:
     return ok, [VerdictReport("lemma-grid", {"max_n": 12}, ok, notes=notes)]
 
 
-def cyclic_hsop(max_pairs: int, deadline: float | None) -> tuple[bool, list]:
+def cyclic_hsop(deadline: float | None) -> tuple[bool, list]:
     # cyclic permutations of a general quadric in 4 variables cut out the
     # origin; integer draws miss the bad locus roughly 90% of the time
     report = sample_genericity(
         SupportSet.of(4, monomials_of_degree(4, 2)), PermGroup.cyclic(4), "irrelevant_radical",
-        trials=10, coeff_box=9, seed=2026, max_pairs=max_pairs, deadline=deadline,
+        trials=10, coeff_box=9, seed=2026, deadline=deadline,
     )
     return report.successes >= 7, [report]
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .fields import QQ, Field, Raw, binomial
-from .groebner import DEFAULT_MAX_PAIRS, radical_equals_irrelevant, radical_member
+from .groebner import radical_equals_irrelevant, radical_member
 from .ideals import orbit_ideal, rank_condition
 from .permutations import DEFAULT_GROUP_BOUND, PermGroup, Permutation, _orbit_size, _tuple_orbit
 from .polynomials import Polynomial, elementary_symmetric
@@ -270,7 +270,6 @@ def radical_orbit_equality(
     f: Polynomial,
     group: PermGroup,
     *,
-    max_pairs: int = DEFAULT_MAX_PAIRS,
     deadline: float | None = None,
 ) -> VerdictReport:
     """Whether the radical of the orbit ideal I of f is the square-free
@@ -305,12 +304,12 @@ def radical_orbit_equality(
     notes = ""
     if all(sum(s) == 1 for s in minimal) and len(minimal) == f.nvars:
         route = "finiteness"
-        verdict = radical_equals_irrelevant(generators, max_pairs=max_pairs, deadline=deadline)
+        verdict = radical_equals_irrelevant(generators, deadline=deadline)
     else:
         route = "radical-membership"
         verdict = True
         for x_s in monomials:
-            if not radical_member(x_s, generators, max_pairs=max_pairs, deadline=deadline):
+            if not radical_member(x_s, generators, deadline=deadline):
                 verdict = False
                 notes = f"{x_s} is not in the radical"
                 break

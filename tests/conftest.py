@@ -13,9 +13,10 @@ TEST_TIME_LIMIT = 120  # seconds; the heaviest test takes about 7 s
 @pytest.fixture(autouse=True)
 def time_limit():
     """Fail a test that runs past ``TEST_TIME_LIMIT``, so that a computation
-    that never ends (say, Buchberger on a wrong S-polynomial, with the
-    default budget of a million pairs) fails the suite instead of hanging
-    it.  Where the platform has no SIGALRM the limit is not enforced."""
+    that never ends (say, Buchberger on a wrong S-polynomial, under the
+    fixed guard of a million reduced signatures) fails the suite instead
+    of hanging it.  Where the platform has no SIGALRM the limit is not
+    enforced."""
     if not hasattr(signal, "SIGALRM"):
         yield
         return

@@ -1,11 +1,12 @@
 import json
+import math
 import shlex
 import time
 from pathlib import Path
 
 import pytest
 
-from symorbits import cli
+from symorbits import cli, groebner
 from symorbits.cli import run
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -49,16 +50,24 @@ class TestExitCodes:
             )
             assert code == 2 and out == "" and "coeff_box" in err
 
-    def test_budget_exceeded_exits_three(self, capsys):
-        code, _, err = invoke(
-            capsys, "gb", "--n", "5", "--budget", "1", "orbit:S5:e(3,2)",
-        )
-        assert code == 3 and "budget" in err.lower()
+    def test_budget_counts_only_reduced_pairs(self, capsys, monkeypatch):
+        # the product criterion skips all three pairs of the squares, so the
+        # S-pair budget is never charged: no pair is reduced
+        reduced = []
+        reduce_terms = groebner._reduce_terms
 
-    def test_budget_counts_only_reduced_pairs(self, capsys):
-        # the product criterion skips all three pairs of the squares
-        code, out, _ = invoke(capsys, "gb", "--budget", "1", "orbit:S3:x1^2")
+        def counting(*args, **kwargs):
+            if kwargs.get("below") is not None:  # a signature reduction in _groebner
+                reduced.append(args)
+            return reduce_terms(*args, **kwargs)
+
+        monkeypatch.setattr(groebner, "_reduce_terms", counting)
+        code, out, _ = invoke(capsys, "gb", "orbit:S3:x1^2")
         assert code == 0 and sorted(out.split()) == ["x1^2", "x2^2", "x3^2"]
+        assert reduced == []
+        # while the orbit of the elementary quadric reduces some
+        assert invoke(capsys, "gb", "--n", "4", "orbit:S4:e(3,2)")[0] == 0
+        assert reduced
 
     def test_rank_condition_timeout_exits_three(self, capsys):
         # the orbit count checks the deadline per image, the spin per vector
@@ -67,6 +76,21 @@ class TestExitCodes:
             "--poly", "x1^3*x2^2*x3 + 2*x2^3*x1^2*x3 - x4^3*x5^2*x6", "--timeout", "0.001",
         )
         assert code == 3 and out == "" and "budget" in err
+
+    def test_symmetric_group_is_built_without_its_order(self, capsys, monkeypatch):
+        # S<N> is full symmetric by construction and a type is counted by
+        # binomials, so the bound refuses 200,000 variables before any N!
+        def no_factorial(n):
+            raise AssertionError(f"factorial({n}) computed")
+
+        monkeypatch.setattr(math, "factorial", no_factorial)
+        group = cli.parse_group("S200000", None)
+        assert group.is_full_symmetric and group.degree == 200000
+        code, out, err = invoke(
+            capsys, "verify", "squarefree", "--nvars", "2", "--poly", "x1*x2",
+            "--target-nvars", "200000", "--timeout", "0.1",
+        )
+        assert code == 2 and out == "" and "exceed enumeration bound" in err
 
     def test_rank_condition_s8_within_budget(self, capsys):
         # 336 monomials of type (3,2,1) against 20,160 orbit vectors, counted
@@ -611,11 +635,12 @@ class TestOptionsPerCommand:
         )
         assert code == 2 and out == "" and "--timeout" in err
 
-    @pytest.mark.parametrize("value", ["0", "-1", "abc"])
-    def test_budget_must_be_positive(self, capsys, value):
-        # a budget below one used to exit 3 as an exceeded budget
-        code, out, err = invoke(capsys, "gb", "--budget", value, "orbit:S3:x1^2")
-        assert code == 2 and out == "" and "--budget" in err
+    @pytest.mark.parametrize("argv", [("gb", "orbit:S3:x1^2"), ("repro", "lemma-grid")],
+                             ids=["gb", "repro"])
+    def test_budget_is_not_an_option(self, capsys, argv):
+        # --timeout is the one budget; the S-pair cap is a fixed guard
+        code, out, err = invoke(capsys, *argv, "--budget", "1")
+        assert code == 2 and out == "" and "unrecognized arguments: --budget" in err
 
     def test_infinite_timeout_is_no_deadline(self, capsys):
         code, out, _ = invoke(capsys, *COMMAND_ARGV["verify witness"], "--timeout", "inf")

@@ -146,13 +146,15 @@ class TestBuchberger:
             rng.shuffle(shuffled)
             assert buchberger(shuffled, GREVLEX).basis == reference
 
-    def test_budget_exceeded_is_distinct(self, P):
+    def test_budget_exceeded_is_distinct(self, P, monkeypatch):
         gens = [
             P("x1^3 - 2*x1*x2", 2),
             P("x1^2*x2 - 2*x2^2 + x1", 2),
         ]
-        with pytest.raises(BudgetExceededError):
-            buchberger(gens, GREVLEX, max_pairs=1)
+        monkeypatch.setattr(groebner, "S_PAIR_BUDGET", 1)
+        with pytest.raises(BudgetExceededError, match="S-pair budget of 1 exceeded"):
+            buchberger(gens, GREVLEX)
+        monkeypatch.undo()
         with pytest.raises(BudgetExceededError):
             buchberger(gens, GREVLEX, deadline=time.monotonic() - 1)
 
@@ -205,7 +207,7 @@ class TestBuchberger:
         packing = groebner._Packing.for_degree(LEX, 3, 63)
         assert packing.limit == 127
         with pytest.raises(groebner._Overflow):
-            groebner._groebner(packing.entries(gens), packing, QQ, 1000, None)
+            groebner._groebner(packing.entries(gens), packing, QQ, None)
         gb = buchberger(gens, LEX)
         assert gb._packed[0].width == 2 * packing.width
         assert set(gb.basis) == {P("x2^40*x3^63 - 1", 3), P("x1 - x2^7*x3^11", 3)}

@@ -151,11 +151,10 @@ class TestGradedMember:
         ideal = orbit_ideal([parse_polynomial("x1*x2", 3, field)], PermGroup.symmetric(3))
         target = parse_polynomial("x1*x2 + x2*x3", 3, field)
         assert graded_member(target, ideal).verdict
-        span = ideals._span
+        span = ideals.in_span
         for forge in (lambda cs: [c + c for c in cs], lambda cs: cs[:1]):
-            monkeypatch.setattr(
-                ideals, "_span", lambda v, m, d=None, forge=forge: (True, forge(span(v, m, d)[1]))
-            )
+            monkeypatch.setattr(ideals, "in_span", lambda v, m, deadline=None, forge=forge: (
+                True, forge(span(v, m, deadline=deadline)[1])))
             with pytest.raises(CertificateError, match="polynomial re-verification"):
                 graded_member(target, ideal)
 

@@ -85,7 +85,7 @@ class TestRank:
             with pytest.raises(BudgetExceededError):
                 rank(from_rows(field, dense_rows(m)), deadline=time.monotonic() - 1)
             with pytest.raises(BudgetExceededError):
-                linalg._span([1, 0], from_rows(field, dense_rows(m)), time.monotonic() - 1)
+                in_span([1, 0], from_rows(field, dense_rows(m)), deadline=time.monotonic() - 1)
             # the orbit of (1, 2) under the swap of its rows
             with pytest.raises(BudgetExceededError):
                 linalg.spin_rank(field, 2, {0: 1, 1: 2}, [[1, 0]], 2, deadline=time.monotonic() - 1)
@@ -125,7 +125,7 @@ class TestInSpan:
 
         m2 = from_columns(QQ, 2, [[0, 1]])
         ok, cert = in_span([1, 0], m2)
-        assert not ok and cert is None
+        assert not ok and is_dual(QQ, cert, [[0, 1]], [1, 0])
 
     def test_column_contained(self):
         rng = random.Random(71)
@@ -152,6 +152,7 @@ class TestInSpan:
                 augmented = from_columns(field, nrows, cols + [v])
                 ok, cert = in_span(v, m)
                 assert ok == (rank(augmented).rank == rank(m).rank)
+                assert ok or is_dual(field, cert, cols, v)
 
     def test_certificates_reverify(self):
         rng = random.Random(79)
@@ -180,7 +181,8 @@ class TestInSpan:
         assert (m.nrows, m.ncols) == (3, 0)
         assert rank(m).rank == 0
         assert in_span([0, 0, 0], m) == (True, [])
-        assert in_span([1, 0, 0], m) == (False, None)
+        ok, dual = in_span([1, 0, 0], m)
+        assert not ok and is_dual(QQ, dual, [], [1, 0, 0])
         # zero rows keep the column count, and a certificate has an entry
         # for every column
         empty = from_columns(QQ, 0, [[], []])
@@ -225,7 +227,8 @@ class TestInSpan:
             assert in_span([1, 0], matrix, deadline=far) == in_span([1, 0], matrix)
             assert in_span([1, 0], matrix, deadline=far)[0]
             single = from_columns(field, 2, [[1, 2]])
-            assert in_span([1, 0], single, deadline=far) == (False, None)
+            ok, dual = in_span([1, 0], single, deadline=far)
+            assert not ok and is_dual(field, dual, [[1, 2]], [1, 0])
 
     def test_certificate_on_greedy_pivot_columns(self):
         rng = random.Random(83)
@@ -370,7 +373,7 @@ class TestModularKernel:
 
     def test_false_span_reads_every_column(self, added):
         cols = [[1, 0, 0], [2, 0, 0], [0, 1, 0], [1, 1, 0]]
-        ok, dual = linalg._span([0, 0, 1], from_columns(QQ, 3, cols))
+        ok, dual = in_span([0, 0, 1], from_columns(QQ, 3, cols))
         assert not ok and is_dual(QQ, dual, cols, [0, 0, 1])
         assert added == [0, 1, 2, 3]
 
@@ -404,7 +407,7 @@ class TestModularKernel:
                 assert got.dual is None
             v = [rng.randint(-3, 3) for _ in range(nrows)]
             member = naive_rank(field, cols + [v]) == len(exact)
-            ok, cert = linalg._span(v, m)
+            ok, cert = in_span(v, m)
             assert ok == member
             if ok:
                 assert not any(c for j, c in enumerate(cert) if j not in exact)
@@ -439,7 +442,7 @@ class TestModularKernel:
         v = [x + y for x, y in zip(c0, c1)]
         ok, cert = in_span(v, m)
         assert ok and cert == [1, 1, 0]
-        ok, dual = linalg._span([0, 0, 0, 1], m)
+        ok, dual = in_span([0, 0, 0, 1], m)
         assert not ok and is_dual(QQ, dual, cols, [0, 0, 0, 1])
         assert len(retries(moduli)) == 4
 
@@ -453,7 +456,7 @@ class TestModularKernel:
         got = rank(tall)
         assert got.rank == 1 and above_hadamard(got.prime, [[1, 3**40]], 2)
         assert got.dual == [-(3**40), 1]
-        ok, dual = linalg._span([0, 1], tall)
+        ok, dual = in_span([0, 1], tall)
         assert not ok and is_dual(QQ, dual, [[1, 3**40]], [0, 1])
         assert len(retries(moduli)) == 4
         # the same questions with small entries stay modular
@@ -467,7 +470,7 @@ class TestModularKernel:
         ([[1, 1], [1, 1 + linalg.PRIME]], [0, 1]),  # PRIME divides the determinant
     ])
     def test_one_retry_settles_span(self, cols, target, moduli):
-        ok, _ = linalg._span(target, from_columns(QQ, len(target), cols))
+        ok, _ = in_span(target, from_columns(QQ, len(target), cols))
         assert ok == (naive_rank(QQ, cols + [target]) == naive_rank(QQ, cols))
         (_, first), (_, second) = moduli
         assert first == linalg.PRIME and above_hadamard(second, cols + [target], len(target))
@@ -488,7 +491,7 @@ class TestModularKernel:
             m = from_columns(field, len(target), cols)
             assert rank(m).rank == naive_rank(field, cols)
             assert rank(m).prime == field.p
-            ok, _ = linalg._span(target, m)
+            ok, _ = in_span(target, m)
             assert ok == (naive_rank(field, cols + [target]) == naive_rank(field, cols))
         assert {q for _, q in moduli} == {field.p}
 
@@ -514,9 +517,7 @@ class TestModularKernel:
 
     def test_in_span_false_keeps_its_public_form(self):
         m = from_columns(QQ, 2, [[1, 2]])
-        assert in_span([1, 0], m) == (False, None)
-        ok, dual = linalg._span([1, 0], m)
-        assert not ok and dual == [-2, 1]
+        assert in_span([1, 0], m) == (False, [-2, 1])
 
     def test_rational_reconstruction(self):
         p = linalg.PRIME

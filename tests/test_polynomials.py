@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 import time
 from fractions import Fraction
@@ -28,6 +29,7 @@ from symorbits import (
     parse_polynomial,
 )
 from symorbits.fields import binomial
+from symorbits.polynomials import count_of_type
 
 
 def random_polynomial(rng, nvars, field=QQ, max_degree=3, max_terms=5):
@@ -277,6 +279,28 @@ class TestSupportAnalysis:
         prof = analyze_support(P("x1^3 + x1*x2*x3", 3).support())
         assert prof.types == frozenset({(3,), (1, 1, 1)})
         assert not prof.symmetric  # x2^3 is absent
+
+    def test_count_of_type_is_the_multinomial(self):
+        # every partition of at most 12 against nvars! / prod(multiplicity!)
+        # over the exponents, zeros included, for nvars up to 12
+        def partitions(total, largest):
+            if total == 0:
+                yield ()
+            for part in range(min(total, largest), 0, -1):
+                for rest in partitions(total - part, part):
+                    yield (part,) + rest
+
+        for total in range(13):
+            for partition in partitions(total, total):
+                for nvars in range(1, 13):
+                    if len(partition) > nvars:
+                        expected = 0
+                    else:
+                        exponents = list(partition) + [0] * (nvars - len(partition))
+                        expected = math.factorial(nvars) // math.prod(
+                            math.factorial(exponents.count(e)) for e in set(exponents))
+                    assert count_of_type(partition, nvars) == expected, (partition, nvars)
+        assert count_of_type((2, 1, 1), 4) == len(monomials_of_type((2, 1, 1), 4)) == 12
 
     def test_symmetry_counted_not_listed(self):
         # type (6,5,4,3,2,1) has 12!/6! = 665,280 monomials in 12 variables:
