@@ -46,10 +46,6 @@ from .verifiers import (
 )
 
 
-class UsageError(ValueError):
-    pass
-
-
 def parse_field(token: str) -> Field:
     """``Q`` or ``F<p>``; the argparse type of ``--field``."""
     if token in ("Q", "QQ"):
@@ -73,14 +69,14 @@ def parse_group(token: str, nvars: int | None, deadline: float | None = None) ->
         build = PermGroup.symmetric if match.group(1) == "S" else PermGroup.cyclic
         group = build(int(match.group(2)))
     elif not token.startswith("gens:"):
-        raise UsageError(f"unknown group {token!r}; use S<N>, C<N>, or gens:<cycles>")
+        raise ValueError(f"unknown group {token!r}; use S<N>, C<N>, or gens:<cycles>")
     elif nvars is None:
-        raise UsageError("gens:<cycles> groups need --nvars")
+        raise ValueError("gens:<cycles> groups need --nvars")
     else:
         cycles = re.split(r",(?![^(]*\))", token[len("gens:"):])
         group = PermGroup.generated(nvars, [c for c in cycles if c.strip()], deadline=deadline)
     if nvars is not None and group.degree != nvars:
-        raise UsageError(f"group degree {group.degree} != nvars {nvars}")
+        raise ValueError(f"group degree {group.degree} != nvars {nvars}")
     return group
 
 
@@ -91,10 +87,10 @@ def parse_poly_spec(token: str, nvars: int, field: Field) -> Polynomial:
     if match:
         n, d = int(match.group(1)), int(match.group(2))
         if n > nvars:
-            raise UsageError(f"e({n},{d}) does not fit in {nvars} variables")
+            raise ValueError(f"e({n},{d}) does not fit in {nvars} variables")
         terms = binomial(n, d)
         if terms > DEFAULT_GROUP_BOUND:
-            raise UsageError(f"e({n},{d}) has {terms} terms, past the enumeration bound "
+            raise ValueError(f"e({n},{d}) has {terms} terms, past the enumeration bound "
                              f"{DEFAULT_GROUP_BOUND}")
         return elementary_symmetric(nvars, range(1, n + 1), d, field)
     return parse_polynomial(token, nvars, field)
@@ -103,12 +99,12 @@ def parse_poly_spec(token: str, nvars: int, field: Field) -> Polynomial:
 def parse_ideal_spec(token: str, nvars: int | None, field: Field,
                      deadline: float | None) -> OrbitIdeal:
     if not token.startswith("orbit:"):
-        raise UsageError(f"ideal spec must start with 'orbit:', got {token!r}")
+        raise ValueError(f"ideal spec must start with 'orbit:', got {token!r}")
     rest = token[len("orbit:") :]
     prefix = "gens:" if rest.startswith("gens:") else ""
     group_token, colon, poly_text = rest[len(prefix) :].partition(":")
     if not colon:
-        raise UsageError("ideal spec needs orbit:<group>:<poly>")
+        raise ValueError("ideal spec needs orbit:<group>:<poly>")
     group = parse_group(prefix + group_token, nvars, deadline)
     seed_poly = parse_poly_spec(poly_text, group.degree, field)
     return orbit_ideal([seed_poly], group, deadline=deadline)
@@ -185,7 +181,7 @@ def _membership(args, claim: str, verdict: bool) -> int:
 
 
 def _member(args) -> int:
-    gb = args.ideal.groebner_basis(args.order, deadline=args.deadline)
+    gb = args.ideal.groebner_basis(deadline=args.deadline)
     return _membership(args, "ideal-membership", gb.contains(args.poly))
 
 
@@ -288,27 +284,25 @@ ARGUMENTS = dict([
     _argument("--coeff-box", type=int, default=9),
 ])
 
-# what a command that computes one Groebner basis reads
-_GB_OPTIONS = ("--field", "--nvars", "--order", "--format", "--timeout")
-
 
 class Command(NamedTuple):
-    """A handler, its help line, the labels in ARGUMENTS it reads, the
-    options among them that are required, and its default --timeout."""
+    """A handler, its help line, the labels in ARGUMENTS it reads, and the
+    options among them that are required."""
 
     handler: Callable[[argparse.Namespace], int]
     help: str
     arguments: tuple[str, ...]
     required: tuple[str, ...] = ()
-    default_timeout: float | None = None
 
 
 COMMANDS = {
     "orbit": Command(_orbit, "expand the orbit of a polynomial",
                      ("poly", "--group", "--field", "--nvars", "--order"), ("--group",)),
-    "gb": Command(_gb, "reduced Groebner basis of an orbit ideal", ("ideal",) + _GB_OPTIONS),
+    "gb": Command(_gb, "reduced Groebner basis of an orbit ideal",
+                  ("ideal", "--field", "--nvars", "--order", "--format", "--timeout")),
     "member": Command(_member, "ideal membership",
-                      ("poly", "--ideal") + _GB_OPTIONS, ("--ideal",)),
+                      ("poly", "--ideal", "--field", "--nvars", "--format", "--timeout"),
+                      ("--ideal",)),
     "radical-member": Command(
         _radical_member, "radical membership",
         ("poly", "--ideal", "--field", "--nvars", "--format", "--timeout"), ("--ideal",)),
@@ -319,8 +313,7 @@ COMMANDS = {
         ("--support", "--group", "--property", "--field", "--nvars", "--format",
          "--seed", "--trials", "--coeff-box", "--timeout"),
         ("--support", "--group", "--property")),
-    "repro": Command(_repro, "re-run a pinned scenario",
-                     ("scenario", "--format", "--timeout"), default_timeout=60.0),
+    "repro": Command(_repro, "re-run a pinned scenario", ("scenario", "--format", "--timeout")),
 }
 
 VERIFIERS = {
@@ -356,8 +349,6 @@ def _add_commands(subparsers, commands: dict[str, Command]):
                 kwargs = {**kwargs, "required": True}
             parser.add_argument(*flags, **kwargs)
         parser.set_defaults(handler=command.handler)
-        if command.default_timeout is not None:
-            parser.set_defaults(timeout=command.default_timeout)
 
 
 @functools.cache
@@ -387,7 +378,7 @@ def run(argv: list[str]) -> int:
     except BudgetExceededError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except (UsageError, ValueError) as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:

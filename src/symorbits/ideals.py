@@ -240,19 +240,19 @@ def graded_member(
 def ideal_equal(
     left: OrbitIdeal | Sequence[Polynomial],
     right: OrbitIdeal | Sequence[Polynomial],
-    order: MonomialOrder = GREVLEX,
     *,
     deadline: float | None = None,
 ) -> VerdictReport:
-    """Equality of two ideals via mutual normal forms."""
+    """Equality of two ideals via mutual normal forms in grevlex bases
+    (membership, hence equality, does not depend on the order)."""
     gens_left = list(left.expanded) if isinstance(left, OrbitIdeal) else list(left)
     gens_right = list(right.expanded) if isinstance(right, OrbitIdeal) else list(right)
     if not gens_left or not gens_right:
         raise ValueError("both generator lists must be nonempty")
     if gens_left[0].field != gens_right[0].field or gens_left[0].nvars != gens_right[0].nvars:
         raise ValueError("ideals must share field and variable count")
-    gb_left = buchberger(gens_left, order, deadline=deadline)
-    gb_right = buchberger(gens_right, order, deadline=deadline)
+    gb_left = buchberger(gens_left, deadline=deadline)
+    gb_right = buchberger(gens_right, deadline=deadline)
     failures = []
     for g in gens_left:
         if not gb_right.contains(g):
@@ -265,7 +265,6 @@ def ideal_equal(
         "nvars": gens_left[0].nvars,
         "left_generators": len(gens_left),
         "right_generators": len(gens_right),
-        "order": str(order),
     }
     if failures:
         return VerdictReport(

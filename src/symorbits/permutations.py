@@ -2,10 +2,11 @@
 action on monomials and polynomials.
 
 The action follows the convention that a permutation sends the variable
-x_i to x_{sigma(i)}.  A group is its generators plus its order: n! for
-S_n, computed only when read, n for C_n, and otherwise read off a
-Schreier-Sims chain built from the generators (``_order``), so no group is
-ever enumerated.
+x_i to x_{sigma(i)}.  A group is its generators plus its order: n for C_n
+(n > 2), read off a Schreier-Sims chain built from the generators
+(``_order``) for a generated group, and None for S_n, C_1, C_2 and a
+generated group of order n!, which marks them full symmetric; n! is
+computed only when read, so no group is ever enumerated.
 Every orbit (of indices, monomials, term supports, points, polynomials) is
 the closure of a start set under the generators.  The images of a
 polynomial are walked in one place, ``_image_codes``, as sorted int tuples
@@ -160,8 +161,8 @@ class Permutation:
 
 class PermGroup:
     """A finite permutation group: its generators and its order.  ``order``
-    None stands for S_N: full symmetric by construction, its order N! is
-    computed when first read."""
+    None is the only mark of S_N, so every constructor passes None for a
+    group of order N!; that order is computed when first read."""
 
     def __init__(
         self, degree: int, generators: Sequence[Permutation], order: int | None, descriptor: str
@@ -169,7 +170,7 @@ class PermGroup:
         self.degree = degree
         self.generators = tuple(generators)
         self.descriptor = descriptor
-        self.is_full_symmetric = order is None or order == math.factorial(degree)
+        self.is_full_symmetric = order is None
         if order is not None:
             self.order = order
 
@@ -192,14 +193,16 @@ class PermGroup:
     def cyclic(cls, n: int) -> "PermGroup":
         if n < 1:
             raise ValueError("degree must be >= 1")
-        return cls(n, [Permutation(tuple(range(1, n)) + (0,))], n, f"C{n}")
+        # C1 and C2 are S1 and S2
+        return cls(n, [Permutation(tuple(range(1, n)) + (0,))], None if n <= 2 else n, f"C{n}")
 
     @classmethod
     def generated(cls, n: int, generators: Iterable[Permutation | str], *,
                   deadline: float | None = None) -> "PermGroup":
         """The group the generators (permutations or cycle notation)
-        generate, its order from a Schreier-Sims chain (``_order``);
-        ``deadline`` is checked once per sifted generator."""
+        generate, its order from a Schreier-Sims chain (``_order``), marked
+        S_N when that order is N!; ``deadline`` is checked once per sifted
+        generator."""
         gens = [
             g if isinstance(g, Permutation) else Permutation.from_cycles(g, n)
             for g in generators
@@ -207,6 +210,8 @@ class PermGroup:
         if any(g.degree != n for g in gens):
             raise ValueError("generator degree mismatch")
         order = _order(n, [g.images for g in gens], deadline)
+        if order == math.factorial(n):
+            order = None
         return cls(n, gens, order, "gens:" + ",".join(repr(g) for g in gens))
 
     def __repr__(self) -> str:

@@ -15,7 +15,7 @@ from .genericity import sample_genericity
 from .groebner import radical_member
 from .ideals import OrbitIdeal, graded_member, ideal_equal, orbit_ideal
 from .permutations import PermGroup
-from .polynomials import GREVLEX, LEX, Polynomial, SupportSet, elementary_symmetric
+from .polynomials import LEX, Polynomial, SupportSet, elementary_symmetric
 from .polynomials import format_polynomial, monomials_of_degree, parse_polynomial
 from .reports import VerdictReport
 from .verifiers import (
@@ -50,7 +50,7 @@ def groebner_e32_s4(deadline: float | None) -> tuple[bool, list]:
 def f2_e32(nvars: int, deadline: float | None) -> tuple[bool, list]:
     field = GF(2)
     ideal = _e32_orbit(nvars, field, deadline)
-    gb = ideal.groebner_basis(GREVLEX, deadline=deadline)
+    gb = ideal.groebner_basis(deadline=deadline)
     x1x2 = parse_polynomial("x1*x2", nvars, field)
     checks = {
         "x1x2_not_in_ideal": not gb.contains(x1x2),
@@ -60,7 +60,7 @@ def f2_e32(nvars: int, deadline: float | None) -> tuple[bool, list]:
     if nvars == 5:
         radical_ok = radical_orbit_equality(ideal.seeds[0], ideal.group, deadline=deadline).verdict
         monomial_orbit = orbit_ideal([x1x2], ideal.group, deadline=deadline)
-        equal = ideal_equal(ideal, monomial_orbit, GREVLEX, deadline=deadline).verdict
+        equal = ideal_equal(ideal, monomial_orbit, deadline=deadline).verdict
         checks["radical_equals_monomial_orbit"] = radical_ok
         checks["ideal_equals_monomial_orbit"] = equal
         ok = ok and radical_ok and not equal
@@ -136,7 +136,7 @@ def elimination_grid(deadline: float | None) -> tuple[bool, list]:
 
 def telescoping_n3d2(deadline: float | None) -> tuple[bool, list]:
     cert = telescoping_certificate(3, 2, 5, QQ)
-    gb = _e32_orbit(5, QQ, deadline).groebner_basis(GREVLEX, deadline=deadline)
+    gb = _e32_orbit(5, QQ, deadline).groebner_basis(deadline=deadline)
     reduces = gb.contains(cert.final)
     chain = [format_polynomial(p) for p in cert.chain]
     return reduces, [VerdictReport(

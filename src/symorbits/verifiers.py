@@ -12,11 +12,13 @@ import itertools
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Iterator
 
 from .fields import QQ, Field, Raw, binomial
 from .groebner import radical_equals_irrelevant, radical_member
 from .ideals import orbit_ideal, rank_condition
-from .permutations import DEFAULT_GROUP_BOUND, PermGroup, Permutation, _orbit_size, _tuple_orbit
+from .permutations import DEFAULT_GROUP_BOUND, PermGroup, Permutation, _closure, _orbit_size
+from .permutations import _tuple_orbit
 from .polynomials import Polynomial, elementary_symmetric
 from .reports import CertificateError, VerdictReport, check_deadline
 
@@ -342,11 +344,16 @@ def _minimal_supports(f: Polynomial, group: PermGroup, *,
     square-free exponent vectors: the x_S for these S generate the monomial
     ideal M that holds every term.  The terms of sigma.f are sigma applied
     to the terms of f, so these are the minimal elements of the closure of
-    f's own supports."""
-    supports = _tuple_orbit({tuple(int(e > 0) for e in m) for m in f.terms},
-                            group.generators, deadline)
-    return {s for s in supports
-            if not any(t != s and all(map(operator.le, t, s)) for t in supports)}
+    f's own supports.  Minimality is G-invariant, so they are the orbits
+    of those own supports that no support of the closure properly
+    contains: |own| x |closure| comparisons, then a walk inside the closure
+    that the first walk bounded."""
+    own = {tuple(int(e > 0) for e in m) for m in f.terms}
+    supports = _tuple_orbit(own, group.generators, deadline)
+    least = [s for s in own
+             if not any(t != s and all(map(operator.le, t, s)) for t in supports)]
+    return _closure(least, lambda s: (g.act_monomial(s) for g in group.generators),
+                    deadline=deadline)
 
 
 def _constant_point_roots(f: Polynomial, deadline: float | None) -> list:
@@ -407,12 +414,15 @@ def _divisors(n: int, deadline: float | None) -> list[int]:
     return sorted(set(out))
 
 
-def _witness_patterns(nvars: int) -> list[tuple[int, ...]]:
-    """All arrangements of one +1, one -1, and zeros elsewhere, sorted."""
-    return sorted(
-        tuple(1 if k == i else -1 if k == j else 0 for k in range(nvars))
-        for i in range(nvars) for j in range(nvars) if i != j
-    )
+def _witness_patterns(nvars: int) -> Iterator[tuple[int, ...]]:
+    """All arrangements of one +1, one -1, and zeros elsewhere, yielded one
+    at a time in sorted order: for k = 0..n-1 the -1 at k with the +1
+    after it, the +1's position descending, then for k = n-1..0 the +1 at k
+    with the -1 after it, the -1's position ascending."""
+    for plus, minus in itertools.chain(
+            ((i, k) for k in range(nvars) for i in range(nvars - 1, k, -1)),
+            ((k, j) for k in range(nvars - 1, -1, -1) for j in range(k + 1, nvars))):
+        yield tuple(1 if x == plus else -1 if x == minus else 0 for x in range(nvars))
 
 
 def monomial_free_witness(

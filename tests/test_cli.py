@@ -92,6 +92,32 @@ class TestExitCodes:
         )
         assert code == 2 and out == "" and "exceed enumeration bound" in err
 
+    def test_cyclic_group_is_built_without_its_order(self, capsys, monkeypatch):
+        # a given order is compared with nothing: C<N> computes no N!
+        def no_factorial(n):
+            raise AssertionError(f"factorial({n}) computed")
+
+        monkeypatch.setattr(math, "factorial", no_factorial)
+        group = cli.parse_group("C200000", None)
+        assert not group.is_full_symmetric and group.order == 200000
+        start = time.monotonic()
+        code, out, err = invoke(capsys, "verify", "rank-condition", "--group", "C200000",
+                                "--poly", "x1*x2", "--timeout", "0.1")
+        assert code == 2 and out == "" and "exceed enumeration bound" in err
+        assert time.monotonic() - start < 0.2
+
+    def test_minimal_supports_of_many_subsets_within_budget(self, capsys):
+        # C(16, 6) = 8,008 supports in the closure: only f's own two are
+        # compared with it, and the all-ones point is the witness
+        start = time.monotonic()
+        code, out, _ = invoke(
+            capsys, "verify", "witness", "--group", "S16",
+            "--poly", "x1*x2*x3*x4*x5*x6 - x7*x8*x9*x10*x11*x12", "--timeout", "5",
+            "--format", "machine",
+        )
+        assert code == 0 and all(f"certificate.point.{i}=1\n" in out for i in range(16))
+        assert time.monotonic() - start < 1.0
+
     def test_rank_condition_s8_within_budget(self, capsys):
         # 336 monomials of type (3,2,1) against 20,160 orbit vectors, counted
         # by orbit-stabilizer; the deadline is checked per image walked by
@@ -545,6 +571,21 @@ class TestScenarios:
         code, _, _ = invoke(capsys, "repro", "no-such-scenario")
         assert code == 2
 
+    def test_deadline_is_timeout_or_none(self, capsys, monkeypatch):
+        # repro keeps no budget of its own: --timeout, or no deadline at all
+        deadlines = []
+
+        def scenario(deadline):
+            deadlines.append(deadline)
+            return True, []
+
+        monkeypatch.setitem(cli.SCENARIOS, "lemma-grid", scenario)
+        assert invoke(capsys, "repro", "lemma-grid")[0] == 0
+        start = time.monotonic()
+        assert invoke(capsys, "repro", "lemma-grid", "--timeout", "5")[0] == 0
+        assert deadlines[0] is None
+        assert isinstance(deadlines[1], float) and start < deadlines[1] <= time.monotonic() + 5
+
 
 # Every command with arguments it accepts; each exits 0 or 1 as written.
 COMMAND_ARGV = {
@@ -572,7 +613,7 @@ COMMAND_ARGV = {
 UNREAD = {
     "orbit": "--format --seed --trials --coeff-box --budget --timeout",
     "gb": "--seed --trials --coeff-box",
-    "member": "--seed --trials --coeff-box",
+    "member": "--order --seed --trials --coeff-box",
     "radical-member": "--order --seed --trials --coeff-box",
     "eliminate": "--order --seed --trials --coeff-box --budget",
     "sample-genericity": "--order --k",

@@ -281,6 +281,17 @@ class TestIdealEqual:
         assert not report.verdict
         assert report.certificate["failures"]
 
+    def test_no_monomial_order(self, P):
+        # membership, hence equality, does not depend on the order
+        left = orbit_ideal([P("x1", 2)], PermGroup.symmetric(2))
+        right = [P("x1", 2), P("x2", 2)]
+        report = ideal_equal(left, right)
+        assert report.verdict and "order" not in report.parameters
+        with pytest.raises(TypeError):
+            ideal_equal(left, right, GREVLEX)
+        with pytest.raises(TypeError):
+            ideal_equal(left, right, order=GREVLEX)
+
 
 class TestRankCondition:
     def test_single_monomial_full_rank(self, P):

@@ -143,6 +143,15 @@ class TestGroups:
         group = PermGroup.generated(3, ["(1 2)"])
         assert group.order == 2
 
+    def test_full_symmetric_marks(self):
+        # C1 and C2 are S1 and S2, and a generated group is S_N when its
+        # chain shows N!; C3 is not S3
+        for group in (PermGroup.cyclic(1), PermGroup.cyclic(2),
+                      parse_group("gens:(1 2),(1 2 3)", 3)):
+            assert group.is_full_symmetric and group.order == math.factorial(group.degree)
+        c3 = PermGroup.cyclic(3)
+        assert not c3.is_full_symmetric and c3.order == 3
+
     def test_generated_closure(self):
         group = PermGroup.generated(4, ["(1 2)", "(1 2 3 4)"])
         assert group.order == 24
